@@ -1,6 +1,6 @@
 """Lempel-Ziv word counts of Bose/Fermi occupancy strings.
 
-Exact marginals, fixed-particle-number conditioning, streaming canonical
+Exact marginals, fixed-particle-number conditioning, tree-based canonical
 sampling, LZ78 parsing, and property batteries tying the measured
 compression rate to the ensemble entropy integral.
 """

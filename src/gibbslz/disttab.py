@@ -236,7 +236,7 @@ def build_suffix_dp(
     if (ell + 1) * (n + 1) > max_cells:
         raise NumericError(
             f"suffix table would need {(ell + 1) * (n + 1)} cells "
-            f"(cap {max_cells}); use the streaming sampler for instances this large"
+            f"(cap {max_cells}); use CanonicalSampler for instances this large"
         )
     logT = np.full((ell + 1, n + 1), NEG_INF)
     logT[ell, 0] = 0.0

@@ -31,7 +31,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import expit
+from scipy.special import expit, xlog1py, xlogy
 
 from .errors import DomainError, EnsembleError, NumericError, TargetRangeError
 
@@ -184,14 +184,15 @@ def marginal_entropy(spec: EnsembleSpec, y):
 def entropy_of_mean(stats: Statistics, a):
     """Entropy, in bits, of the marginal law parametrised by its mean a.
 
-    Fermi: the binary entropy H2(a) for 0 < a < 1.  Bose: the geometric
-    entropy (a+1) log2(a+1) - a log2 a for a > 0.
+    Fermi: the binary entropy H2(a) for 0 <= a <= 1, with its limit 0 at
+    the endpoints (a mode so cold that its mean rounds to 0 or 1).  Bose:
+    the geometric entropy (a+1) log2(a+1) - a log2 a for a > 0.
     """
     arr = np.asarray(a, dtype=float)
     if stats is Statistics.FERMI:
-        if np.any(arr <= 0.0) or np.any(arr >= 1.0):
-            raise DomainError("Fermi mean occupancy must lie strictly in (0, 1)")
-        out = -(arr * np.log(arr) + (1.0 - arr) * np.log1p(-arr)) / LN2
+        if np.any(arr < 0.0) or np.any(arr > 1.0):
+            raise DomainError("Fermi mean occupancy must lie in [0, 1]")
+        out = -(xlogy(arr, arr) + xlog1py(1.0 - arr, -arr)) / LN2
     else:
         if np.any(arr <= 0.0):
             raise DomainError("Bose mean occupancy must be positive")

@@ -138,6 +138,8 @@ def _parse_dispersion(raw: str) -> Dispersion:
             raise ConfigError(f"bad grid dispersion {raw!r}") from exc
         if len(vals) < 2:
             raise ConfigError("grid dispersion needs at least two values")
+        if not all(math.isfinite(v) for v in vals):
+            raise ConfigError(f"grid dispersion values must be finite, got {raw!r}")
         return TabulatedGrid(vals)
     raise ConfigError(f"unknown dispersion {raw!r} (use cosine or grid:v0,v1,...)")
 
@@ -203,8 +205,8 @@ def load_config(path: str | Path, seed_override: int | None = None,
     seed = _parse_int("run.seed", m.get("run.seed", "0"))
     if seed_override is not None:
         seed = seed_override
-    if seed < 0:
-        raise ConfigError("run.seed must be nonnegative")
+    if not 0 <= seed < 2**63:
+        raise ConfigError(f"run.seed must lie in [0, 2^63), got {seed}")
     kind = m.get("run.kind", "canonical").lower()
     if kind not in ("canonical", "grand"):
         raise ConfigError(f"run.kind must be canonical or grand, got {kind!r}")

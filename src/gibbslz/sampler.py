@@ -1,26 +1,38 @@
 """Occupancy-string samplers: independent modes and fixed-total conditioning.
 
 Grand sampling draws every mode independently from its marginal law by
-inverse transform, one uniform per site.  Canonical sampling conditions the
-same product law on a fixed total occupancy n and draws sites left to right:
-at site j with remaining total s, the occupancy k is drawn with weight
+inverse transform, one uniform per site.
 
-    p_j(k) * T_{j+1}(s - k),
+Canonical sampling conditions the same product law on a fixed total
+occupancy n.  The sites are the leaves of a balanced binary tree, and each
+node holds the law of its subtree's total.  A draw runs from the root, which
+holds n, down to the leaves: a node holding total t hands its left child s
+with probability
 
-where T_{j+1} is the law of the remaining suffix sum.  The suffix rows are
-computed by backward convolution.  Rows are kept in the linear domain and
-rescaled so the entry at the predicted conditional center is one (per-row
-scale factors cancel inside each site's draw weights); the far tails then
-underflow or overflow the double range and are dropped, which is what
-bounds the window width.  For long strings only every sqrt(ell)-th row is
-retained; the rows inside a block are recomputed from the next checkpoint
-while the draws pass through it.  The recomputation repeats the identical
-float operations, so draws do not depend on how much is cached.
+    P(S_L = s | S_L + S_R = t)  proportional to  L(s) * R(t - s),
+
+one vectorised step per tree level (exact splitting of a conditioned sum,
+Arratia & DeSalvo 2016).  The tree is built bottom-up, one level at a time,
+with batched FFT convolutions.
+
+Before the build the site laws are tilted to the saddle point: site j's
+law p_j(k) becomes proportional to p_j(k) e^{theta k}, with theta chosen so
+the tilted means sum to n (as in conditional Bernoulli sampling, Chen,
+Dempster & Liu 1994).  Tilting leaves the conditional law unchanged and puts
+every node's conditioned total near the centre of its tilted law, where the
+FFT results are accurate to double precision even when n is far in the tail
+of the untilted sum.  Each node law is kept only on a window of
+_WINDOW_SIGMAS standard deviations plus one leaf width around its tilted
+mean; the tilted mass cut off by the windows is added to the reported
+truncation tail.  Leaves are cut at n, which is exact: larger totals cannot
+occur.
 
 Determinism: each (seed, ell, replica) triple owns a counter-based random
-stream, and a replica consumes exactly one uniform per site.  A string is
-therefore a pure function of (ensemble, ell, n, seed, replica), independent
-of batching, caching, and process count.
+stream.  A replica reads ell uniforms from it and uses one per merge node of
+the tree (ell - 1 of them; the last uniform is unused).  Replicas are drawn
+in chunks whose size a fixed cell budget sets, and each replica's arithmetic
+is confined to its own rows, so a string is a pure function of (ensemble,
+ell, n, seed, replica), independent of chunking, batching and process count.
 
 Bose marginals are truncated once their tail mass drops below a tolerance;
 the summed truncation bound is reported in the string provenance.
@@ -32,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .disttab import DistTable
-from .ensemble import EnsembleSpec, Statistics, marginal_mean
+from .ensemble import EnsembleSpec, Statistics, eval_dispersion, marginal_mean
 from .errors import (
     DomainError,
     ImpossibleConditionError,
@@ -40,7 +52,16 @@ from .errors import (
 )
 
 _DEFAULT_TAIL_TOL = 1e-12
-_DEFAULT_MAX_CELLS = 1 << 24
+# Node windows reach this many tilted standard deviations, plus one leaf
+# width, to each side of the node's tilted mean.
+_WINDOW_SIGMAS = 12.0
+# Float cells (leaf columns plus node windows) one sampler may hold; larger
+# instances fail fast with NumericError instead of running unbounded.
+_MAX_CELLS = 1 << 25
+# Split-weight cells one chunk of replicas may hold at once.
+_CHUNK_CELLS = 1 << 20
+# Newton steps allowed for the saddle-point tilt.
+_TILT_STEPS = 100
 
 
 @dataclass(frozen=True)
@@ -139,17 +160,146 @@ def sample_grand(spec: EnsembleSpec, ell: int, seed: int,
     return OccupancyString(vals, prov)
 
 
-class CanonicalSampler:
-    """Shared machinery for fixed-total draws at one (ensemble, ell, n).
+def _site_laws(spec: EnsembleSpec, ell: int, n: int,
+               tail_tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every site law as a truncated geometric: p_j(k) is proportional to
+    e^{a_j k} on k = 0..top_j.  Returns (a, top, dropped tail mass).
 
-    Building the checkpoint rows is the expensive part; do it once and draw
-    any number of replicas from it.  Degenerate targets (n = 0, or a full
-    Fermi string) bypass the row machinery entirely.
+    a_j = -beta * omega(j/ell) is the log-odds of a Fermi site and the log
+    ratio of a Bose site.  Bose supports end where DistTable.geometric ends
+    them, at the smallest top with q^{top+1} < tail_tol, and every support
+    is cut at n, which is exact: no site of a string with total n holds more.
+    """
+    a = -spec.beta * np.asarray(eval_dispersion(spec, np.arange(ell) / ell))
+    if spec.stats is Statistics.FERMI:
+        return a, np.full(ell, min(1, n), dtype=np.int64), np.zeros(ell)
+    if not (0.0 < tail_tol < 0.1):
+        raise DomainError("tail tolerance must be a small positive mass")
+    log_tol = math.log(tail_tol)
+    top = np.maximum(np.ceil(log_tol / a) - 1.0, 0.0)
+    top += (top + 1.0) * a >= log_tol
+    return a, np.minimum(top, n).astype(np.int64), np.exp((top + 1.0) * a)
+
+
+def _tilted_laws(a: np.ndarray, top: np.ndarray,
+                 theta: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(ell, K) matrix of the site laws tilted by theta, each normalised,
+    with their means and variances."""
+    k = np.arange(int(top.max()) + 1, dtype=float)
+    laws = np.multiply.outer(a + theta, k)
+    laws[k > top[:, None]] = -np.inf
+    laws -= laws.max(axis=1, keepdims=True)
+    np.exp(laws, out=laws)
+    laws /= laws.sum(axis=1, keepdims=True)
+    mean = laws @ k
+    var = np.maximum(laws @ (k * k) - mean * mean, 0.0)
+    return laws, mean, var
+
+
+def _saddle_tilt(a: np.ndarray, top: np.ndarray, n: int):
+    """theta whose tilted site means sum to n, found by safeguarded Newton
+    steps; returns (theta, tilted laws, their means, their variances)."""
+    theta, lo, hi = 0.0, -math.inf, math.inf
+    laws, mean, var = _tilted_laws(a, top, theta)
+    for _ in range(_TILT_STEPS):
+        excess, spread = float(mean.sum()) - n, float(var.sum())
+        if abs(excess) <= 1e-9 * max(1.0, n) or spread <= 0.0:
+            break
+        if excess > 0.0:
+            hi = theta
+        else:
+            lo = theta
+        step = theta + min(8.0, max(-8.0, -excess / spread))
+        theta = step if lo < step < hi else 0.5 * (lo + hi)
+        laws, mean, var = _tilted_laws(a, top, theta)
+    return theta, laws, mean, var
+
+
+def _window_plan(top: np.ndarray, mean: np.ndarray, var: np.ndarray,
+                 n: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(offset, width) of every node window, level by level from the leaves
+    to the root.  A level pairs adjacent nodes; an odd last node moves up
+    unmerged, so the tree has ell - 1 merges."""
+    pad = float(top.max())
+    off = np.zeros(top.size, dtype=np.int64)
+    wid = top + 1
+    plan = [(off, wid)]
+    while off.size > 1:
+        pairs = off.size // 2
+        lo = off[0:2 * pairs:2] + off[1:2 * pairs:2]
+        hi = lo + wid[0:2 * pairs:2] + wid[1:2 * pairs:2] - 2
+        m = mean[0:2 * pairs:2] + mean[1:2 * pairs:2]
+        v = var[0:2 * pairs:2] + var[1:2 * pairs:2]
+        half = _WINDOW_SIGMAS * np.sqrt(v) + pad
+        lo = np.maximum(lo, np.floor(m - half).astype(np.int64))
+        hi = np.minimum(np.minimum(hi, n), np.ceil(m + half).astype(np.int64))
+        if off.size % 2:
+            lo = np.append(lo, off[-1])
+            hi = np.append(hi, off[-1] + wid[-1] - 1)
+            m = np.append(m, mean[-1])
+            v = np.append(v, var[-1])
+        off, wid, mean, var = lo, hi - lo + 1, m, v
+        plan.append((off, wid))
+    return plan
+
+
+@dataclass(frozen=True)
+class _Level:
+    """Node windows of one tree level: row i of law holds the law of node
+    i's total at off[i], off[i] + 1, ...; columns past a node's own window
+    are zero."""
+
+    off: np.ndarray
+    law: np.ndarray
+
+    @property
+    def width(self) -> int:
+        return self.law.shape[1]
+
+
+def _merge_level(child: _Level, off: np.ndarray, wid: np.ndarray,
+                 n: int) -> tuple[_Level, float]:
+    """Laws of the next level up, cut to the planned windows (off, wid),
+    and the tilted mass the cut removed."""
+    w = child.width
+    pairs = child.off.size // 2
+    size = 2 * w - 1
+    nfft = 1 << (size - 1).bit_length()
+    spec = np.fft.rfft(child.law[0:2 * pairs:2], nfft, axis=1)
+    spec *= np.fft.rfft(child.law[1:2 * pairs:2], nfft, axis=1)
+    conv = np.fft.irfft(spec, nfft, axis=1)[:, :size]
+    del spec
+    np.maximum(conv, 0.0, out=conv)
+    base = child.off[0:2 * pairs:2] + child.off[1:2 * pairs:2]
+    reachable = float(conv.sum(where=base[:, None] + np.arange(size) <= n))
+
+    width = int(wid.max())
+    cols = np.arange(width)
+    idx = np.minimum((off[:pairs] - base)[:, None] + cols, size - 1)
+    win = np.take_along_axis(conv, idx, axis=1)
+    win *= cols < wid[:pairs, None]
+    law = np.zeros((off.size, width))
+    law[:pairs] = win
+    if off.size > pairs:
+        law[pairs, :wid[pairs]] = child.law[-1, :wid[pairs]]
+    return _Level(off, law), max(0.0, reachable - float(win.sum()))
+
+
+class CanonicalSampler:
+    """Fixed-total draws at one (ensemble, ell, n) from a tree of sub-sum laws.
+
+    Building the tree is the expensive part; do it once and draw any number
+    of replicas from it.  Degenerate targets (n = 0, or a full Fermi string)
+    bypass the tree entirely.
+
+    Diagnostics: `tilt` is the saddle-point theta, `cells` the float cells
+    held by the leaves and node windows (at most _MAX_CELLS), and
+    `truncation_tail` the Bose tail mass dropped from the site laws plus the
+    tilted mass the node windows cut off.
     """
 
     def __init__(self, spec: EnsembleSpec, ell: int, n: int,
-                 tail_tol: float = _DEFAULT_TAIL_TOL,
-                 max_cells: int = _DEFAULT_MAX_CELLS):
+                 tail_tol: float = _DEFAULT_TAIL_TOL):
         if ell < 1:
             raise DomainError("ell must be at least 1")
         if n < 0:
@@ -162,13 +312,16 @@ class CanonicalSampler:
             raise ImpossibleConditionError(
                 f"Fermi string of length {ell} cannot hold {n} particles"
             )
-        tables = marginal_tables(spec, ell, tail_tol=tail_tol)
-        self.truncation_tail = float(sum(t.truncation_tail for t in tables))
-        if sum(t.support_max for t in tables) < n:
+        a, top, tails = _site_laws(spec, self.ell, self.n, tail_tol)
+        self.truncation_tail = float(tails.sum())
+        if int(top.sum()) < n:
             raise ImpossibleConditionError(
                 f"total {n} exceeds the summed (truncated) site supports"
             )
-        self._kernels = [t.probs for t in tables]
+        self.tilt = 0.0
+        self.cells = 0
+        self._levels: list[_Level] = []
+        self._split_cells = 1
 
         if self.n == 0:
             self._degenerate = np.zeros(ell, dtype=np.int64)
@@ -178,124 +331,107 @@ class CanonicalSampler:
             return
         self._degenerate = None
 
-        km = np.array([float(np.arange(k.size) @ k) for k in self._kernels])
-        kv = np.array([float(np.arange(k.size) ** 2 @ k) for k in self._kernels])
-        kv = kv - km ** 2
-        suf_m = np.concatenate([np.cumsum(km[::-1])[::-1], [0.0]])
-        suf_v = np.concatenate([np.cumsum(kv[::-1])[::-1], [0.0]])
-        shift = (n - suf_m[0]) / suf_v[0] if suf_v[0] > 0.0 else 0.0
-        if not math.isfinite(shift):
-            shift = 0.0
-        self._centers = np.clip(np.rint(suf_m + shift * suf_v), 0, n).astype(np.int64)
+        self._check_budget(self.ell * (int(top.max()) + 1))
+        self.tilt, laws, mean, var = _saddle_tilt(a, top, self.n)
+        plan = _window_plan(top, mean, var, self.n)
+        self.cells = sum(off.size * int(wid.max()) for off, wid in plan)
+        self._check_budget(self.cells)
 
-        if (ell + 1) * (n + 1) <= max_cells:
-            self._stride = ell
-        else:
-            self._stride = max(1, math.isqrt(ell - 1) + 1)
-        self._checkpoints: dict[int, tuple[int, np.ndarray]] = {}
-        off, arr = 0, np.ones(1)
-        self._checkpoints[ell] = (off, arr)
-        for j in range(ell - 1, -1, -1):
-            off, arr = self._step(j, off, arr)
-            if j > 0 and (self._stride == ell or j % self._stride == 0):
-                self._checkpoints[j] = (off, arr)
+        self._levels = [_Level(plan[0][0], laws)]
+        for off, wid in plan[1:]:
+            level, cut = _merge_level(self._levels[-1], off, wid, self.n)
+            self._levels.append(level)
+            self.truncation_tail += cut
+        self._split_cells = max(
+            [(lv.off.size // 2) * lv.width for lv in self._levels[:-1]] + [1])
 
-    # Kept row entries stay inside [_ROW_FLOOR, _ROW_BOUND]; reachable
-    # states sit within a few hundred nats of the anchor, far from both
-    # edges.  The floor also keeps the convolutions out of the denormal
-    # range, which hardware handles an order of magnitude slower.
-    _ROW_FLOOR = 1e-290
-    _ROW_BOUND = 1e260
+        root = self._levels[-1]
+        at = self.n - int(root.off[0])
+        if not (0 <= at < root.width and root.law[0, at] > 0.0):
+            raise NumericError(
+                f"total {n} has no probability under the tilted tree; it is "
+                "too deep in the tail of the site laws"
+            )
 
-    def _step(self, j: int, off: int, arr: np.ndarray) -> tuple[int, np.ndarray]:
-        """One backward convolution: the suffix-sum row gains one site.
+    @staticmethod
+    def _check_budget(cells: int) -> None:
+        if cells > _MAX_CELLS:
+            raise NumericError(
+                f"canonical sampler would need {cells} cells (budget "
+                f"{_MAX_CELLS}); the site laws are too wide for this (ell, n)"
+            )
 
-        Rows are (offset, window) pairs over remaining-total coordinates.
-        The recursion for entry s reads only entries at or below s, so the
-        hard ceiling at the target total is exact.  Each row is rescaled so
-        its entry at the predicted conditional center (a Gaussian moment
-        estimate, fixed at build time) is one; states the draws can reach
-        lie within a few hundred nats of that anchor, where doubles have
-        full precision even when the target total is deep in the tail of
-        the unconditioned sum.  Entries outside [_ROW_FLOOR, _ROW_BOUND]
-        are dropped; the anchor is a fixed function of the site index, so
-        the cut cannot feed back on itself, and a dropped entry sits
-        hundreds of nats away from every reachable state, where its loss
-        perturbs only the few window-edge entries next to it (information
-        flows upward in s, so entries above _ROW_BOUND cannot perturb the
-        window at all).  Row log-concavity (preserved by convolution)
-        makes the kept set one contiguous window.  Scale factors are
-        per-row constants and cancel in the conditional draw weights.
+    def _split_weights(self, h: int, t: np.ndarray) -> np.ndarray:
+        """Unnormalised split weights L(s) R(t - s) of the merges at level h.
+
+        t has shape (m, P): the totals of the P merged nodes of level h for
+        m replicas.  Entry [r, p, i] of the result weighs left-child total
+        s = off + i, with off the left child's window offset.
         """
-        conv = np.convolve(arr, self._kernels[j])
-        if off + conv.size - 1 > self.n:
-            conv = conv[: self.n + 1 - off]
-        anchor = int(self._centers[j]) - off
-        scale = conv[anchor] if 0 <= anchor < conv.size else 0.0
-        if not scale > 0.0:
-            scale = conv.max()
-        if not scale > 0.0:
-            raise NumericError(
-                "suffix row underflowed to zero; the target total is too "
-                "deep in the tail of the site laws"
-            )
-        with np.errstate(over="ignore"):
-            row = conv / scale
-        live = np.nonzero((row >= self._ROW_FLOOR) & (row <= self._ROW_BOUND))[0]
-        if live.size == 0:
-            raise NumericError(
-                "suffix row has no representable entries near the predicted "
-                "conditional center"
-            )
-        lo, hi = int(live[0]), int(live[-1])
-        return off + lo, row[lo:hi + 1]
+        child = self._levels[h - 1]
+        w = child.width
+        pairs = child.off.size // 2
+        # R(t - s) for s = off_L, off_L + 1, ... is a length-w slice of the
+        # right law reversed and zero-padded by w on each side.
+        rpad = np.zeros((pairs, 3 * w))
+        rpad[:, w:2 * w] = child.law[1:2 * pairs:2, ::-1]
+        start = 2 * w - 1 - (t - child.off[0:2 * pairs:2] - child.off[1:2 * pairs:2])
+        np.clip(start, 0, 2 * w, out=start)
+        slices = np.lib.stride_tricks.sliding_window_view(rpad, w, axis=1)
+        weights = slices[np.arange(pairs), start]
+        weights *= child.law[0:2 * pairs:2]
+        return weights
 
-    def _block_bounds(self) -> list[tuple[int, int]]:
-        stride = self._stride
-        return [(lo, min(lo + stride, self.ell)) for lo in range(0, self.ell, stride)]
-
-    def _rows_for_block(self, lo: int, hi: int) -> dict[int, tuple[int, np.ndarray]]:
-        rows = {hi: self._checkpoints[hi]}
-        for j in range(hi - 1, lo, -1):
-            off, arr = rows[j + 1]
-            rows[j] = self._step(j, off, arr)
-        return rows
+    def _draw(self, U: np.ndarray) -> np.ndarray:
+        """Top-down pass for one chunk of replicas; merges take uniforms
+        column by column, root first."""
+        t = np.full((U.shape[0], 1), self.n, dtype=np.int64)
+        col = 0
+        for h in range(len(self._levels) - 1, 0, -1):
+            child = self._levels[h - 1]
+            pairs = child.off.size // 2
+            c = np.cumsum(self._split_weights(h, t[:, :pairs]), axis=2)
+            tot = c[:, :, -1]
+            if not np.all(tot > 0.0):
+                raise NumericError(
+                    "split weights vanished; a conditioned node total fell "
+                    "outside its children's windows"
+                )
+            # Keeping the threshold below tot makes the pick land on an
+            # entry of positive weight even when u * tot rounds up.
+            thr = np.minimum(U[:, col:col + pairs] * tot, np.nextafter(tot, 0.0))
+            left = child.off[0:2 * pairs:2] + np.count_nonzero(
+                c <= thr[:, :, None], axis=2)
+            col += pairs
+            nxt = np.empty((U.shape[0], child.off.size), dtype=np.int64)
+            nxt[:, 0:2 * pairs:2] = left
+            nxt[:, 1:2 * pairs:2] = t[:, :pairs] - left
+            if child.off.size % 2:
+                nxt[:, -1] = t[:, -1]
+            t = nxt
+        return t
 
     def sample_from_uniforms(self, uniforms: np.ndarray) -> np.ndarray:
-        """Draw one string per row of uniforms; uniforms has shape (m, ell)."""
+        """Draw one string per row of uniforms; uniforms has shape (m, ell).
+
+        Column c feeds the c-th merge node (root first, level by level);
+        the last column is unused.
+        """
         U = np.asarray(uniforms, dtype=float)
         if U.ndim != 2 or U.shape[1] != self.ell:
             raise DomainError(f"uniforms must have shape (m, {self.ell})")
         m = U.shape[0]
         if self._degenerate is not None:
             return np.tile(self._degenerate, (m, 1))
+        rows = max(1, _CHUNK_CELLS // self._split_cells)
         out = np.empty((m, self.ell), dtype=np.int64)
-        states = np.full(m, self.n, dtype=np.int64)
-        for lo, hi in self._block_bounds():
-            rows = self._rows_for_block(lo, hi)
-            for j in range(lo, hi):
-                kern = self._kernels[j]
-                off_next, row_next = rows[j + 1]
-                ks = np.arange(kern.size)
-                rel = states[:, None] - ks[None, :] - off_next
-                in_win = (rel >= 0) & (rel < row_next.size)
-                w = np.where(in_win, row_next[np.clip(rel, 0, row_next.size - 1)], 0.0)
-                w *= kern[None, :]
-                c = np.cumsum(w, axis=1)
-                tot = c[:, -1]
-                if not np.all(tot > 0.0):
-                    raise NumericError(
-                        "conditional draw weights underflowed; the target total "
-                        "is too deep in the tail for the rescaled suffix rows"
-                    )
-                draw = (c < (U[:, j] * tot)[:, None]).sum(axis=1)
-                draw = np.minimum(draw, kern.size - 1)
-                out[:, j] = draw
-                states -= draw
-            del rows
-        if not np.all(states == 0):
-            raise NumericError("draws failed to consume the target total exactly")
+        for i in range(0, m, rows):
+            out[i:i + rows] = self._draw(U[i:i + rows])
         return out
+
+    def _check_totals(self, vals: np.ndarray) -> None:
+        if not np.all(vals.sum(axis=1) == self.n):
+            raise NumericError("draws failed to consume the target total exactly")
 
     def sample_batch(self, seed: int, replicas) -> list[OccupancyString]:
         """Deterministic per-replica draws; output depends only on
@@ -305,14 +441,11 @@ class CanonicalSampler:
         for i, rep in enumerate(reps):
             U[i] = make_rng(seed, self.ell, rep).random(self.ell)
         vals = self.sample_from_uniforms(U)
-        out = []
-        for i, rep in enumerate(reps):
-            prov = Provenance(self.spec.label(), "canonical", self.ell, self.n,
-                              int(seed), rep, self.truncation_tail)
-            s = OccupancyString(vals[i], prov)
-            assert int(s.values.sum()) == self.n
-            out.append(s)
-        return out
+        self._check_totals(vals)
+        return [OccupancyString(vals[i], Provenance(
+                    self.spec.label(), "canonical", self.ell, self.n, int(seed),
+                    rep, self.truncation_tail))
+                for i, rep in enumerate(reps)]
 
     def sample_bulk(self, rng: np.random.Generator, m: int) -> np.ndarray:
         """m law-exact draws from one shared stream (for large Monte Carlo
@@ -320,7 +453,7 @@ class CanonicalSampler:
         if m < 1:
             raise DomainError("need at least one draw")
         vals = self.sample_from_uniforms(rng.random((m, self.ell)))
-        assert np.all(vals.sum(axis=1) == self.n)
+        self._check_totals(vals)
         return vals
 
 
@@ -329,7 +462,7 @@ def sample_canonical(spec: EnsembleSpec, ell: int, n: int, seed: int,
                      sampler: CanonicalSampler | None = None) -> OccupancyString:
     """One fixed-total draw.  For many replicas at one (ell, n), build a
     CanonicalSampler once and use sample_batch; this convenience wrapper
-    rebuilds the rows on every call."""
+    rebuilds the tree on every call."""
     if sampler is None:
         sampler = CanonicalSampler(spec, ell, n)
     elif (sampler.ell, sampler.n) != (ell, n):

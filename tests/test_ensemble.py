@@ -106,6 +106,10 @@ def test_entropy_of_mean_matches_marginal_entropy():
         a = marginal_mean(spec, y)
         np.testing.assert_allclose(entropy_of_mean(spec.stats, a),
                                    marginal_entropy(spec, y), rtol=1e-12)
+    # a Fermi mode so cold its mean rounds to 0 or 1 carries no entropy
+    np.testing.assert_array_equal(entropy_of_mean(FERMI, [0.0, 1.0]), [0.0, 0.0])
+    with pytest.raises(DomainError):
+        entropy_of_mean(FERMI, 1.5)
 
 
 def test_marginal_extreme_arguments_are_finite():

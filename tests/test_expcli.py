@@ -2,6 +2,7 @@
 
 import json
 import math
+import time
 from pathlib import Path
 
 import numpy as np
@@ -111,6 +112,9 @@ def test_load_config_rejects_bad_values(tmp_path):
         BASE + "output.format = xml\n",
         BASE.replace("ensemble.dispersion = cosine",
                      "ensemble.dispersion = grid:1.0"),
+        BASE.replace("ensemble.dispersion = cosine",
+                     "ensemble.dispersion = grid:0.5,nan,1.0"),
+        BASE.replace("run.seed = 11", f"run.seed = {2**63}"),
     ]
     for i, text in enumerate(cases):
         with pytest.raises(ConfigError):
@@ -314,7 +318,42 @@ def test_exit_codes(tmp_path, capsys):
                          .replace("ensemble.r = 0.5", "ensemble.mu = -1e-12"),
                          "sing.cfg")
     assert main(["density", "--config", singular, "--out", str(tmp_path)]) == 3
+
+    # Config problems found only downstream used to surface as exit 3.
+    infinite = write_cfg(tmp_path, BASE.replace("cosine", "grid:1,inf"), "inf.cfg")
+    assert main(["density", "--config", infinite, "--out", str(tmp_path)]) == 1
+    good = write_cfg(tmp_path, BASE, "good.cfg")
+    assert main(["converge", "--config", good, "--out", str(tmp_path),
+                 "--seed", "99999999999999999999"]) == 1
+
+    # A nearly condensed Bose gas: n = 572,163 particles on 256 sites, with
+    # site laws up to n + 1 entries wide.  The sampler's cell budget must
+    # stop it at once instead of letting it run for minutes.
+    condensed = write_cfg(tmp_path, BASE.replace("fermi", "bose")
+                          .replace("ensemble.beta = 1.0", "ensemble.beta = 0.01")
+                          .replace("ensemble.r = 0.5", "ensemble.mu = -0.001")
+                          .replace("run.lengths = 16,32", "run.lengths = 256"),
+                          "condensed.cfg")
+    t0 = time.perf_counter()
+    assert main(["converge", "--config", condensed, "--out", str(tmp_path)]) == 3
+    assert time.perf_counter() - t0 < 20.0
+    assert "cells" in capsys.readouterr().err
+
+
+def test_converge_low_temperature_fermi(tmp_path, capsys):
+    # At beta = 200 the sup of the mean profile rounds to 1.0; the typical
+    # window allowance must take the entropy limit 0 there, not fail.
+    cfg_path = write_cfg(tmp_path, BASE.replace("ensemble.beta = 1.0",
+                                                "ensemble.beta = 200")
+                         .replace("run.lengths = 16,32", "run.lengths = 256"))
+    out = tmp_path / "out"
+    assert main(["converge", "--config", cfg_path, "--out", str(out)]) == 0
     capsys.readouterr()
+    rows = (out / "results.csv").read_text().splitlines()[1:]
+    assert len(rows) == 3
+    for line in rows:
+        cells = dict(zip(RESULT_COLUMNS, line.split(",")))
+        assert cells["n"] == "128" and cells["error"] == ""
 
 
 def test_check_command_and_fault_injection(tmp_path, capsys):

@@ -2,13 +2,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from gibbslz import sampler
 from gibbslz import (
     CanonicalSampler,
     CosineLattice,
     DomainError,
     EnsembleSpec,
     ImpossibleConditionError,
+    NumericError,
     Statistics,
     TabulatedGrid,
     build_suffix_dp,
@@ -114,15 +118,21 @@ def test_canonical_rejects_impossible_totals():
         CanonicalSampler(bose_spec(), 4, 10_000)
 
 
-def test_draws_identical_across_checkpoint_spacing():
+def test_draws_identical_across_replica_chunks(monkeypatch):
+    # Replicas are drawn in chunks sized by a cell budget; a string must not
+    # depend on the chunk it lands in, nor on the rest of its batch.
     spec = bose_spec()
-    full = CanonicalSampler(spec, 300, 150, max_cells=1 << 24)
-    tight = CanonicalSampler(spec, 300, 150, max_cells=600)
-    assert full._stride != tight._stride
-    a = full.sample_batch(seed=9, replicas=[0, 1, 2])
-    b = tight.sample_batch(seed=9, replicas=[0, 1, 2])
-    for x, y in zip(a, b):
+    cs = CanonicalSampler(spec, 300, 150)
+    reps = [0, 1, 2, 3, 4]
+    assert sampler._CHUNK_CELLS // cs._split_cells >= len(reps)
+    whole = cs.sample_batch(seed=9, replicas=reps)
+    monkeypatch.setattr(sampler, "_CHUNK_CELLS", 1)  # one replica per chunk
+    chunked = cs.sample_batch(seed=9, replicas=reps)
+    mixed = cs.sample_batch(seed=9, replicas=[4, 1])
+    for x, y in zip(whole, chunked):
         np.testing.assert_array_equal(x.values, y.values)
+    np.testing.assert_array_equal(mixed[0].values, whole[4].values)
+    np.testing.assert_array_equal(mixed[1].values, whole[1].values)
 
 
 def test_draws_independent_of_batch_composition():
@@ -159,59 +169,134 @@ def test_forced_configuration_with_float_degenerate_sites():
     assert np.all(vals[:, 1] == 0)
 
 
-def test_windowed_transitions_match_exact_dp():
-    """Streaming rows are clipped around the conditional mean path; the
-    surviving transition weights must agree with the full log-domain table
-    to float precision at every state the chain can plausibly visit."""
+def node_sites(ell):
+    """(first site, site count) of every node, level by level, for the tree
+    shape the sampler builds: adjacent nodes pair up and an odd last node
+    moves up unmerged."""
+    start, size = np.arange(ell), np.ones(ell, dtype=int)
+    levels = [(start, size)]
+    while start.size > 1:
+        pairs = start.size // 2
+        nstart = start[0:2 * pairs:2]
+        nsize = size[0:2 * pairs:2] + size[1:2 * pairs:2]
+        if start.size % 2:
+            nstart, nsize = np.append(nstart, start[-1]), np.append(nsize, size[-1])
+        start, size = nstart, nsize
+        levels.append((start, size))
+    return levels
+
+
+def tree_split_law(cs, h, p, t):
+    """The sampler's law of the left-child total at merge p of level h given
+    the node total t, as a vector over s = 0, 1, ..."""
+    pairs = cs._levels[h - 1].off.size // 2
+    totals = np.zeros((1, pairs), dtype=np.int64)
+    totals[0, p] = t
+    w = cs._split_weights(h, totals)[0, p]
+    assert w.sum() > 0.0
+    off = int(cs._levels[h - 1].off[2 * p])
+    full = np.zeros(off + w.size)
+    full[off:] = w / w.sum()
+    return full
+
+
+def test_node_splits_match_exact_dp():
+    """Node laws are FFT convolutions of tilted laws cut to windows around
+    the tilted means.  With n far below the mean of the untilted sum, the
+    split laws they give must still agree with the log-domain suffix DP to
+    float precision at every total a draw can plausibly reach."""
     spec = fermi_spec()
     ell, n = 8192, 1500
     cs = CanonicalSampler(spec, ell, n)
-    widths = [arr.size for _, arr in cs._checkpoints.values()]
-    assert min(widths[1:]) < n // 2  # the trimmed regime this test is about
-    dp = build_suffix_dp(marginal_tables(spec, ell), n, max_cells=1 << 24)
-    logT = dp.logT
-    sites = [1, 7, ell // 2 - 1, ell - 9]
-    for lo, hi in cs._block_bounds():
-        picked = [j for j in sites if lo <= j < hi]
-        if not picked:
-            continue
-        rows = cs._rows_for_block(lo, hi)
-        for j in picked:
-            off, arr = rows[j + 1]
-            kern = cs._kernels[j]
-            sig = math.sqrt(max(dp_variance_hint(spec, ell, j, n), 1.0))
-            center = exact_center(spec, ell, j, n)
-            for s in range(max(0, center - 3 * int(sig)),
-                           min(n, center + 3 * int(sig)) + 1):
-                exact = np.full(kern.size, -np.inf)
-                for k in range(kern.size):
-                    if s - k >= 0 and kern[k] > 0.0:
-                        exact[k] = math.log(kern[k]) + logT[j + 1, s - k]
-                w = np.zeros(kern.size)
-                for k in range(kern.size):
-                    rel = s - k - off
-                    if 0 <= rel < arr.size:
-                        w[k] = kern[k] * arr[rel]
-                pe = np.exp(exact - np.max(exact))
-                pe /= pe.sum()
-                assert w.sum() > 0.0
-                pw = w / w.sum()
-                np.testing.assert_allclose(pw, pe, atol=1e-12)
+    assert cs.tilt < -1.0  # deep in the tail of the untilted sum
+    sites = node_sites(ell)
+    # the windowed regime this test is about: near the root, windows are
+    # far narrower than the nodes' supports
+    assert 2 * cs._levels[-2].width < min(n, sites[-2][1].min())
+    tables = marginal_tables(spec, ell)
+    p1 = site_means(spec, ell)
+    tilted = p1 * math.exp(cs.tilt) / (1.0 - p1 + p1 * math.exp(cs.tilt))
+    top = len(cs._levels) - 1
+    for h in (1, 5, 9, top - 1, top):
+        start, size = sites[h - 1]
+        pairs = start.size // 2
+        for p in sorted({0, pairs // 2, pairs - 1}):
+            a, m = start[2 * p], start[2 * p + 1]
+            b = m + size[2 * p + 1]
+            center = float(tilted[a:b].sum())
+            sig = math.sqrt(float((tilted * (1.0 - tilted))[a:b].sum()))
+            lo_t = max(0, int(center - 3 * sig))
+            hi_t = min(n, b - a, int(center + 3 * sig) + 1)
+            left = build_suffix_dp(tables[a:m], min(hi_t, m - a)).logT[0]
+            right = build_suffix_dp(tables[m:b], min(hi_t, b - m)).logT[0]
+            for t in range(lo_t, hi_t + 1):
+                s = np.arange(t + 1)
+                ok = (s < left.size) & (t - s < right.size)
+                exact = np.full(t + 1, -np.inf)
+                exact[ok] = left[s[ok]] + right[t - s[ok]]
+                exact = np.exp(exact - exact.max())
+                exact /= exact.sum()
+                got = tree_split_law(cs, h, p, t)
+                assert not got[t + 1:].any()
+                got = np.pad(got[:t + 1], (0, max(0, t + 1 - got.size)))
+                np.testing.assert_allclose(got, exact, atol=1e-12)
 
 
-def exact_center(spec, ell, j, n):
-    means = site_means(spec, ell)
-    tot = float(means.sum())
-    suf = float(means[j:].sum())
-    return int(round(suf + (n - tot) * suf / tot))
+def bounded_configs(tops, n):
+    """Every occupancy vector with entries in [0, top_j] summing to n."""
+    if not tops:
+        if n == 0:
+            yield ()
+        return
+    for k in range(min(tops[0], n) + 1):
+        for rest in bounded_configs(tops[1:], n - k):
+            yield (k,) + rest
 
 
-def dp_variance_hint(spec, ell, j, n):
-    means = site_means(spec, ell)
-    v = means * (1.0 - means)
-    tot = float(v.sum())
-    suf = float(v[j:].sum())
-    return suf * (tot - suf) / tot
+@settings(max_examples=100, deadline=None)
+@given(bose=st.booleans(), beta=st.floats(0.2, 5.0), mu=st.floats(-3.0, 3.0),
+       ell=st.integers(1, 8), data=st.data())
+def test_tree_draws_and_splits_match_enumeration(bose, beta, mu, ell, data):
+    if bose:
+        spec = EnsembleSpec(BOSE, beta, min(mu, -0.05), CosineLattice())
+        n = data.draw(st.integers(0, 8), label="n")
+    else:
+        spec = EnsembleSpec(FERMI, beta, mu, CosineLattice())
+        n = data.draw(st.integers(0, ell), label="n")
+    tables = marginal_tables(spec, ell)
+    tops = [t.support_max for t in tables]
+    if sum(tops) < n:
+        with pytest.raises(ImpossibleConditionError):
+            CanonicalSampler(spec, ell, n)
+        return
+    cs = CanonicalSampler(spec, ell, n)
+    vals = cs.sample_bulk(np.random.default_rng(ell * 100 + n), 200)
+    assert np.all(vals.sum(axis=1) == n)
+    assert np.all(vals <= np.array(tops))
+
+    configs = np.array(list(bounded_configs(tops, n))).reshape(-1, ell)
+    weights = np.ones(len(configs))
+    for j, t in enumerate(tables):
+        weights *= t.probs[configs[:, j]]
+    weights /= weights.sum()
+    sites = node_sites(ell)
+    for h in range(1, len(cs._levels)):
+        start, size = sites[h - 1]
+        for p in range(start.size // 2):
+            a, m = start[2 * p], start[2 * p + 1]
+            b = m + size[2 * p + 1]
+            node = configs[:, a:b].sum(axis=1)
+            left = configs[:, a:m].sum(axis=1)
+            for t in np.unique(node):
+                at = node == t
+                if weights[at].sum() < 1e-6:
+                    continue
+                exact = np.bincount(left[at], weights=weights[at], minlength=t + 1)
+                exact /= exact.sum()
+                got = tree_split_law(cs, h, p, int(t))
+                assert got[t + 1:].sum() < 1e-9
+                got = np.pad(got[:t + 1], (0, max(0, t + 1 - got.size)))
+                np.testing.assert_allclose(got, exact, atol=1e-9)
 
 
 def test_bulk_draws_shape_and_sum():
@@ -257,3 +342,14 @@ def test_truncation_tail_recorded():
     assert cs.truncation_tail == pytest.approx(total, rel=1e-12)
     s = cs.sample_batch(seed=4, replicas=[0])[0]
     assert s.provenance.truncation_tail == pytest.approx(total, rel=1e-12)
+
+
+def test_wrong_totals_raise_numeric_error(monkeypatch):
+    # The total check must survive python -O, so it cannot be an assert.
+    cs = CanonicalSampler(fermi_spec(), 16, 8)
+    monkeypatch.setattr(cs, "sample_from_uniforms",
+                        lambda u: np.zeros((u.shape[0], 16), dtype=np.int64))
+    with pytest.raises(NumericError):
+        cs.sample_batch(seed=1, replicas=[0])
+    with pytest.raises(NumericError):
+        cs.sample_bulk(np.random.default_rng(0), 3)
