@@ -13,7 +13,6 @@ from .disttab import (
     SuffixSumDP,
     build_suffix_dp,
     conditional_entropy_exact,
-    conditional_marginal,
     conditional_site_marginals,
     convolve,
     efron_monotonicity_check,
@@ -60,9 +59,6 @@ from .lzparse import (
     lz78_parse,
     lz_rate,
     lz_rate_from_count,
-    max_word_count,
-    typical_membership,
-    word_ensemble_entropy,
 )
 from .sampler import (
     CanonicalSampler,
@@ -71,9 +67,7 @@ from .sampler import (
     Provenance,
     choose_n,
     make_rng,
-    marginal_pmf,
     marginal_tables,
-    sample_canonical,
     sample_grand,
 )
 
@@ -87,13 +81,11 @@ __all__ = [
     "PreconditionError", "Provenance", "ScoreRatioWitness", "Statistics",
     "SuffixSumDP", "TabulatedGrid", "TargetRangeError", "TypicalParams",
     "WordClassCounts", "build_suffix_dp", "choose_n", "classify_words",
-    "code_rate", "conditional_entropy_exact", "conditional_marginal",
-    "conditional_site_marginals", "convolve", "efron_monotonicity_check",
-    "entropy_gap", "entropy_of_mean", "entropy_rate", "eval_dispersion",
-    "is_log_concave", "local_clt_error", "lz78_parse", "lz_rate",
-    "lz_rate_from_count", "make_rng", "marginal_entropy", "marginal_mean",
-    "marginal_pmf", "marginal_tables", "max_word_count", "mode_mean_check",
-    "particle_density", "partition_intervals", "sample_canonical",
-    "sample_grand", "score_ratio_check", "site_entropies", "site_means",
-    "solve_mu", "summary", "typical_membership", "word_ensemble_entropy",
+    "code_rate", "conditional_entropy_exact", "conditional_site_marginals",
+    "convolve", "efron_monotonicity_check", "entropy_gap", "entropy_of_mean",
+    "entropy_rate", "eval_dispersion", "is_log_concave", "local_clt_error",
+    "lz78_parse", "lz_rate", "lz_rate_from_count", "make_rng",
+    "marginal_entropy", "marginal_mean", "marginal_tables", "mode_mean_check",
+    "particle_density", "partition_intervals", "sample_grand",
+    "score_ratio_check", "site_entropies", "site_means", "solve_mu", "summary",
 ]

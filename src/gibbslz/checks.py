@@ -378,7 +378,10 @@ def check_sampler_tv(spec: ensemble.EnsembleSpec, seed: int, draws: int,
     if fault:
         u = u**1.3
     vals = cs.sample_from_uniforms(u)
-    atoms, counts = np.unique(vals, axis=0, return_counts=True)
+    # Count rows as raw bytes: a 1-D unique is far faster than axis=0.
+    rows = np.ascontiguousarray(vals).view(np.dtype((np.void, 8 * ell))).ravel()
+    keys, counts = np.unique(rows, return_counts=True)
+    atoms = keys.view(np.int64).reshape(-1, ell)
     logps = np.zeros(atoms.shape[0])
     for j, t in enumerate(tables):
         logps += t.logp[atoms[:, j]]
@@ -429,7 +432,7 @@ def check_conditional_entropy_enum(seed: int, instances: int,
         marg0 = np.zeros(tables[0].support_max + 1)
         for config, w in atoms:
             marg0[config[0]] += w / z
-        got = disttab.conditional_marginal(dp, 0, n).probs
+        got = disttab.conditional_site_marginals(dp, n)[0].probs
         gap_m = float(np.max(np.abs(got - marg0[: got.size])))
         worst = max(worst, gap_m)
         if gap_m > max(tol, 1e-12):

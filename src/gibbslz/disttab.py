@@ -7,8 +7,8 @@ and the entropy bookkeeping:
 
   * build_suffix_dp: table of suffix-sum laws T_j(s) = P(K_j + ... + K_{ell-1} = s),
     the substrate for conditioning on a fixed total occupancy;
-  * conditional_marginal / conditional_entropy_exact: one-site laws and the
-    joint entropy of (K_0, ..., K_{ell-1}) given the total;
+  * conditional_site_marginals / conditional_entropy_exact: one-site laws and
+    the joint entropy of (K_0, ..., K_{ell-1}) given the total;
   * entropy_gap: conditional joint entropy minus the sum of unconditioned
     marginal entropies (nonpositive; the per-site cost of pinning the total);
   * local_clt_error: sup-norm gap between the exact law of the total and the
@@ -279,12 +279,8 @@ def _forward_conditionals(dp: SuffixSumDP, n: int):
             raise NumericError("conditioned chain reached a dead-end state")
         q = np.exp(w - norm)
         yield j, pi, states, ks, q
-        nxt_pi = np.zeros(n + 1)
-        weighted = q * pi[states]
-        for i, k in enumerate(ks):
-            ok = valid[i]
-            np.add.at(nxt_pi, states[ok] - k, weighted[i, ok])
-        pi = nxt_pi
+        pi = np.bincount(idx[valid], weights=(q * pi[states])[valid],
+                         minlength=n + 1)
     if abs(pi[0] - 1.0) > 1e-9:
         raise NumericError("conditioned chain failed to consume the target total")
 
@@ -298,18 +294,6 @@ def conditional_site_marginals(dp: SuffixSumDP, n: int | None = None) -> list[Di
         total = probs.sum()
         out.append(DistTable.from_probs(probs / total))
     return out
-
-
-def conditional_marginal(dp: SuffixSumDP, i: int, n: int | None = None) -> DistTable:
-    """Law of the single occupancy K_i given that the string total equals n."""
-    if not (0 <= i < dp.ell):
-        raise DomainError(f"site index must lie in [0, {dp.ell - 1}], got {i}")
-    n = dp._resolve_total(n)
-    for j, pi, states, ks, q in _forward_conditionals(dp, n):
-        if j == i:
-            probs = q @ pi[states]
-            return DistTable.from_probs(probs / probs.sum())
-    raise AssertionError("unreachable")
 
 
 def conditional_entropy_exact(dp: SuffixSumDP, n: int | None = None) -> float:

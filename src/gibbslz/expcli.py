@@ -26,6 +26,7 @@ import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from multiprocessing import get_context
 from pathlib import Path
 
@@ -53,35 +54,36 @@ from .errors import (
 from .lzparse import TypicalParams, classify_words, code_rate, lz78_parse, lz_rate
 from .sampler import (
     CanonicalSampler,
+    OccupancyString,
     choose_n,
     marginal_tables,
     sample_grand,
 )
 
-_KNOWN_KEYS = {
+_KNOWN_KEYS = frozenset({
     "ensemble.stats", "ensemble.beta", "ensemble.mu", "ensemble.r",
     "ensemble.dispersion",
     "run.lengths", "run.replicas", "run.seed", "run.kind",
     "analysis.epsilon", "analysis.two_sided", "analysis.quad_tol",
     "analysis.tail_tol", "analysis.gap_budget", "analysis.check_scale",
     "output.format",
-}
+})
 
-RESULT_COLUMNS = [
+RESULT_COLUMNS = (
     "config_hash", "kind", "ell", "n", "replica", "word_count", "lz_rate",
     "code_rate", "h_target", "entropy_gap_per_site", "low_typical_words",
     "other_typical_words", "non_typical_words", "error",
-]
+)
 
-SUMMARY_COLUMNS = [
+SUMMARY_COLUMNS = (
     "config_hash", "kind", "ell", "n", "replicas", "h_target",
     "mean_word_count", "mean_lz_rate", "se_lz_rate", "rel_dev_from_h",
     "mean_code_rate", "non_typical_fraction", "mean_low_typical_words",
     "entropy_gap_per_site", "error",
-]
+)
 
-GAP_COLUMNS = ["config_hash", "ell", "n", "cells", "gap_bits", "gap_per_site",
-               "skipped"]
+GAP_COLUMNS = ("config_hash", "ell", "n", "cells", "gap_bits", "gap_per_site",
+               "skipped")
 
 
 @dataclass(frozen=True)
@@ -235,16 +237,13 @@ def load_config(path: str | Path, seed_override: int | None = None,
     if out_format not in ("csv", "jsonl", "both"):
         raise ConfigError("output.format must be csv, jsonl or both")
 
-    try:
-        return ExperimentConfig(
-            stats=stats, beta=beta, mu=mu, r=r, dispersion=dispersion,
-            lengths=lengths, replicas=replicas, seed=seed, kind=kind,
-            epsilon=epsilon, two_sided=two_sided, quad_tol=quad_tol,
-            tail_tol=tail_tol, gap_budget=gap_budget, check_scale=check_scale,
-            out_format=out_format, config_hash=_hash_mapping(m),
-        )
-    except GibbsLzError:
-        raise
+    return ExperimentConfig(
+        stats=stats, beta=beta, mu=mu, r=r, dispersion=dispersion,
+        lengths=lengths, replicas=replicas, seed=seed, kind=kind,
+        epsilon=epsilon, two_sided=two_sided, quad_tol=quad_tol,
+        tail_tol=tail_tol, gap_budget=gap_budget, check_scale=check_scale,
+        out_format=out_format, config_hash=_hash_mapping(m),
+    )
 
 
 def resolve_spec(cfg: ExperimentConfig) -> tuple[EnsembleSpec, float, float]:
@@ -275,7 +274,7 @@ def _fmt_cell(v) -> str:
     return str(v)
 
 
-def _write_csv(path: Path, columns: list[str], rows: list[dict]) -> None:
+def _write_csv(path: Path, columns: tuple[str, ...], rows: list[dict]) -> None:
     lines = [",".join(columns)]
     for row in rows:
         lines.append(",".join(_fmt_cell(row.get(c)) for c in columns))
@@ -288,7 +287,7 @@ def _write_jsonl(path: Path, rows: list[dict]) -> None:
             fh.write(json.dumps(row, sort_keys=True) + "\n")
 
 
-def _emit(out_dir: Path, stem: str, columns: list[str], rows: list[dict],
+def _emit(out_dir: Path, stem: str, columns: tuple[str, ...], rows: list[dict],
           fmt: str) -> None:
     if fmt in ("csv", "both"):
         _write_csv(out_dir / f"{stem}.csv", columns, rows)
@@ -296,40 +295,64 @@ def _emit(out_dir: Path, stem: str, columns: list[str], rows: list[dict],
         _write_jsonl(out_dir / f"{stem}.jsonl", rows)
 
 
-# Per-length shared state for worker processes; populated in the parent
-# right before the (fork-context) pool for that length is created.
-_SHARED: dict = {}
+def _length_sampler(cfg: ExperimentConfig, spec: EnsembleSpec, r_target: float,
+                    ell: int) -> tuple[int | None, CanonicalSampler | None, str | None]:
+    """(n, sampler, error) of one length.  A canonical run gets its total n
+    and the sampler for it, or the reason n cannot be reached in error; a
+    grand run gets (None, None, None)."""
+    if cfg.kind == "grand":
+        return None, None, None
+    n = choose_n(r_target, ell).n
+    try:
+        return n, CanonicalSampler(spec, ell, n, tail_tol=cfg.tail_tol), None
+    except ImpossibleConditionError as exc:
+        return n, None, str(exc)
 
 
-def _replica_rows(replicas: list[int]) -> tuple[list[dict], list[dict]]:
-    st = _SHARED
-    spec: EnsembleSpec = st["spec"]
-    cfg: ExperimentConfig = st["cfg"]
-    ell: int = st["ell"]
+def _draw_strings(cfg: ExperimentConfig, spec: EnsembleSpec, ell: int,
+                  sampler: CanonicalSampler | None,
+                  replicas: list[int]) -> list[OccupancyString]:
+    """The strings of one length for the given replicas, canonical or grand."""
+    if cfg.kind == "canonical":
+        return sampler.sample_batch(cfg.seed, replicas)
+    return [sample_grand(spec, ell, cfg.seed, rep) for rep in replicas]
+
+
+def _exact_gap(cfg: ExperimentConfig, spec: EnsembleSpec, ell: int,
+               n: int) -> float | None:
+    """Exact entropy gap in bits at (ell, n), or None when the DP's
+    (ell + 1)(n + 1) cells exceed analysis.gap_budget."""
+    if (ell + 1) * (n + 1) > cfg.gap_budget:
+        return None
+    tables = marginal_tables(spec, ell, tail_tol=cfg.tail_tol)
+    return entropy_gap(tables, n, max_cells=cfg.gap_budget)
+
+
+def _replica_rows(cfg: ExperimentConfig, spec: EnsembleSpec, typical: TypicalParams,
+                  h_target: float, ell: int, sampler: CanonicalSampler | None,
+                  gap_per_site: float | None,
+                  replicas: list[int]) -> tuple[list[dict], list[dict]]:
     rows: list[dict] = []
     times: list[dict] = []
     t0 = time.perf_counter()
-    if cfg.kind == "canonical":
-        strings = st["sampler"].sample_batch(cfg.seed, replicas)
-    else:
-        strings = [sample_grand(spec, ell, cfg.seed, rep) for rep in replicas]
+    strings = _draw_strings(cfg, spec, ell, sampler, replicas)
     sample_share = (time.perf_counter() - t0) / len(replicas)
     for rep, s in zip(replicas, strings):
         t1 = time.perf_counter()
         parse = lz78_parse(s)
-        counts = classify_words(parse, s, spec, st["typical"])
+        counts = classify_words(parse, s, spec, typical)
         elapsed = time.perf_counter() - t1 + sample_share
         rows.append({
             "config_hash": cfg.config_hash,
             "kind": cfg.kind,
             "ell": ell,
-            "n": st["n"],
+            "n": s.provenance.n,
             "replica": rep,
             "word_count": parse.word_count,
             "lz_rate": lz_rate(parse),
             "code_rate": code_rate(parse),
-            "h_target": st["h_target"],
-            "entropy_gap_per_site": st["gap_per_site"],
+            "h_target": h_target,
+            "entropy_gap_per_site": gap_per_site,
             "low_typical_words": counts.low_typical,
             "other_typical_words": counts.other_typical,
             "non_typical_words": counts.non_typical,
@@ -352,44 +375,29 @@ def _error_row(cfg: ExperimentConfig, ell: int, n: int | None, msg: str) -> dict
     return row
 
 
-def _run_length(cfg: ExperimentConfig, spec: EnsembleSpec, r_target: float,
-                h_target: float, ell: int, workers: int,
+def _run_length(cfg: ExperimentConfig, spec: EnsembleSpec, typical: TypicalParams,
+                r_target: float, h_target: float, ell: int, workers: int,
                 ) -> tuple[list[dict], list[dict]]:
-    typical = TypicalParams.from_ensemble(spec, cfg.epsilon,
-                                          two_sided=cfg.two_sided)
-    n: int | None = None
-    sampler_obj = None
-    gap_per_site = None
-    if cfg.kind == "canonical":
-        n = choose_n(r_target, ell).n
-        try:
-            sampler_obj = CanonicalSampler(spec, ell, n, tail_tol=cfg.tail_tol)
-        except ImpossibleConditionError as exc:
-            return [_error_row(cfg, ell, n, str(exc))], []
-        if cfg.gap_budget and (ell + 1) * (n + 1) <= cfg.gap_budget:
-            tables = marginal_tables(spec, ell, tail_tol=cfg.tail_tol)
-            gap_per_site = entropy_gap(tables, n, max_cells=cfg.gap_budget) / ell
+    n, sampler, error = _length_sampler(cfg, spec, r_target, ell)
+    if error is not None:
+        return [_error_row(cfg, ell, n, error)], []
+    gap = None if n is None else _exact_gap(cfg, spec, ell, n)
+    gap_per_site = None if gap is None else gap / ell
 
-    _SHARED.clear()
-    _SHARED.update({
-        "cfg": cfg, "spec": spec, "ell": ell, "n": n, "h_target": h_target,
-        "typical": typical, "sampler": sampler_obj, "gap_per_site": gap_per_site,
-    })
+    # Workers are forked and receive the sampler pickled with each chunk.
+    work = partial(_replica_rows, cfg, spec, typical, h_target, ell, sampler,
+                   gap_per_site)
     replicas = list(range(cfg.replicas))
     if workers <= 1 or len(replicas) == 1:
-        outputs = [_replica_rows(replicas)]
+        outputs = [work(replicas)]
     else:
         chunks = _chunks(replicas, workers)
         ctx = get_context("fork")
         with ProcessPoolExecutor(max_workers=len(chunks), mp_context=ctx) as pool:
-            outputs = list(pool.map(_replica_rows, chunks))
-    rows: list[dict] = []
-    times: list[dict] = []
-    for r_chunk, t_chunk in outputs:
-        rows.extend(r_chunk)
-        times.extend(t_chunk)
-    rows.sort(key=lambda row: row["replica"])
-    times.sort(key=lambda row: row["replica"])
+            outputs = list(pool.map(work, chunks))
+    # Chunks are contiguous and come back in order, so rows stay sorted.
+    rows = [row for chunk_rows, _ in outputs for row in chunk_rows]
+    times = [row for _, chunk_times in outputs for row in chunk_times]
     return rows, times
 
 
@@ -434,17 +442,19 @@ def _summarise(cfg: ExperimentConfig, rows: list[dict], h_target: float) -> list
 
 def cmd_converge(cfg: ExperimentConfig, out_dir: Path, workers: int) -> int:
     spec, r_target, h_target = resolve_spec(cfg)
+    typical = TypicalParams.from_ensemble(spec, cfg.epsilon, two_sided=cfg.two_sided)
     all_rows: list[dict] = []
     all_times: list[dict] = []
     for ell in cfg.lengths:
-        rows, times = _run_length(cfg, spec, r_target, h_target, ell, workers)
+        rows, times = _run_length(cfg, spec, typical, r_target, h_target, ell,
+                                  workers)
         all_rows.extend(rows)
         all_times.extend(times)
     all_rows.sort(key=lambda r: (r["ell"], -1 if r["replica"] is None else r["replica"]))
     summaries = _summarise(cfg, all_rows, h_target)
     _emit(out_dir, "results", RESULT_COLUMNS, all_rows, cfg.out_format)
     _emit(out_dir, "summary", SUMMARY_COLUMNS, summaries, cfg.out_format)
-    _write_csv(out_dir / "timings.csv", ["ell", "replica", "seconds"], all_times)
+    _write_csv(out_dir / "timings.csv", ("ell", "replica", "seconds"), all_times)
     for s in summaries:
         if s["error"]:
             print(f"ell={s['ell']}: ERROR {s['error']}")
@@ -455,26 +465,19 @@ def cmd_converge(cfg: ExperimentConfig, out_dir: Path, workers: int) -> int:
     return 0
 
 
-def cmd_sample(cfg: ExperimentConfig, out_dir: Path, workers: int) -> int:
+def cmd_sample(cfg: ExperimentConfig, out_dir: Path) -> int:
     spec, r_target, _ = resolve_spec(cfg)
     samples_dir = out_dir / "samples"
     samples_dir.mkdir(parents=True, exist_ok=True)
     manifest: list[dict] = []
     for ell in cfg.lengths:
-        if cfg.kind == "canonical":
-            n = choose_n(r_target, ell).n
-            try:
-                cs = CanonicalSampler(spec, ell, n, tail_tol=cfg.tail_tol)
-            except ImpossibleConditionError as exc:
-                manifest.append({"kind": cfg.kind, "ell": ell, "n": n,
-                                 "replica": None, "file": None, "sum": None,
-                                 "truncation_tail": None, "error": str(exc)})
-                continue
-            strings = cs.sample_batch(cfg.seed, list(range(cfg.replicas)))
-        else:
-            strings = [sample_grand(spec, ell, cfg.seed, rep)
-                       for rep in range(cfg.replicas)]
-        for s in strings:
+        n, sampler, error = _length_sampler(cfg, spec, r_target, ell)
+        if error is not None:
+            manifest.append({"kind": cfg.kind, "ell": ell, "n": n,
+                             "replica": None, "file": None, "sum": None,
+                             "truncation_tail": None, "error": error})
+            continue
+        for s in _draw_strings(cfg, spec, ell, sampler, list(range(cfg.replicas))):
             name = f"sample_{cfg.kind}_ell{ell}_rep{s.provenance.replica}.txt"
             (samples_dir / name).write_text(
                 "\n".join(str(v) for v in s.values.tolist()) + "\n")
@@ -484,7 +487,7 @@ def cmd_sample(cfg: ExperimentConfig, out_dir: Path, workers: int) -> int:
                 "sum": int(s.values.sum()),
                 "truncation_tail": s.provenance.truncation_tail, "error": None,
             })
-    cols = ["kind", "ell", "n", "replica", "file", "sum", "truncation_tail", "error"]
+    cols = ("kind", "ell", "n", "replica", "file", "sum", "truncation_tail", "error")
     _emit(samples_dir, "manifest", cols, manifest, cfg.out_format)
     print(f"wrote {sum(1 for m in manifest if m['file'])} samples to {samples_dir}")
     return 0
@@ -517,17 +520,11 @@ def cmd_entropy_gap(cfg: ExperimentConfig, out_dir: Path) -> int:
     rows = []
     for ell in cfg.lengths:
         n = choose_n(r_target, ell).n
-        cells = (ell + 1) * (n + 1)
-        row = {"config_hash": cfg.config_hash, "ell": ell, "n": n, "cells": cells,
-               "gap_bits": None, "gap_per_site": None, "skipped": False}
-        if cells > cfg.gap_budget:
-            row["skipped"] = True
-        else:
-            tables = marginal_tables(spec, ell, tail_tol=cfg.tail_tol)
-            gap = entropy_gap(tables, n, max_cells=cfg.gap_budget)
-            row["gap_bits"] = gap
-            row["gap_per_site"] = gap / ell
-        rows.append(row)
+        gap = _exact_gap(cfg, spec, ell, n)
+        rows.append({"config_hash": cfg.config_hash, "ell": ell, "n": n,
+                     "cells": (ell + 1) * (n + 1), "gap_bits": gap,
+                     "gap_per_site": None if gap is None else gap / ell,
+                     "skipped": gap is None})
     _emit(out_dir, "entropy_gap", GAP_COLUMNS, rows, cfg.out_format)
     for row in rows:
         if row["skipped"]:
@@ -638,7 +635,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command in ("density", "rate", "solve-mu"):
             return _scalar_command(cfg, args.command)
         if args.command == "sample":
-            return cmd_sample(cfg, out_dir, workers)
+            return cmd_sample(cfg, out_dir)
         if args.command == "parse":
             return cmd_parse(cfg, out_dir, args.inputs)
         if args.command == "converge":

@@ -12,11 +12,11 @@ by a fixed-width pointer.  code_rate = C * log2(C) / ell is the matching
 self-referential pointer cost.
 
 Word-level diagnostics weigh each parsed word against the mode profiles of
-the generating ensemble: word_ensemble_entropy sums the per-site entropy
-profile across the word's window, and typical_membership tests whether the
-window's occupancy deviates from the mean profile by more than an allowance
-per site.  classify_words splits a parse into typical words below an entropy
-budget, remaining typical words, and non-typical words.
+the generating ensemble: a word's ensemble entropy is the per-site entropy
+profile summed across its window, and a word is typical when its window's
+occupancy deviates from the mean profile by at most an allowance per site
+(see TypicalParams).  classify_words splits a parse into typical words below
+an entropy budget, remaining typical words, and non-typical words.
 """
 
 import math
@@ -24,8 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ensemble import EnsembleSpec, entropy_of_mean, marginal_entropy, \
-    marginal_mean, site_entropies, site_means
+from .ensemble import EnsembleSpec, entropy_of_mean, marginal_mean, \
+    site_entropies, site_means
 from .errors import DomainError
 
 LN2 = math.log(2.0)
@@ -134,15 +134,6 @@ def code_rate(parse: LzParse) -> float:
     return c * math.log2(c) / parse.ell
 
 
-def word_ensemble_entropy(spec: EnsembleSpec, ell: int, start: int,
-                          length: int) -> float:
-    """Summed per-site entropy profile (bits) across one word's window."""
-    if not (0 <= start and length >= 1 and start + length <= ell):
-        raise DomainError("word window must lie inside the string")
-    idx = np.arange(start, start + length)
-    return float(np.sum(np.asarray(marginal_entropy(spec, idx / ell))))
-
-
 @dataclass(frozen=True)
 class TypicalParams:
     """Per-site deviation allowance for the typical-window test.
@@ -170,23 +161,6 @@ class TypicalParams:
         e_sup = float(entropy_of_mean(spec.stats, sup_mean))
         eps_prime = eps * e_sup / (2.0 * sup_mean)
         return cls(eps, eps_prime, sup_mean, e_sup, two_sided)
-
-
-def typical_membership(string, start: int, length: int,
-                       mean_profile: np.ndarray, params: TypicalParams) -> bool:
-    """Whether the window [start, start+length) passes the deviation test."""
-    arr = _as_values(string)
-    if not (0 <= start and length >= 1 and start + length <= arr.size):
-        raise DomainError("window must lie inside the string")
-    profile = np.asarray(mean_profile, dtype=float)
-    if profile.shape != arr.shape:
-        raise DomainError("mean profile must match the string length")
-    window = slice(start, start + length)
-    dev = float(arr[window].sum() - profile[window].sum())
-    allowance = length * params.eps_prime
-    if params.two_sided:
-        return abs(dev) <= allowance
-    return dev <= allowance
 
 
 @dataclass(frozen=True)
@@ -229,25 +203,3 @@ def classify_words(parse: LzParse, string, spec: EnsembleSpec,
         other_typical=int(np.count_nonzero(typical & ~low)),
         non_typical=int(np.count_nonzero(~typical)),
     )
-
-
-def max_word_count(ell: int, alphabet_size: int = 2) -> int:
-    """Largest word count any length-ell string over the alphabet can produce.
-
-    Greedy extreme: exhaust all words of length 1, then 2, and so on; the
-    remainder contributes complete words of the next length plus at most one
-    trailing word.
-    """
-    if ell < 0 or alphabet_size < 1:
-        raise DomainError("need ell >= 0 and a nonempty alphabet")
-    count = 0
-    remaining = ell
-    d = 1
-    while True:
-        block = d * alphabet_size**d
-        if remaining < block:
-            full, part = divmod(remaining, d)
-            return count + full + (1 if part else 0)
-        count += alphabet_size**d
-        remaining -= block
-        d += 1

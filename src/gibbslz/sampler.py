@@ -44,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .disttab import DistTable
-from .ensemble import EnsembleSpec, Statistics, eval_dispersion, marginal_mean
+from .ensemble import EnsembleSpec, Statistics, eval_dispersion, site_means
 from .errors import (
     DomainError,
     ImpossibleConditionError,
@@ -122,23 +122,13 @@ def make_rng(seed: int, ell: int, replica: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(ss))
 
 
-def marginal_pmf(spec: EnsembleSpec, j: int, ell: int,
-                 tail_tol: float = _DEFAULT_TAIL_TOL) -> DistTable:
-    """Occupancy law of site j of an ell-site string (the mode at y = j/ell)."""
-    if not (0 <= j < ell):
-        raise DomainError(f"site index must lie in [0, {ell - 1}], got {j}")
-    mean = float(marginal_mean(spec, j / ell))
-    if spec.stats is Statistics.FERMI:
-        return DistTable.bernoulli(mean)
-    return DistTable.geometric(mean, tail_tol=tail_tol)
-
-
 def marginal_tables(spec: EnsembleSpec, ell: int,
                     tail_tol: float = _DEFAULT_TAIL_TOL) -> list[DistTable]:
-    """Occupancy laws of all ell sites."""
-    if ell < 1:
-        raise DomainError("ell must be at least 1")
-    return [marginal_pmf(spec, j, ell, tail_tol) for j in range(ell)]
+    """Occupancy laws of all ell sites; site j is the mode at y = j/ell."""
+    means = site_means(spec, ell).tolist()
+    if spec.stats is Statistics.FERMI:
+        return [DistTable.bernoulli(mean) for mean in means]
+    return [DistTable.geometric(mean, tail_tol=tail_tol) for mean in means]
 
 
 def sample_grand(spec: EnsembleSpec, ell: int, seed: int,
@@ -455,16 +445,3 @@ class CanonicalSampler:
         vals = self.sample_from_uniforms(rng.random((m, self.ell)))
         self._check_totals(vals)
         return vals
-
-
-def sample_canonical(spec: EnsembleSpec, ell: int, n: int, seed: int,
-                     replica: int = 0,
-                     sampler: CanonicalSampler | None = None) -> OccupancyString:
-    """One fixed-total draw.  For many replicas at one (ell, n), build a
-    CanonicalSampler once and use sample_batch; this convenience wrapper
-    rebuilds the tree on every call."""
-    if sampler is None:
-        sampler = CanonicalSampler(spec, ell, n)
-    elif (sampler.ell, sampler.n) != (ell, n):
-        raise DomainError("sampler was built for a different (ell, n)")
-    return sampler.sample_batch(seed, [replica])[0]

@@ -12,7 +12,6 @@ from gibbslz import (
     PreconditionError,
     build_suffix_dp,
     conditional_entropy_exact,
-    conditional_marginal,
     conditional_site_marginals,
     convolve,
     efron_monotonicity_check,
@@ -155,9 +154,8 @@ def test_uniform_conditional_anchor():
     tables = [DistTable.bernoulli(0.5)] * 4
     dp = build_suffix_dp(tables, 2)
     assert conditional_entropy_exact(dp) == pytest.approx(math.log2(6), abs=1e-12)
-    for i in range(4):
-        np.testing.assert_allclose(conditional_marginal(dp, i).probs, [0.5, 0.5],
-                                   atol=1e-12)
+    for marg in conditional_site_marginals(dp):
+        np.testing.assert_allclose(marg.probs, [0.5, 0.5], atol=1e-12)
     assert entropy_gap(tables, 2) == pytest.approx(math.log2(6) - 4.0, abs=1e-12)
 
 
@@ -165,8 +163,9 @@ def test_two_site_heterogeneous_anchor():
     # p = (1/3, 2/3) conditioned on one particle: P(k0 = 1) = 1/5
     tables = [DistTable.bernoulli(1 / 3), DistTable.bernoulli(2 / 3)]
     dp = build_suffix_dp(tables, 1)
-    assert conditional_marginal(dp, 0).probs[1] == pytest.approx(0.2, abs=1e-14)
-    assert conditional_marginal(dp, 1).probs[1] == pytest.approx(0.8, abs=1e-14)
+    first, second = conditional_site_marginals(dp)
+    assert first.probs[1] == pytest.approx(0.2, abs=1e-14)
+    assert second.probs[1] == pytest.approx(0.8, abs=1e-14)
 
 
 def test_dp_reuse_across_totals():

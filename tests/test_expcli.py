@@ -237,21 +237,37 @@ def test_converge_grand_kind(tmp_path):
         assert cells["entropy_gap_per_site"] == ""
 
 
-def test_sample_manifest_and_parse_round_trip(tmp_path):
-    cfg_path = write_cfg(tmp_path, BASE)
-    out = tmp_path / "out"
+def converge_rows(cfg_path: str, out: Path) -> list[dict]:
+    assert main(["converge", "--config", cfg_path, "--out", str(out)]) == 0
+    lines = (out / "results.csv").read_text().splitlines()[1:]
+    return [dict(zip(RESULT_COLUMNS, line.split(","))) for line in lines]
+
+
+def sample_and_converge_agree(cfg_path: str, out: Path, kind: str) -> None:
     assert main(["sample", "--config", cfg_path, "--out", str(out)]) == 0
     sdir = out / "samples"
     manifest = [json.loads(ln) for ln in (sdir / "manifest.jsonl").read_text().splitlines()]
     assert len(manifest) == 6
+    # Same seed and kind: every sampled string parses to converge's word count.
+    converged = {(int(row["ell"]), int(row["replica"])): int(row["word_count"])
+                 for row in converge_rows(cfg_path, out / "conv")}
+    assert len(converged) == 6
     for entry in manifest:
         vals = np.array([int(t) for t in (sdir / entry["file"]).read_text().split()])
         assert vals.size == entry["ell"]
-        assert int(vals.sum()) == entry["sum"] == entry["n"]
+        assert int(vals.sum()) == entry["sum"]
+        assert entry["n"] == (entry["sum"] if kind == "canonical" else None)
         parse = g.lz78_parse(vals)
-        assert parse.word_count > 0
+        assert parse.word_count == converged[(entry["ell"], entry["replica"])]
 
-    sample_file = sdir / manifest[0]["file"]
+
+def test_sample_manifest_and_parse_round_trip(tmp_path):
+    for kind in ("canonical", "grand"):
+        cfg_path = write_cfg(tmp_path, BASE.replace("canonical", kind), f"{kind}.cfg")
+        sample_and_converge_agree(cfg_path, tmp_path / kind, kind)
+
+    cfg_path = str(tmp_path / "canonical.cfg")
+    sample_file = next((tmp_path / "canonical" / "samples").glob("sample_*.txt"))
     out2 = tmp_path / "parsed"
     assert main(["parse", "--config", cfg_path, "--out", str(out2),
                  str(sample_file)]) == 0
@@ -261,12 +277,20 @@ def test_sample_manifest_and_parse_round_trip(tmp_path):
     assert rows[0]["word_count"] == direct.word_count
     assert rows[0]["lz_rate"] == pytest.approx(g.lz_rate(direct))
 
-    # Same seed and kind: the sampled strings match converge's word counts.
-    out3 = tmp_path / "conv"
-    assert main(["converge", "--config", cfg_path, "--out", str(out3)]) == 0
-    csv_rows = (out3 / "results.csv").read_text().splitlines()[1:]
-    first = dict(zip(RESULT_COLUMNS, csv_rows[0].split(",")))
-    assert int(first["word_count"]) == direct.word_count
+
+def test_converge_gap_matches_entropy_gap_command(tmp_path):
+    cfg_path = write_cfg(tmp_path, BASE)
+    out = tmp_path / "gap"
+    assert main(["entropy-gap", "--config", cfg_path, "--out", str(out)]) == 0
+    gaps = {row["ell"]: row for row in
+            (json.loads(ln) for ln in (out / "entropy_gap.jsonl").read_text().splitlines())}
+    rows = converge_rows(cfg_path, tmp_path / "conv")
+    assert {int(row["ell"]) for row in rows} == set(gaps) == {16, 32}
+    for row in rows:
+        ell = int(row["ell"])
+        per_site = float(row["entropy_gap_per_site"])
+        assert per_site == gaps[ell]["gap_per_site"]
+        assert per_site * ell == pytest.approx(gaps[ell]["gap_bits"], rel=1e-14)
 
 
 def test_entropy_gap_command_matches_library(tmp_path):

@@ -18,15 +18,64 @@ from gibbslz import (
     lz_rate,
     lz_rate_from_count,
     marginal_entropy,
-    max_word_count,
     site_entropies,
     site_means,
-    typical_membership,
-    word_ensemble_entropy,
 )
 from gibbslz.errors import DomainError
+from gibbslz.lzparse import _as_values
 
 FERMI = EnsembleSpec(Statistics.FERMI, 1.0, 1.0, CosineLattice())
+
+
+# Reference routes: word by word, the quantities classify_words computes in
+# bulk from prefix sums, plus the greatest word count of a parse.
+
+def word_ensemble_entropy(spec: EnsembleSpec, ell: int, start: int,
+                          length: int) -> float:
+    """Summed per-site entropy profile (bits) across one word's window."""
+    if not (0 <= start and length >= 1 and start + length <= ell):
+        raise DomainError("word window must lie inside the string")
+    idx = np.arange(start, start + length)
+    return float(np.sum(np.asarray(marginal_entropy(spec, idx / ell))))
+
+
+def typical_membership(string, start: int, length: int,
+                       mean_profile: np.ndarray, params: TypicalParams) -> bool:
+    """Whether the window [start, start+length) passes the deviation test."""
+    arr = _as_values(string)
+    if not (0 <= start and length >= 1 and start + length <= arr.size):
+        raise DomainError("window must lie inside the string")
+    profile = np.asarray(mean_profile, dtype=float)
+    if profile.shape != arr.shape:
+        raise DomainError("mean profile must match the string length")
+    window = slice(start, start + length)
+    dev = float(arr[window].sum() - profile[window].sum())
+    allowance = length * params.eps_prime
+    if params.two_sided:
+        return abs(dev) <= allowance
+    return dev <= allowance
+
+
+def max_word_count(ell: int, alphabet_size: int = 2) -> int:
+    """Largest word count any length-ell string over the alphabet can produce.
+
+    Greedy extreme: exhaust all words of length 1, then 2, and so on; the
+    remainder contributes complete words of the next length plus at most one
+    trailing word.
+    """
+    if ell < 0 or alphabet_size < 1:
+        raise DomainError("need ell >= 0 and a nonempty alphabet")
+    count = 0
+    remaining = ell
+    d = 1
+    while True:
+        block = d * alphabet_size**d
+        if remaining < block:
+            full, part = divmod(remaining, d)
+            return count + full + (1 if part else 0)
+        count += alphabet_size**d
+        remaining -= block
+        d += 1
 
 
 def test_hand_traced_parse():
@@ -203,7 +252,8 @@ def test_typical_membership_thresholds():
 
 def test_classify_words_matches_direct_loop():
     ell = 256
-    string = g.sample_canonical(FERMI, ell, g.choose_n(0.5, ell).n, seed=5)
+    cs = g.CanonicalSampler(FERMI, ell, g.choose_n(0.5, ell).n)
+    string = cs.sample_batch(seed=5, replicas=[0])[0]
     parse = lz78_parse(string)
     params = TypicalParams.from_ensemble(FERMI, 0.3)
     counts = classify_words(parse, string, FERMI, params)

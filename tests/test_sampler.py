@@ -19,9 +19,7 @@ from gibbslz import (
     choose_n,
     conditional_site_marginals,
     make_rng,
-    marginal_pmf,
     marginal_tables,
-    sample_canonical,
     sample_grand,
     site_means,
 )
@@ -58,13 +56,15 @@ def test_marginal_pmf_matches_profile():
     spec = fermi_spec()
     ell = 16
     means = site_means(spec, ell)
+    tables = marginal_tables(spec, ell)
     for j in (0, 5, 15):
-        t = marginal_pmf(spec, j, ell)
+        t = tables[j]
         np.testing.assert_allclose(t.probs, [1 - means[j], means[j]], rtol=1e-14)
     bspec = bose_spec()
     bmeans = site_means(bspec, ell)
+    btables = marginal_tables(bspec, ell)
     for j in (0, 7):
-        t = marginal_pmf(bspec, j, ell)
+        t = btables[j]
         ks = np.arange(t.probs.size)
         assert float(t.probs @ ks) == pytest.approx(bmeans[j], abs=1e-10)
 
@@ -104,9 +104,9 @@ def test_canonical_hits_target_exactly():
 
 def test_canonical_degenerate_targets():
     spec = fermi_spec()
-    zeros = sample_canonical(spec, 32, 0, seed=1)
+    zeros = CanonicalSampler(spec, 32, 0).sample_batch(1, [0])[0]
     np.testing.assert_array_equal(zeros.values, np.zeros(32, dtype=np.int64))
-    ones = sample_canonical(spec, 32, 32, seed=1)
+    ones = CanonicalSampler(spec, 32, 32).sample_batch(1, [0])[0]
     np.testing.assert_array_equal(ones.values, np.ones(32, dtype=np.int64))
 
 
@@ -141,8 +141,9 @@ def test_draws_independent_of_batch_composition():
     batch = cs.sample_batch(seed=13, replicas=[0, 1, 2, 3])
     solo = cs.sample_batch(seed=13, replicas=[2])[0]
     np.testing.assert_array_equal(batch[2].values, solo.values)
-    conv = sample_canonical(spec, 200, 100, seed=13, replica=2)
-    np.testing.assert_array_equal(conv.values, solo.values)
+    # a freshly built sampler gives the same string
+    rebuilt = CanonicalSampler(spec, 200, 100).sample_batch(seed=13, replicas=[2])[0]
+    np.testing.assert_array_equal(rebuilt.values, solo.values)
 
 
 def test_two_site_conditional_law():
