@@ -19,7 +19,6 @@ from .disttab import (
     entropy_gap,
     is_log_concave,
     local_clt_error,
-    mode_mean_check,
     score_ratio_check,
     summary,
 )
@@ -85,7 +84,7 @@ __all__ = [
     "convolve", "efron_monotonicity_check", "entropy_gap", "entropy_of_mean",
     "entropy_rate", "eval_dispersion", "is_log_concave", "local_clt_error",
     "lz78_parse", "lz_rate", "lz_rate_from_count", "make_rng",
-    "marginal_entropy", "marginal_mean", "marginal_tables", "mode_mean_check",
-    "particle_density", "partition_intervals", "sample_grand",
-    "score_ratio_check", "site_entropies", "site_means", "solve_mu", "summary",
+    "marginal_entropy", "marginal_mean", "marginal_tables", "particle_density",
+    "partition_intervals", "sample_grand", "score_ratio_check",
+    "site_entropies", "site_means", "solve_mu", "summary",
 ]

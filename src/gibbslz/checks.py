@@ -11,12 +11,10 @@ harness run can demonstrate that violations are detected and reported, not
 silently absorbed.
 """
 
-import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from . import disttab, ensemble, sampler
 from .disttab import DistTable
@@ -65,7 +63,7 @@ def _random_lc_table(rng: np.random.Generator) -> DistTable:
     k = int(rng.integers(1, 7))
     d = np.sort(rng.uniform(-1.5, 1.5, size=k))[::-1]
     logp = np.concatenate([[0.0], np.cumsum(d)])
-    return DistTable(logp - logsumexp(logp))
+    return DistTable(logp - np.logaddexp.reduce(logp))
 
 
 def _random_table(rng: np.random.Generator, support: int) -> DistTable:
@@ -74,21 +72,9 @@ def _random_table(rng: np.random.Generator, support: int) -> DistTable:
 
 
 def _enumerate_conditional(tables, n: int):
-    """Yield (config, weight) over configurations with the given total.
-
-    Brute force over the product support; the weights are unnormalised
-    products of marginal probabilities.  This is the oracle route, kept
-    independent of the suffix-sum recursion on purpose.
-    """
-    rows = [t.probs for t in tables]
-    for config in itertools.product(*(range(r.size) for r in rows)):
-        if sum(config) != n:
-            continue
-        w = 1.0
-        for r, k in zip(rows, config):
-            w *= r[k]
-        if w > 0.0:
-            yield config, w
+    """Yield (config, weight) over configurations with the given total; the
+    weights are unnormalised products of marginal probabilities."""
+    return ((c, w) for c, w in disttab.enumerate_configs(tables) if sum(c) == n)
 
 
 def check_lc_closure(seed: int, trials: int, fault: bool = False) -> CheckResult:

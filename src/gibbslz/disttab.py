@@ -13,12 +13,15 @@ and the entropy bookkeeping:
     marginal entropies (nonpositive; the per-site cost of pinning the total);
   * local_clt_error: sup-norm gap between the exact law of the total and the
     matching discrete Gaussian, together with the Lyapunov third-moment ratio;
-  * score_ratio_check, mode_mean_check, efron_monotonicity_check: structural
-    inequalities for sums of independent log-concave occupancies.
+  * score_ratio_check, efron_monotonicity_check: structural inequalities for
+    sums of independent log-concave occupancies;
+  * enumerate_configs: brute force over the product support, the route kept
+    independent of the suffix-sum recursion.
 
 All entropies are in bits.
 """
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -94,14 +97,6 @@ class DistTable:
             return cls(np.log(arr), truncation_tail)
 
     @classmethod
-    def delta(cls, k: int) -> "DistTable":
-        if k < 0:
-            raise DomainError("point mass must sit on a nonnegative integer")
-        logp = np.full(k + 1, NEG_INF)
-        logp[k] = 0.0
-        return cls(logp)
-
-    @classmethod
     def bernoulli(cls, p: float) -> "DistTable":
         if not (0.0 <= p <= 1.0):
             raise DomainError(f"Bernoulli parameter must lie in [0, 1], got {p}")
@@ -154,17 +149,26 @@ def summary(table: DistTable) -> MomentSummary:
     return MomentSummary(mean, variance, m3, entropy, mode)
 
 
-def convolve(a: DistTable, b: DistTable) -> DistTable:
-    """Law of the sum of two independent occupancies, in the log domain."""
-    la, lb = a.logp, b.logp
+def _log_convolve(la: np.ndarray, lb: np.ndarray, size: int) -> np.ndarray:
+    """First size entries of the log-domain convolution of la and lb.
+
+    The one kernel behind convolve and the suffix-sum rows.  Loops over the
+    shorter operand in increasing k, skipping -inf terms.
+    """
     if la.size > lb.size:
         la, lb = lb, la
-    out = np.full(la.size + lb.size - 1, NEG_INF)
-    for k in range(la.size):
+    out = np.full(size, NEG_INF)
+    for k in range(min(la.size, size)):
         if la[k] == NEG_INF:
             continue
-        seg = slice(k, k + lb.size)
-        out[seg] = np.logaddexp(out[seg], la[k] + lb)
+        m = min(lb.size, size - k)
+        out[k:k + m] = np.logaddexp(out[k:k + m], la[k] + lb[:m])
+    return out
+
+
+def convolve(a: DistTable, b: DistTable) -> DistTable:
+    """Law of the sum of two independent occupancies, in the log domain."""
+    out = _log_convolve(a.logp, b.logp, a.logp.size + b.logp.size - 1)
     return DistTable(out, truncation_tail=a.truncation_tail + b.truncation_tail)
 
 
@@ -241,13 +245,7 @@ def build_suffix_dp(
     logT = np.full((ell + 1, n + 1), NEG_INF)
     logT[ell, 0] = 0.0
     for j in range(ell - 1, -1, -1):
-        lp = tables[j].logp
-        row = logT[j]
-        nxt = logT[j + 1]
-        for k in range(min(lp.size - 1, n) + 1):
-            if lp[k] == NEG_INF:
-                continue
-            row[k:] = np.logaddexp(row[k:], lp[k] + nxt[: n + 1 - k])
+        logT[j] = _log_convolve(tables[j].logp, logT[j + 1], n + 1)
     if logT[0, n] == NEG_INF:
         raise ImpossibleConditionError(
             f"total occupancy {n} has probability zero under these marginals"
@@ -274,7 +272,7 @@ def _forward_conditionals(dp: SuffixSumDP, n: int):
         idx = states[None, :] - ks[:, None]
         valid = idx >= 0
         w = np.where(valid, lp[ks, None] + nxt[np.clip(idx, 0, n)], NEG_INF)
-        norm = np.logaddexp.reduce(w, axis=0)
+        norm = dp.logT[j, states]
         if np.any(norm == NEG_INF):
             raise NumericError("conditioned chain reached a dead-end state")
         q = np.exp(w - norm)
@@ -346,14 +344,7 @@ def local_clt_error(marginals) -> LocalCltReport:
     sigma = math.sqrt(var)
     lyap = sum(m.abs_central_moment3 for m in moments) / sigma**3
 
-    work = sorted(tables, key=lambda t: t.support_max)
-    while len(work) > 1:
-        nxt = [convolve(a, b) for a, b in zip(work[::2], work[1::2])]
-        if len(work) % 2:
-            nxt.append(work[-1])
-        work = nxt
-    law = work[0]
-
+    law = functools.reduce(convolve, tables)
     lo = min(0, math.floor(mean - 10.0 * sigma))
     hi = max(law.support_max, math.ceil(mean + 10.0 * sigma))
     qs = np.arange(lo, hi + 1, dtype=float)
@@ -394,9 +385,7 @@ def score_ratio_check(marginals, n: int) -> ScoreRatioWitness:
     if n == 0:
         return ScoreRatioWitness(True, 0.0, 0.0)
 
-    law = tables[0]
-    for t in tables[1:]:
-        law = convolve(law, t)
+    law = functools.reduce(convolve, tables)
     if law.logp[n] == NEG_INF:
         raise PreconditionError(f"total {n} has probability zero")
     lhs = float(math.exp(law.logp[n - 1] - law.logp[n]))
@@ -406,12 +395,19 @@ def score_ratio_check(marginals, n: int) -> ScoreRatioWitness:
     return ScoreRatioWitness(bool(holds), lhs, rhs)
 
 
-def mode_mean_check(table: DistTable) -> bool:
-    """Whether |mode - mean| <= sqrt(3 variance); requires a log-concave law."""
-    if not is_log_concave(table):
-        raise PreconditionError("mode-mean bound requires a log-concave law")
-    s = summary(table)
-    return abs(s.mode - s.mean) <= math.sqrt(3.0 * s.variance) + 1e-12
+def enumerate_configs(marginals):
+    """Yield (config, weight) over the product support, skipping weight 0.
+
+    The weight is the product of the marginal probabilities.  This brute-force
+    route is kept independent of the suffix-sum recursion on purpose.
+    """
+    rows = [t.probs for t in marginals]
+    for config in itertools.product(*(range(r.size) for r in rows)):
+        w = 1.0
+        for r, k in zip(rows, config):
+            w *= r[k]
+        if w > 0.0:
+            yield config, w
 
 
 def efron_monotonicity_check(
@@ -437,16 +433,10 @@ def efron_monotonicity_check(
         raise PreconditionError(
             f"{n_configs} configurations exceed the exhaustive cap {max_configs}"
         )
-    prob_rows = [t.probs for t in tables]
     smax = sum(t.support_max for t in tables)
     num = np.zeros(smax + 1)
     den = np.zeros(smax + 1)
-    for config in itertools.product(*(range(t.support_max + 1) for t in tables)):
-        w = 1.0
-        for p, k in zip(prob_rows, config):
-            w *= p[k]
-        if w == 0.0:
-            continue
+    for config, w in enumerate_configs(tables):
         s = sum(config)
         num[s] += w * phi(config)
         den[s] += w

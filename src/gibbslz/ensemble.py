@@ -31,7 +31,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import expit, xlog1py, xlogy
 
 from .errors import DomainError, EnsembleError, NumericError, TargetRangeError
 
@@ -143,16 +142,21 @@ def eval_dispersion(spec: EnsembleSpec, y):
     return _match_shape(spec.dispersion.base_energy(arr) - spec.mu, y)
 
 
+def _fermi_mean(x):
+    """Logistic mean 1/(1 + e^x); an overflowing e^x gives the limit 0."""
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(x))
+
+
 def marginal_mean(spec: EnsembleSpec, y):
     """Mean occupancy of the mode at y.
 
-    Fermi modes give the logistic value e^{-x}/(1+e^{-x}) with x = beta*omega,
-    Bose modes give 1/(e^x - 1); both are computed through expit/expm1 so the
-    tails stay accurate.
+    Fermi modes give the logistic value 1/(1+e^x) with x = beta*omega, Bose
+    modes give 1/(e^x - 1), computed through expm1 so the tails stay accurate.
     """
     x = spec.beta * np.asarray(eval_dispersion(spec, y))
     if spec.stats is Statistics.FERMI:
-        out = expit(-x)
+        out = _fermi_mean(x)
     else:
         if np.any(x <= 0.0):
             raise EnsembleError("Bose mode energy must stay positive")
@@ -171,7 +175,7 @@ def marginal_entropy(spec: EnsembleSpec, y):
     """
     x = spec.beta * np.asarray(eval_dispersion(spec, y))
     if spec.stats is Statistics.FERMI:
-        out = (np.logaddexp(0.0, -x) + x * expit(-x)) / LN2
+        out = (np.logaddexp(0.0, -x) + x * _fermi_mean(x)) / LN2
     else:
         if np.any(x <= 0.0):
             raise EnsembleError("Bose mode energy must stay positive")
@@ -192,7 +196,10 @@ def entropy_of_mean(stats: Statistics, a):
     if stats is Statistics.FERMI:
         if np.any(arr < 0.0) or np.any(arr > 1.0):
             raise DomainError("Fermi mean occupancy must lie in [0, 1]")
-        out = -(xlogy(arr, arr) + xlog1py(1.0 - arr, -arr)) / LN2
+        with np.errstate(divide="ignore", invalid="ignore"):
+            alog = np.where(arr > 0.0, arr * np.log(arr), 0.0)
+            blog = np.where(arr < 1.0, (1.0 - arr) * np.log1p(-arr), 0.0)
+        out = -(alog + blog) / LN2
     else:
         if np.any(arr <= 0.0):
             raise DomainError("Bose mean occupancy must be positive")

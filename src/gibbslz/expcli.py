@@ -201,6 +201,8 @@ def load_config(path: str | Path, seed_override: int | None = None,
         raise ConfigError(f"run.lengths must be comma-separated integers") from exc
     if not lengths or any(ell < 2 for ell in lengths):
         raise ConfigError("run.lengths must list integers >= 2")
+    if len(set(lengths)) != len(lengths):
+        raise ConfigError("run.lengths must not repeat a length")
     replicas = _parse_int("run.replicas", m.get("run.replicas", "4"))
     if replicas < 1:
         raise ConfigError("run.replicas must be at least 1")

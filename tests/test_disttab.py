@@ -1,5 +1,8 @@
+import functools
 import itertools
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -18,10 +21,16 @@ from gibbslz import (
     entropy_gap,
     is_log_concave,
     local_clt_error,
-    mode_mean_check,
     score_ratio_check,
     summary,
 )
+
+
+def delta(k):
+    """Point mass at the nonnegative integer k."""
+    logp = np.full(k + 1, -np.inf)
+    logp[k] = 0.0
+    return DistTable(logp)
 
 
 def enumerate_conditional(tables, n):
@@ -73,7 +82,7 @@ def test_bernoulli_moments_closed_form():
 
 
 def test_delta_table():
-    t = DistTable.delta(3)
+    t = delta(3)
     assert t.support_max == 3
     assert summary(t).variance == 0.0
     assert summary(t).mode == 3
@@ -192,7 +201,7 @@ def test_impossible_condition_raises():
     tables = [DistTable.bernoulli(0.5)] * 3
     with pytest.raises(ImpossibleConditionError):
         build_suffix_dp(tables, 5)
-    certain = [DistTable.delta(1), DistTable.delta(1)]
+    certain = [delta(1), delta(1)]
     with pytest.raises(ImpossibleConditionError):
         build_suffix_dp(certain, 1)
 
@@ -211,7 +220,7 @@ def test_local_clt_error_shrinks_with_size():
     assert big.lyapunov_ratio <= 1.0
     assert big.sigma == pytest.approx(10.0, rel=1e-12)
     with pytest.raises(DomainError):
-        local_clt_error([DistTable.delta(2)] * 4)
+        local_clt_error([delta(2)] * 4)
 
 
 def test_score_ratio_iid_equality_and_bounds():
@@ -237,13 +246,6 @@ def test_score_ratio_rejects_non_binary():
         score_ratio_check([DistTable.geometric(0.5)], 1)
 
 
-def test_mode_mean_bound():
-    assert mode_mean_check(DistTable.geometric(1.3))
-    assert mode_mean_check(DistTable.bernoulli(0.7))
-    with pytest.raises(PreconditionError):
-        mode_mean_check(DistTable.from_probs([0.5, 0.01, 0.49]))
-
-
 def test_efron_monotonicity_increasing_vs_decreasing():
     tables = [DistTable.bernoulli(0.3), DistTable.bernoulli(0.6),
               DistTable.geometric(0.8, tail_tol=1e-4)]
@@ -253,3 +255,26 @@ def test_efron_monotonicity_increasing_vs_decreasing():
     with pytest.raises(PreconditionError):
         big = [DistTable.geometric(1.0)] * 12
         efron_monotonicity_check(big, lambda k: float(sum(k)), max_configs=1000)
+
+
+@pytest.mark.parametrize("n", [0, 1, 3, 7])
+def test_suffix_rows_with_site_support_beyond_total(n):
+    # Bose sites whose supports exceed n + 1 make the kernel loop over the
+    # suffix row instead of the site law; the rows must still be the heads
+    # of the exact law of the total.
+    tables = [DistTable.geometric(m, tail_tol=1e-10) for m in (0.4, 1.5, 0.9, 2.5)]
+    assert all(t.support_max > n for t in tables)
+    dp = build_suffix_dp(tables, n)
+    law = functools.reduce(convolve, tables)
+    np.testing.assert_allclose(np.exp(dp.logT[0]), law.probs[: n + 1],
+                               rtol=0.0, atol=1e-15)
+    for marg in conditional_site_marginals(dp):
+        assert marg.probs.sum() == pytest.approx(1.0, abs=1e-15)
+
+
+def test_numerics_import_without_scipy():
+    code = ("import sys, gibbslz, gibbslz.expcli, gibbslz.checks; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "[]"

@@ -349,6 +349,9 @@ def test_exit_codes(tmp_path, capsys):
     good = write_cfg(tmp_path, BASE, "good.cfg")
     assert main(["converge", "--config", good, "--out", str(tmp_path),
                  "--seed", "99999999999999999999"]) == 1
+    # A repeated length would write every row twice and pool its replicas.
+    repeated = write_cfg(tmp_path, BASE.replace("16,32", "16,16"), "rep.cfg")
+    assert main(["converge", "--config", repeated, "--out", str(tmp_path)]) == 1
 
     # A nearly condensed Bose gas: n = 572,163 particles on 256 sites, with
     # site laws up to n + 1 entries wide.  The sampler's cell budget must
