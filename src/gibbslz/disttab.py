@@ -3,7 +3,9 @@
 A DistTable stores the law of one nonnegative integer occupancy in the log
 domain, so convolution and conditioning stay accurate far into the tails.
 On top of the tables sit the exact oracles used to cross-check the sampler
-and the entropy bookkeeping:
+and the entropy bookkeeping.  The command line takes its entropy gap from
+the canonical sampler's tree; the suffix DP below is the independent route
+that checks it, in the batteries and the tests:
 
   * build_suffix_dp: table of suffix-sum laws T_j(s) = P(K_j + ... + K_{ell-1} = s),
     the substrate for conditioning on a fixed total occupancy;

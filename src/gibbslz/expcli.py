@@ -5,7 +5,7 @@ ensemble block fixes statistics, inverse temperature, dispersion, and either
 the chemical potential (ensemble.mu) or a target density (ensemble.r, which
 is inverted to mu once per run); the run block fixes string lengths, replica
 count, master seed and sampling kind; the analysis block holds the typical-
-window epsilon and numeric budgets; the output block picks the format.
+window epsilon and numeric tolerances; the output block picks the format.
 
 Determinism contract: results.csv / results.jsonl / summary.* are byte
 reproducible for a fixed config and seed, for any worker count, because
@@ -33,7 +33,6 @@ from pathlib import Path
 import numpy as np
 
 from . import checks
-from .disttab import entropy_gap
 from .ensemble import (
     CosineLattice,
     Dispersion,
@@ -56,7 +55,7 @@ from .sampler import (
     CanonicalSampler,
     OccupancyString,
     choose_n,
-    marginal_tables,
+    marginal_tables,  # not called here; bench/tracing.py wraps this name
     sample_grand,
 )
 
@@ -65,7 +64,7 @@ _KNOWN_KEYS = frozenset({
     "ensemble.dispersion",
     "run.lengths", "run.replicas", "run.seed", "run.kind",
     "analysis.epsilon", "analysis.two_sided", "analysis.quad_tol",
-    "analysis.tail_tol", "analysis.gap_budget", "analysis.check_scale",
+    "analysis.tail_tol", "analysis.check_scale",
     "output.format",
 })
 
@@ -101,7 +100,6 @@ class ExperimentConfig:
     two_sided: bool
     quad_tol: float
     tail_tol: float
-    gap_budget: int
     check_scale: str
     out_format: str
     config_hash: str
@@ -225,10 +223,6 @@ def load_config(path: str | Path, seed_override: int | None = None,
     tail_tol = _parse_float("analysis.tail_tol", m.get("analysis.tail_tol", "1e-12"))
     if not (0.0 < tail_tol < 1e-6):
         raise ConfigError("analysis.tail_tol must be a small positive mass")
-    gap_budget = _parse_int("analysis.gap_budget",
-                            m.get("analysis.gap_budget", str(1 << 23)))
-    if gap_budget < 0:
-        raise ConfigError("analysis.gap_budget must be nonnegative")
     check_scale = m.get("analysis.check_scale", "full").lower()
     if check_scale not in ("full", "quick"):
         raise ConfigError("analysis.check_scale must be full or quick")
@@ -243,7 +237,7 @@ def load_config(path: str | Path, seed_override: int | None = None,
         stats=stats, beta=beta, mu=mu, r=r, dispersion=dispersion,
         lengths=lengths, replicas=replicas, seed=seed, kind=kind,
         epsilon=epsilon, two_sided=two_sided, quad_tol=quad_tol,
-        tail_tol=tail_tol, gap_budget=gap_budget, check_scale=check_scale,
+        tail_tol=tail_tol, check_scale=check_scale,
         out_format=out_format, config_hash=_hash_mapping(m),
     )
 
@@ -298,11 +292,12 @@ def _emit(out_dir: Path, stem: str, columns: tuple[str, ...], rows: list[dict],
 
 
 def _length_sampler(cfg: ExperimentConfig, spec: EnsembleSpec, r_target: float,
-                    ell: int) -> tuple[int | None, CanonicalSampler | None, str | None]:
-    """(n, sampler, error) of one length.  A canonical run gets its total n
-    and the sampler for it, or the reason n cannot be reached in error; a
-    grand run gets (None, None, None)."""
-    if cfg.kind == "grand":
+                    ell: int, kind: str,
+                    ) -> tuple[int | None, CanonicalSampler | None, str | None]:
+    """(n, sampler, error) of one length.  A canonical kind gets its total n
+    and the sampler for it, or the reason n cannot be reached in error; the
+    grand kind gets (None, None, None)."""
+    if kind == "grand":
         return None, None, None
     n = choose_n(r_target, ell).n
     try:
@@ -318,16 +313,6 @@ def _draw_strings(cfg: ExperimentConfig, spec: EnsembleSpec, ell: int,
     if cfg.kind == "canonical":
         return sampler.sample_batch(cfg.seed, replicas)
     return [sample_grand(spec, ell, cfg.seed, rep) for rep in replicas]
-
-
-def _exact_gap(cfg: ExperimentConfig, spec: EnsembleSpec, ell: int,
-               n: int) -> float | None:
-    """Exact entropy gap in bits at (ell, n), or None when the DP's
-    (ell + 1)(n + 1) cells exceed analysis.gap_budget."""
-    if (ell + 1) * (n + 1) > cfg.gap_budget:
-        return None
-    tables = marginal_tables(spec, ell, tail_tol=cfg.tail_tol)
-    return entropy_gap(tables, n, max_cells=cfg.gap_budget)
 
 
 def _replica_rows(cfg: ExperimentConfig, spec: EnsembleSpec, typical: TypicalParams,
@@ -380,11 +365,10 @@ def _error_row(cfg: ExperimentConfig, ell: int, n: int | None, msg: str) -> dict
 def _run_length(cfg: ExperimentConfig, spec: EnsembleSpec, typical: TypicalParams,
                 r_target: float, h_target: float, ell: int, workers: int,
                 ) -> tuple[list[dict], list[dict]]:
-    n, sampler, error = _length_sampler(cfg, spec, r_target, ell)
+    n, sampler, error = _length_sampler(cfg, spec, r_target, ell, cfg.kind)
     if error is not None:
         return [_error_row(cfg, ell, n, error)], []
-    gap = None if n is None else _exact_gap(cfg, spec, ell, n)
-    gap_per_site = None if gap is None else gap / ell
+    gap_per_site = None if sampler is None else sampler.entropy_gap() / ell
 
     # Workers are forked and receive the sampler pickled with each chunk.
     work = partial(_replica_rows, cfg, spec, typical, h_target, ell, sampler,
@@ -473,7 +457,7 @@ def cmd_sample(cfg: ExperimentConfig, out_dir: Path) -> int:
     samples_dir.mkdir(parents=True, exist_ok=True)
     manifest: list[dict] = []
     for ell in cfg.lengths:
-        n, sampler, error = _length_sampler(cfg, spec, r_target, ell)
+        n, sampler, error = _length_sampler(cfg, spec, r_target, ell, cfg.kind)
         if error is not None:
             manifest.append({"kind": cfg.kind, "ell": ell, "n": n,
                              "replica": None, "file": None, "sum": None,
@@ -521,20 +505,19 @@ def cmd_entropy_gap(cfg: ExperimentConfig, out_dir: Path) -> int:
     spec, r_target, _ = resolve_spec(cfg)
     rows = []
     for ell in cfg.lengths:
-        n = choose_n(r_target, ell).n
-        gap = _exact_gap(cfg, spec, ell, n)
+        # The gap is a canonical quantity whatever run.kind says.
+        n, sampler, error = _length_sampler(cfg, spec, r_target, ell, "canonical")
+        if error is not None:
+            raise ImpossibleConditionError(error)
+        gap = sampler.entropy_gap()
+        # skipped stays as a column, always False, for readers of the file.
         rows.append({"config_hash": cfg.config_hash, "ell": ell, "n": n,
-                     "cells": (ell + 1) * (n + 1), "gap_bits": gap,
-                     "gap_per_site": None if gap is None else gap / ell,
-                     "skipped": gap is None})
+                     "cells": sampler.cells, "gap_bits": gap,
+                     "gap_per_site": gap / ell, "skipped": False})
     _emit(out_dir, "entropy_gap", GAP_COLUMNS, rows, cfg.out_format)
     for row in rows:
-        if row["skipped"]:
-            print(f"ell={row['ell']}: skipped ({row['cells']} cells over budget "
-                  f"{cfg.gap_budget})")
-        else:
-            print(f"ell={row['ell']}: n={row['n']} gap_bits={row['gap_bits']:.6f} "
-                  f"per_site={row['gap_per_site']:.6g}")
+        print(f"ell={row['ell']}: n={row['n']} gap_bits={row['gap_bits']:.6f} "
+              f"per_site={row['gap_per_site']:.6g}")
     return 0
 
 

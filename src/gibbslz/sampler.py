@@ -27,6 +27,10 @@ mean; the tilted mass cut off by the windows is added to the reported
 truncation tail.  Leaves are cut at n, which is exact: larger totals cannot
 occur.
 
+The same tree gives the exact entropy cost of conditioning: one root-to-leaf
+pass turns the node laws into the site laws given the total, and the
+conditional entropy follows from those and the root's probability of n.
+
 Determinism: each (seed, ell, replica) triple owns a counter-based random
 stream.  A replica reads ell uniforms from it and uses one per merge node of
 the tree (ell - 1 of them; the last uniform is unused).  Replicas are drawn
@@ -43,8 +47,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .disttab import DistTable
-from .ensemble import EnsembleSpec, Statistics, eval_dispersion, site_means
+from .disttab import LN2, DistTable
+from .ensemble import (
+    EnsembleSpec,
+    Statistics,
+    entropy_of_mean,
+    eval_dispersion,
+    site_means,
+)
 from .errors import (
     DomainError,
     ImpossibleConditionError,
@@ -163,12 +173,41 @@ def _site_laws(spec: EnsembleSpec, ell: int, n: int,
     a = -spec.beta * np.asarray(eval_dispersion(spec, np.arange(ell) / ell))
     if spec.stats is Statistics.FERMI:
         return a, np.full(ell, min(1, n), dtype=np.int64), np.zeros(ell)
+    top = _geometric_tops(a, tail_tol)
+    return a, np.minimum(top, n).astype(np.int64), np.exp((top + 1.0) * a)
+
+
+def _geometric_tops(logq: np.ndarray, tail_tol: float) -> np.ndarray:
+    """Last kept k of geometric laws with log ratios logq, truncated as
+    DistTable.geometric truncates them: the smallest top with
+    q^{top+1} < tail_tol."""
     if not (0.0 < tail_tol < 0.1):
         raise DomainError("tail tolerance must be a small positive mass")
     log_tol = math.log(tail_tol)
-    top = np.maximum(np.ceil(log_tol / a) - 1.0, 0.0)
-    top += (top + 1.0) * a >= log_tol
-    return a, np.minimum(top, n).astype(np.int64), np.exp((top + 1.0) * a)
+    top = np.maximum(np.ceil(log_tol / logq) - 1.0, 0.0)
+    top += (top + 1.0) * logq >= log_tol
+    return top
+
+
+def _free_entropy(spec: EnsembleSpec, ell: int, tail_tol: float) -> float:
+    """Summed entropy, in bits, of the unconditioned site laws as
+    marginal_tables gives them, in closed form.
+
+    A Bose law is (1 - q) q^k on k = 0..top with q = mean / (1 + mean), on
+    its uncut support and not renormalised, as DistTable.geometric leaves
+    it: its mass is 1 - q^{top+1} and its first moment is
+    mean (1 - (top + 1) q^top + top q^{top+1}).
+    """
+    mean = site_means(spec, ell)
+    if spec.stats is Statistics.FERMI:
+        return float(entropy_of_mean(spec.stats, mean).sum())
+    logq = np.log(mean) - np.log1p(mean)
+    top = _geometric_tops(logq, tail_tol)
+    qtop = np.exp(top * logq)
+    qnext = np.exp((top + 1.0) * logq)
+    moment = mean * (1.0 - (top + 1.0) * qtop + top * qnext)
+    nats = (1.0 - qnext) * np.log1p(mean) - logq * moment
+    return float(nats.sum()) / LN2
 
 
 def _tilted_laws(a: np.ndarray, top: np.ndarray,
@@ -275,12 +314,52 @@ def _merge_level(child: _Level, off: np.ndarray, wid: np.ndarray,
     return _Level(off, law), max(0.0, reachable - float(win.sum()))
 
 
+def _split_level(child: _Level, off: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Conditional weights of the child level's nodes from the weights w of
+    the level above, whose row i covers totals off[i], off[i] + 1, ...
+
+    A node's weight is w(t) = P(S_node = t | S = n) / P(S_node = t) under
+    the tree's laws.  A merge hands its left child
+    w_L(s) = sum_t w(t) R(t - s) and its right child
+    w_R(u) = sum_t w(t) L(t - u): per side, one batched FFT convolution of
+    w with the reversed sibling laws.  An odd last node keeps its w.
+    """
+    cw = child.width
+    pairs = child.off.size // 2
+    size = w.shape[1] + cw - 1
+    nfft = 1 << (size - 1).bit_length()
+    # Entry cw - 1 - d + i of a convolution weighs child total
+    # off_child + i, where d = off_parent - off_left - off_right >= 0.
+    d = off[:pairs] - child.off[0:2 * pairs:2] - child.off[1:2 * pairs:2]
+    out = np.zeros((child.off.size, cw))
+    # Merges go in chunks of at most _CHUNK_CELLS transform cells.
+    rows = max(1, _CHUNK_CELLS // nfft)
+    for lo in range(0, pairs, rows):
+        hi = min(pairs, lo + rows)
+        idx = (cw - 1 - d[lo:hi])[:, None] + np.arange(cw)
+        inside = (idx >= 0) & (idx < size)
+        np.clip(idx, 0, size - 1, out=idx)
+        wspec = np.fft.rfft(w[lo:hi], nfft, axis=1)
+        for side in (0, 1):
+            conv = np.fft.rfft(child.law[2 * lo + 1 - side:2 * hi:2, ::-1], nfft, axis=1)
+            conv *= wspec
+            conv = np.fft.irfft(conv, nfft, axis=1)
+            out[2 * lo + side:2 * hi:2] = np.take_along_axis(conv, idx, axis=1) * inside
+    if child.off.size % 2:
+        keep = min(cw, w.shape[1])
+        out[-1, :keep] = w[pairs, :keep]
+    return out
+
+
 class CanonicalSampler:
     """Fixed-total draws at one (ensemble, ell, n) from a tree of sub-sum laws.
 
     Building the tree is the expensive part; do it once and draw any number
     of replicas from it.  Degenerate targets (n = 0, or a full Fermi string)
     bypass the tree entirely.
+
+    `entropy_gap` is the exact per-string entropy cost of conditioning on
+    n, from one further pass over the tree.
 
     Diagnostics: `tilt` is the saddle-point theta, `cells` the float cells
     held by the leaves and node windows (at most _MAX_CELLS), and
@@ -297,6 +376,7 @@ class CanonicalSampler:
         self.spec = spec
         self.ell = int(ell)
         self.n = int(n)
+        self.tail_tol = tail_tol
 
         if spec.stats is Statistics.FERMI and n > ell:
             raise ImpossibleConditionError(
@@ -400,6 +480,51 @@ class CanonicalSampler:
                 nxt[:, -1] = t[:, -1]
             t = nxt
         return t
+
+    def _conditional_laws(self) -> np.ndarray:
+        """(ell, K) matrix of the site laws given the total n, from one
+        root-to-leaf pass.  The weights start at the root as 1 / P(S = n)
+        on total n; a leaf's conditional law is its tilted law times its
+        weight.  The pass holds about one tree level at a time and stores
+        nothing on the sampler."""
+        root = self._levels[-1]
+        at = self.n - int(root.off[0])
+        w = np.zeros((1, root.width))
+        w[0, at] = 1.0 / root.law[0, at]
+        for h in range(len(self._levels) - 1, 0, -1):
+            w = _split_level(self._levels[h - 1], self._levels[h].off, w)
+        w *= self._levels[0].law
+        w /= w.sum(axis=1, keepdims=True)
+        return w
+
+    def conditional_entropy(self) -> float:
+        """Joint entropy, in bits, of the string given its total n.
+
+        The leaves are the tilted site laws p_j(k) = e^{(a_j + theta) k} / Z_j,
+        and tilting leaves the conditional law unchanged, so it is
+        prod_j p_j(k_j) / P(S = n) and, in nats,
+
+            H(K | S = n) = -sum_j E[log p_j(K_j) | S = n] + log P(S = n)
+                         = sum_j log Z_j - sum_j a_j m_j - theta n + log P(S = n),
+
+        with m_j the conditional means and P(S = n) the root's entry at n.
+        """
+        if self._degenerate is not None:
+            return 0.0
+        laws = self._conditional_laws()
+        leaves = self._levels[0].law
+        logp = np.log(leaves, where=leaves > 0.0, out=np.zeros_like(leaves))
+        root = self._levels[-1]
+        log_total = math.log(root.law[0, self.n - int(root.off[0])])
+        # einsum, not a BLAS dot: a threaded BLAS call leaves its worker
+        # threads spinning, which costs CPU time for nothing.
+        return (log_total - float(np.einsum("ij,ij->", laws, logp))) / LN2
+
+    def entropy_gap(self) -> float:
+        """Conditional joint entropy minus the summed entropies of the
+        unconditioned site laws, in bits; nonpositive."""
+        return self.conditional_entropy() - _free_entropy(self.spec, self.ell,
+                                                          self.tail_tol)
 
     def sample_from_uniforms(self, uniforms: np.ndarray) -> np.ndarray:
         """Draw one string per row of uniforms; uniforms has shape (m, ell).

@@ -72,8 +72,11 @@ def test_load_config_defaults_and_overrides(tmp_path):
     assert (cfg.replicas, cfg.seed, cfg.kind) == (3, 11, "canonical")
     assert (cfg.epsilon, cfg.two_sided) == (0.3, False)
     assert (cfg.quad_tol, cfg.tail_tol) == (1e-9, 1e-12)
-    assert cfg.gap_budget == 1 << 23
     assert (cfg.check_scale, cfg.out_format) == ("full", "both")
+    # analysis.gap_budget is retired: the sampler's cell budget is the only one.
+    with pytest.raises(ConfigError, match="unknown key"):
+        load_config(write_cfg(tmp_path, BASE + "analysis.gap_budget = 8388608\n",
+                              "retired.cfg"))
 
     over = load_config(write_cfg(tmp_path, BASE), seed_override=99,
                        format_override="csv")
@@ -293,7 +296,33 @@ def test_converge_gap_matches_entropy_gap_command(tmp_path):
         assert per_site * ell == pytest.approx(gaps[ell]["gap_bits"], rel=1e-14)
 
 
-def test_entropy_gap_command_matches_library(tmp_path):
+def test_converge_gap_at_every_rung(tmp_path):
+    # ell = 4096 needs (ell + 1)(n + 1) = 8,394,753 suffix-DP cells, past the
+    # 2^23 the DP was once allowed; the sampler's tree gives its gap as well.
+    cfg_path = write_cfg(tmp_path, BASE.replace("16,32", "16,4096"))
+    runs = []
+    for workers in ("1", "2"):
+        out = tmp_path / f"w{workers}"
+        assert main(["converge", "--config", cfg_path, "--out", str(out),
+                     "--workers", workers]) == 0
+        runs.append(out)
+    assert (runs[0] / "results.csv").read_bytes() == (runs[1] / "results.csv").read_bytes()
+    assert main(["entropy-gap", "--config", cfg_path, "--out", str(tmp_path / "gap")]) == 0
+    gaps = {row["ell"]: row for row in
+            (json.loads(ln) for ln in
+             (tmp_path / "gap" / "entropy_gap.jsonl").read_text().splitlines())}
+    lines = (runs[0] / "results.csv").read_text().splitlines()[1:]
+    rows = [dict(zip(RESULT_COLUMNS, line.split(","))) for line in lines]
+    assert {int(row["ell"]) for row in rows} == {16, 4096}
+    for row in rows:
+        assert row["entropy_gap_per_site"] != ""
+        assert float(row["entropy_gap_per_site"]) == gaps[int(row["ell"])]["gap_per_site"]
+    spec, _, _ = resolve_spec(load_config(cfg_path))
+    assert gaps[16]["gap_bits"] == pytest.approx(
+        entropy_gap(marginal_tables(spec, 16), gaps[16]["n"]), rel=1e-12)
+
+
+def test_entropy_gap_command_matches_library(tmp_path, capsys):
     cfg_path = write_cfg(tmp_path, BASE)
     out = tmp_path / "out"
     assert main(["entropy-gap", "--config", cfg_path, "--out", str(out)]) == 0
@@ -302,17 +331,42 @@ def test_entropy_gap_command_matches_library(tmp_path):
     cfg = load_config(cfg_path)
     spec, r_eff, _ = resolve_spec(cfg)
     for row in rows:
-        assert not row["skipped"]
+        assert row["skipped"] is False
         tables = marginal_tables(spec, row["ell"], tail_tol=cfg.tail_tol)
-        expected = entropy_gap(tables, row["n"], max_cells=cfg.gap_budget)
+        expected = entropy_gap(tables, row["n"])
         assert row["gap_bits"] == pytest.approx(expected, rel=1e-12)
         assert row["gap_bits"] <= 0.0
-    tight = write_cfg(tmp_path, BASE + "analysis.gap_budget = 100\n", "tight.cfg")
-    out2 = tmp_path / "out2"
-    assert main(["entropy-gap", "--config", tight, "--out", str(out2)]) == 0
-    rows2 = [json.loads(ln)
-             for ln in (out2 / "entropy_gap.jsonl").read_text().splitlines()]
-    assert all(r["skipped"] for r in rows2)
+        assert row["cells"] == g.CanonicalSampler(spec, row["ell"], row["n"]).cells
+    # The gap is canonical even when the config asks for grand strings.
+    grand = write_cfg(tmp_path, BASE.replace("canonical", "grand"), "grand.cfg")
+    out_grand = tmp_path / "grand"
+    assert main(["entropy-gap", "--config", grand, "--out", str(out_grand)]) == 0
+    grand_rows = [json.loads(ln)
+                  for ln in (out_grand / "entropy_gap.jsonl").read_text().splitlines()]
+    assert [r["gap_bits"] for r in grand_rows] == [r["gap_bits"] for r in rows]
+    capsys.readouterr()
+
+    # The sampler's cell budget is the gap's budget: the condensed Bose
+    # config of test_exit_codes fails fast, naming the cells.
+    condensed = write_cfg(tmp_path, BASE.replace("fermi", "bose")
+                          .replace("ensemble.beta = 1.0", "ensemble.beta = 0.01")
+                          .replace("ensemble.r = 0.5", "ensemble.mu = -0.001")
+                          .replace("run.lengths = 16,32", "run.lengths = 256"),
+                          "condensed.cfg")
+    t0 = time.perf_counter()
+    assert main(["entropy-gap", "--config", condensed, "--out", str(tmp_path)]) == 3
+    assert time.perf_counter() - t0 < 20.0
+    assert "cells" in capsys.readouterr().err
+    # An unreachable total is still a runtime failure: both sites sit at
+    # energy 14, so their laws truncate to k = 0, while the dip at y = 1
+    # gives the integrated density that asks for n = 1.
+    crowded = write_cfg(tmp_path, BASE.replace("fermi", "bose")
+                        .replace("ensemble.r = 0.5", "ensemble.mu = 0.0")
+                        .replace("cosine", "grid:14,14,5e-4")
+                        .replace("run.lengths = 16,32", "run.lengths = 2")
+                        + "analysis.tail_tol = 9e-7\n", "crowded.cfg")
+    assert main(["entropy-gap", "--config", crowded, "--out", str(tmp_path)]) == 3
+    assert "exceeds the summed" in capsys.readouterr().err
 
 
 def test_scalar_commands_print_reprs(tmp_path, capsys):

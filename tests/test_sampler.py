@@ -17,11 +17,14 @@ from gibbslz import (
     TabulatedGrid,
     build_suffix_dp,
     choose_n,
+    conditional_entropy_exact,
     conditional_site_marginals,
+    entropy_gap,
     make_rng,
     marginal_tables,
     sample_grand,
     site_means,
+    summary,
 )
 
 FERMI = Statistics.FERMI
@@ -243,6 +246,12 @@ def test_node_splits_match_exact_dp():
                 np.testing.assert_allclose(got, exact, atol=1e-12)
 
 
+def conditional_means(cs):
+    """E[K_j | S = n] of every site, from the tree's root-to-leaf pass."""
+    laws = cs._conditional_laws()
+    return laws @ np.arange(laws.shape[1])
+
+
 def bounded_configs(tops, n):
     """Every occupancy vector with entries in [0, top_j] summing to n."""
     if not tops:
@@ -280,6 +289,11 @@ def test_tree_draws_and_splits_match_enumeration(bose, beta, mu, ell, data):
     for j, t in enumerate(tables):
         weights *= t.probs[configs[:, j]]
     weights /= weights.sum()
+    bits = -float(weights @ np.log2(weights, where=weights > 0.0,
+                                     out=np.zeros_like(weights)))
+    assert abs(cs.conditional_entropy() - bits) <= 1e-9
+    if cs._degenerate is None:
+        np.testing.assert_allclose(conditional_means(cs), weights @ configs, atol=1e-9)
     sites = node_sites(ell)
     for h in range(1, len(cs._levels)):
         start, size = sites[h - 1]
@@ -298,6 +312,32 @@ def test_tree_draws_and_splits_match_enumeration(bose, beta, mu, ell, data):
                 assert got[t + 1:].sum() < 1e-9
                 got = np.pad(got[:t + 1], (0, max(0, t + 1 - got.size)))
                 np.testing.assert_allclose(got, exact, atol=1e-9)
+
+
+@pytest.mark.parametrize("spec", [fermi_spec(), bose_spec()], ids=["fermi", "bose"])
+@pytest.mark.parametrize("ell", [7, 64, 256, 1024])
+def test_tree_entropy_and_means_match_exact_dp(spec, ell):
+    """The root-to-leaf pass gives the conditional entropy and site means
+    the log-domain suffix DP gives, and the gap that entropy_gap gives."""
+    n = ell // 2
+    cs = CanonicalSampler(spec, ell, n)
+    tables = marginal_tables(spec, ell)
+    dp = build_suffix_dp(tables, n)
+    assert abs(cs.conditional_entropy() - conditional_entropy_exact(dp, n)) <= 1e-10
+    means = [t.probs @ np.arange(t.probs.size) for t in conditional_site_marginals(dp, n)]
+    np.testing.assert_allclose(conditional_means(cs), means, rtol=0.0, atol=1e-13)
+    assert abs(cs.entropy_gap() - entropy_gap(tables, n)) <= 1e-10
+
+
+@pytest.mark.parametrize("spec, ell, n", [(fermi_spec(), 32, 0), (bose_spec(), 32, 0),
+                                          (fermi_spec(), 32, 32)],
+                         ids=["fermi-empty", "bose-empty", "fermi-full"])
+def test_degenerate_targets_cost_the_free_entropy(spec, ell, n):
+    # The string is fixed, so conditioning removes all of its entropy.
+    cs = CanonicalSampler(spec, ell, n)
+    free = sum(summary(t).entropy_bits for t in marginal_tables(spec, ell))
+    assert cs.conditional_entropy() == 0.0
+    assert cs.entropy_gap() == pytest.approx(-free, rel=1e-14, abs=1e-14)
 
 
 def test_bulk_draws_shape_and_sum():
