@@ -16,9 +16,12 @@ the generating ensemble: a word's ensemble entropy is the per-site entropy
 profile summed across its window, and a word is typical when its window's
 occupancy deviates from the mean profile by at most an allowance per site
 (see TypicalParams).  classify_words splits a parse into typical words below
-an entropy budget, remaining typical words, and non-typical words.
+an entropy budget, remaining typical words, and non-typical words.  The two
+profiles depend only on (spec, ell), so they are built once per length and
+shared by every string of that length.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -176,6 +179,21 @@ class WordClassCounts:
         return self.low_typical + self.other_typical + self.non_typical
 
 
+@functools.lru_cache(maxsize=1)
+def _word_profile(spec: EnsembleSpec, ell: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only (site means, entropy prefix sum) of one length.
+
+    A run classifies every string of a length before moving to the next, so
+    one cached length serves all its replicas while holding a single
+    length's arrays per process.
+    """
+    means = site_means(spec, ell)
+    ent_prefix = np.concatenate([[0.0], np.cumsum(site_entropies(spec, ell))])
+    means.flags.writeable = False
+    ent_prefix.flags.writeable = False
+    return means, ent_prefix
+
+
 def classify_words(parse: LzParse, string, spec: EnsembleSpec,
                    params: TypicalParams) -> WordClassCounts:
     """Split the parse words into low-entropy typical, other typical, and
@@ -185,10 +203,8 @@ def classify_words(parse: LzParse, string, spec: EnsembleSpec,
         raise DomainError("parse and string lengths disagree")
     if parse.ell < 2:
         raise DomainError("classification needs a string of length at least 2")
-    means = site_means(spec, parse.ell)
-    ents = site_entropies(spec, parse.ell)
+    means, ent_prefix = _word_profile(spec, parse.ell)
     dev_prefix = np.concatenate([[0.0], np.cumsum(arr - means)])
-    ent_prefix = np.concatenate([[0.0], np.cumsum(ents)])
     ends = parse.starts + parse.lengths
     devs = dev_prefix[ends] - dev_prefix[parse.starts]
     if params.two_sided:

@@ -51,6 +51,7 @@ from .disttab import LN2, DistTable
 from .ensemble import (
     EnsembleSpec,
     Statistics,
+    _fermi_mean,
     entropy_of_mean,
     eval_dispersion,
     site_means,
@@ -150,8 +151,7 @@ def sample_grand(spec: EnsembleSpec, ell: int, seed: int,
     u = rng.random(ell)
     x = spec.beta * (spec.dispersion.base_energy(np.arange(ell) / ell) - spec.mu)
     if spec.stats is Statistics.FERMI:
-        p = 1.0 / (1.0 + np.exp(x))
-        vals = (u < p).astype(np.int64)
+        vals = (u < _fermi_mean(x)).astype(np.int64)
     else:
         # Geometric inverse transform: smallest k with 1 - q^{k+1} > u.
         logq = -x

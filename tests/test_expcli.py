@@ -3,6 +3,7 @@
 import json
 import math
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -213,8 +214,8 @@ def test_converge_outputs_and_schema(tmp_path):
     assert (out / "timings.csv").exists()
 
 
-def test_converge_deterministic_across_workers_and_runs(tmp_path):
-    cfg_path = write_cfg(tmp_path, BASE)
+def assert_deterministic_across_workers_and_runs(tmp_path: Path, text: str) -> None:
+    cfg_path = write_cfg(tmp_path, text)
     outs = []
     for name, workers in [("w1", "1"), ("w2", "2"), ("w1b", "1")]:
         out = tmp_path / name
@@ -226,6 +227,17 @@ def test_converge_deterministic_across_workers_and_runs(tmp_path):
     for out in outs[1:]:
         assert (out / "results.csv").read_bytes() == ref_results
         assert (out / "summary.csv").read_bytes() == ref_summary
+
+
+def test_converge_deterministic_across_workers_and_runs(tmp_path):
+    assert_deterministic_across_workers_and_runs(tmp_path, BASE)
+
+
+def test_converge_grand_deterministic_across_workers_and_runs(tmp_path):
+    # Each worker process builds and caches its own word-classification
+    # profile per length; the bytes must not depend on which one did.
+    assert_deterministic_across_workers_and_runs(
+        tmp_path, BASE.replace("canonical", "grand"))
 
 
 def test_converge_grand_kind(tmp_path):
@@ -435,6 +447,25 @@ def test_converge_low_temperature_fermi(tmp_path, capsys):
     for line in rows:
         cells = dict(zip(RESULT_COLUMNS, line.split(",")))
         assert cells["n"] == "128" and cells["error"] == ""
+
+
+def test_converge_grand_low_temperature_fermi_is_warning_free(tmp_path):
+    # At beta = 1000, e^{beta omega} overflows for most modes; the grand
+    # draw must take the limit mean 0 there without a RuntimeWarning.
+    cfg_path = write_cfg(tmp_path, BASE.replace("ensemble.beta = 1.0",
+                                                "ensemble.beta = 1000")
+                         .replace("ensemble.r = 0.5", "ensemble.mu = 1")
+                         .replace("run.lengths = 16,32", "run.lengths = 64")
+                         .replace("canonical", "grand"))
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["converge", "--config", cfg_path, "--out", str(out),
+                     "--workers", "1"]) == 0
+    rows = (out / "results.csv").read_text().splitlines()[1:]
+    assert len(rows) == 3
+    for line in rows:
+        assert dict(zip(RESULT_COLUMNS, line.split(",")))["error"] == ""
 
 
 def test_check_command_and_fault_injection(tmp_path, capsys):

@@ -22,7 +22,7 @@ from gibbslz import (
     site_means,
 )
 from gibbslz.errors import DomainError
-from gibbslz.lzparse import _as_values
+from gibbslz.lzparse import _as_values, _word_profile
 
 FERMI = EnsembleSpec(Statistics.FERMI, 1.0, 1.0, CosineLattice())
 
@@ -250,6 +250,24 @@ def test_typical_membership_thresholds():
         typical_membership(vals, 0, 4, profile[:4], params)
 
 
+def direct_counts(parse, string, spec: EnsembleSpec,
+                  params: TypicalParams) -> tuple[int, int, int]:
+    """(low typical, other typical, non-typical) word counts, word by word."""
+    means = site_means(spec, parse.ell)
+    budget = (1.0 - params.eps ** 2) * math.log2(parse.ell)
+    low = other = non = 0
+    for s, m in parse.words:
+        typ = typical_membership(string, s, m, means, params)
+        ent = word_ensemble_entropy(spec, parse.ell, s, m)
+        if typ and ent <= budget:
+            low += 1
+        elif typ:
+            other += 1
+        else:
+            non += 1
+    return low, other, non
+
+
 def test_classify_words_matches_direct_loop():
     ell = 256
     cs = g.CanonicalSampler(FERMI, ell, g.choose_n(0.5, ell).n)
@@ -257,22 +275,32 @@ def test_classify_words_matches_direct_loop():
     parse = lz78_parse(string)
     params = TypicalParams.from_ensemble(FERMI, 0.3)
     counts = classify_words(parse, string, FERMI, params)
-
-    means = site_means(FERMI, ell)
-    budget = (1.0 - params.eps ** 2) * math.log2(ell)
-    low = other = non = 0
-    for s, m in parse.words:
-        typ = typical_membership(string, s, m, means, params)
-        ent = word_ensemble_entropy(FERMI, ell, s, m)
-        if typ and ent <= budget:
-            low += 1
-        elif typ:
-            other += 1
-        else:
-            non += 1
     assert (counts.low_typical, counts.other_typical, counts.non_typical) == \
-        (low, other, non)
+        direct_counts(parse, string, FERMI, params)
     assert counts.total == parse.word_count
+
+
+def test_classify_words_profile_cache_is_keyed_on_spec_and_length():
+    bose = EnsembleSpec(Statistics.BOSE, 1.0, -0.5, CosineLattice())
+    params = {spec: TypicalParams.from_ensemble(spec, 0.3) for spec in (FERMI, bose)}
+    # Interleave specs and lengths so every call but the repeats misses the
+    # one-entry cache, and the repeats hit it.
+    order = [(FERMI, 128), (bose, 128), (bose, 128), (FERMI, 96),
+             (bose, 96), (FERMI, 128), (FERMI, 128), (bose, 128)]
+    for call, (spec, ell) in enumerate(order):
+        string = g.sample_grand(spec, ell, seed=4, replica=call)
+        parse = lz78_parse(string)
+        counts = classify_words(parse, string, spec, params[spec])
+        assert (counts.low_typical, counts.other_typical, counts.non_typical) == \
+            direct_counts(parse, string, spec, params[spec])
+
+        means, ent_prefix = _word_profile(spec, ell)
+        assert means.shape == (ell,) and ent_prefix.shape == (ell + 1,)
+        for arr in (means, ent_prefix):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 1.0
+    assert _word_profile.cache_info().maxsize == 1
 
 
 def test_classify_words_validation():

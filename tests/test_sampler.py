@@ -26,6 +26,7 @@ from gibbslz import (
     site_means,
     summary,
 )
+from gibbslz.checks import check_sampler_tv
 
 FERMI = Statistics.FERMI
 BOSE = Statistics.BOSE
@@ -93,6 +94,13 @@ def test_grand_mean_tracks_density():
     b = sample_grand(bspec, 1 << 15, seed=2)
     assert b.values.min() >= 0
     assert abs(float(b.values.mean()) - 0.5124120313) < 0.02
+
+
+def test_sampler_tv_refuses_codes_that_overflow():
+    # Bose at beta = 0.001 has n = 5364 at ell = 6, so base-(n+1) atom codes
+    # would need more than 63 bits; the battery refuses before building.
+    with pytest.raises(NumericError, match="overflow"):
+        check_sampler_tv(bose_spec(beta=0.001), seed=0, draws=10)
 
 
 def test_canonical_hits_target_exactly():
