@@ -7,19 +7,13 @@ compression rate to the ensemble entropy integral.
 
 from .disttab import (
     DistTable,
-    LocalCltReport,
     MomentSummary,
-    ScoreRatioWitness,
     SuffixSumDP,
     build_suffix_dp,
     conditional_entropy_exact,
     conditional_site_marginals,
     convolve,
-    efron_monotonicity_check,
     entropy_gap,
-    is_log_concave,
-    local_clt_error,
-    score_ratio_check,
     summary,
 )
 from .ensemble import (
@@ -46,7 +40,6 @@ from .errors import (
     GibbsLzError,
     ImpossibleConditionError,
     NumericError,
-    PreconditionError,
     TargetRangeError,
 )
 from .lzparse import (
@@ -75,16 +68,14 @@ __version__ = "0.1.0"
 __all__ = [
     "CanonicalSampler", "ConfigError", "CosineLattice", "Dispersion",
     "DistTable", "DomainError", "EnsembleError", "EnsembleSpec",
-    "GibbsLzError", "ImpossibleConditionError", "LocalCltReport", "LzParse",
-    "MomentSummary", "NumericError", "OccupancyString", "ParticleTarget",
-    "PreconditionError", "Provenance", "ScoreRatioWitness", "Statistics",
-    "SuffixSumDP", "TabulatedGrid", "TargetRangeError", "TypicalParams",
-    "WordClassCounts", "build_suffix_dp", "choose_n", "classify_words",
-    "code_rate", "conditional_entropy_exact", "conditional_site_marginals",
-    "convolve", "efron_monotonicity_check", "entropy_gap", "entropy_of_mean",
-    "entropy_rate", "eval_dispersion", "is_log_concave", "local_clt_error",
-    "lz78_parse", "lz_rate", "lz_rate_from_count", "make_rng",
-    "marginal_entropy", "marginal_mean", "marginal_tables", "particle_density",
-    "partition_intervals", "sample_grand", "score_ratio_check",
-    "site_entropies", "site_means", "solve_mu", "summary",
+    "GibbsLzError", "ImpossibleConditionError", "LzParse", "MomentSummary",
+    "NumericError", "OccupancyString", "ParticleTarget", "Provenance",
+    "Statistics", "SuffixSumDP", "TabulatedGrid", "TargetRangeError",
+    "TypicalParams", "WordClassCounts", "build_suffix_dp", "choose_n",
+    "classify_words", "code_rate", "conditional_entropy_exact",
+    "conditional_site_marginals", "convolve", "entropy_gap", "entropy_of_mean",
+    "entropy_rate", "eval_dispersion", "lz78_parse", "lz_rate",
+    "lz_rate_from_count", "make_rng", "marginal_entropy", "marginal_mean",
+    "marginal_tables", "particle_density", "partition_intervals",
+    "sample_grand", "site_entropies", "site_means", "solve_mu", "summary",
 ]

@@ -1,41 +1,29 @@
-"""Exact finite-support occupancy laws and fixed-total conditioning oracles.
+"""Exact finite-support occupancy laws and the fixed-total conditioning oracle.
 
 A DistTable stores the law of one nonnegative integer occupancy in the log
 domain, so convolution and conditioning stay accurate far into the tails.
-On top of the tables sit the exact oracles used to cross-check the sampler
-and the entropy bookkeeping.  The command line takes its entropy gap from
-the canonical sampler's tree; the suffix DP below is the independent route
-that checks it, in the batteries and the tests:
+On top of the tables sits the exact suffix-sum oracle.  The command line
+takes its entropy gap from the canonical sampler's tree; the suffix DP below
+is the independent route that checks it, in the batteries and the tests:
 
   * build_suffix_dp: table of suffix-sum laws T_j(s) = P(K_j + ... + K_{ell-1} = s),
     the substrate for conditioning on a fixed total occupancy;
   * conditional_site_marginals / conditional_entropy_exact: one-site laws and
     the joint entropy of (K_0, ..., K_{ell-1}) given the total;
   * entropy_gap: conditional joint entropy minus the sum of unconditioned
-    marginal entropies (nonpositive; the per-site cost of pinning the total);
-  * local_clt_error: sup-norm gap between the exact law of the total and the
-    matching discrete Gaussian, together with the Lyapunov third-moment ratio;
-  * score_ratio_check, efron_monotonicity_check: structural inequalities for
-    sums of independent log-concave occupancies;
-  * enumerate_configs: brute force over the product support, the route kept
-    independent of the suffix-sum recursion.
+    marginal entropies (nonpositive; the per-site cost of pinning the total).
 
-All entropies are in bits.
+The structural inequalities these laws obey (log-concavity closure, Efron
+monotonicity, the score-ratio bound, the local CLT) are computed by their
+batteries in checks.py.  All entropies are in bits.
 """
 
-import functools
-import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DomainError,
-    ImpossibleConditionError,
-    NumericError,
-    PreconditionError,
-)
+from .errors import DomainError, ImpossibleConditionError, NumericError
 
 LN2 = math.log(2.0)
 NEG_INF = -math.inf
@@ -44,6 +32,9 @@ NEG_INF = -math.inf
 # a per-entry float allowance for long convolutions.
 _MASS_TOL = 1e-12
 _MASS_EPS_PER_ENTRY = 4e-16
+# Storage cap of a suffix table, in cells; larger instances belong to the
+# canonical sampler.
+_MAX_CELLS = 1 << 24
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -174,29 +165,13 @@ def convolve(a: DistTable, b: DistTable) -> DistTable:
     return DistTable(out, truncation_tail=a.truncation_tail + b.truncation_tail)
 
 
-def is_log_concave(table: DistTable, rel_slack: float = 1e-12) -> bool:
-    """Whether p(k)^2 >= p(k-1) p(k+1) (1 - rel_slack) across the support.
-
-    The slack forgives float rounding in tables produced by long convolution
-    chains; genuine violations are orders of magnitude larger.
-    """
-    lp = table.logp
-    if lp.size < 3:
-        return True
-    lhs = 2.0 * lp[1:-1]
-    rhs = lp[:-2] + lp[2:]
-    with np.errstate(invalid="ignore"):
-        ok = (rhs == NEG_INF) | (lhs >= rhs + math.log1p(-rel_slack))
-    return bool(np.all(ok))
-
-
 @dataclass(frozen=True)
 class SuffixSumDP:
     """Suffix-sum laws of independent occupancies, truncated at a target total.
 
     logT[j, s] = log P(K_j + ... + K_{ell-1} = s) for 0 <= s <= target.  The
-    final row j = ell is the point mass at zero.  Any total n <= target with
-    logT[0, n] finite can be conditioned on using the same table.
+    final row j = ell is the point mass at zero.  The conditioning oracles
+    below condition on the string total being target.
     """
 
     marginals: tuple[DistTable, ...]
@@ -207,27 +182,13 @@ class SuffixSumDP:
     def ell(self) -> int:
         return len(self.marginals)
 
-    def _resolve_total(self, n: int | None) -> int:
-        n = self.target if n is None else int(n)
-        if not (0 <= n <= self.target):
-            raise DomainError(f"total must lie in [0, {self.target}], got {n}")
-        if self.logT[0, n] == NEG_INF:
-            raise ImpossibleConditionError(
-                f"total occupancy {n} has probability zero under these marginals"
-            )
-        return n
 
-
-def build_suffix_dp(
-    marginals,
-    n: int,
-    max_cells: int = 1 << 24,
-) -> SuffixSumDP:
+def build_suffix_dp(marginals, n: int) -> SuffixSumDP:
     """Backward recursion for the suffix-sum laws, truncated at total n.
 
     Raises ImpossibleConditionError when the target total is unreachable
     (beyond the summed supports, or of probability zero), and refuses tables
-    whose (ell+1) x (n+1) storage would exceed max_cells.
+    whose (ell+1) x (n+1) storage would exceed _MAX_CELLS.
     """
     tables = tuple(marginals)
     if not tables:
@@ -239,10 +200,10 @@ def build_suffix_dp(
             f"total occupancy {n} exceeds the summed marginal supports"
         )
     ell = len(tables)
-    if (ell + 1) * (n + 1) > max_cells:
+    if (ell + 1) * (n + 1) > _MAX_CELLS:
         raise NumericError(
             f"suffix table would need {(ell + 1) * (n + 1)} cells "
-            f"(cap {max_cells}); use CanonicalSampler for instances this large"
+            f"(cap {_MAX_CELLS}); use CanonicalSampler for instances this large"
         )
     logT = np.full((ell + 1, n + 1), NEG_INF)
     logT[ell, 0] = 0.0
@@ -256,13 +217,15 @@ def build_suffix_dp(
     return SuffixSumDP(tables, n, logT)
 
 
-def _forward_conditionals(dp: SuffixSumDP, n: int):
-    """Forward sweep under the conditioned chain.
+def _forward_conditionals(dp: SuffixSumDP):
+    """Forward sweep under the chain conditioned on the total dp.target.
 
-    Yields, per site j, the pair (state probabilities pi over remaining
-    totals s, conditional transition matrix Q[k, s] = P(K_j = k | remaining
-    total s)).  The states enumerate 0..n; pi starts at the point mass on n.
+    Yields, per site j, the triple (state probabilities pi over remaining
+    totals s, the live states, conditional transition matrix Q[k, s] =
+    P(K_j = k | remaining total s) over them).  The states enumerate
+    0..target; pi starts at the point mass on target.
     """
+    n = dp.target
     pi = np.zeros(n + 1)
     pi[n] = 1.0
     for j in range(dp.ell):
@@ -278,33 +241,32 @@ def _forward_conditionals(dp: SuffixSumDP, n: int):
         if np.any(norm == NEG_INF):
             raise NumericError("conditioned chain reached a dead-end state")
         q = np.exp(w - norm)
-        yield j, pi, states, ks, q
+        yield pi, states, q
         pi = np.bincount(idx[valid], weights=(q * pi[states])[valid],
                          minlength=n + 1)
     if abs(pi[0] - 1.0) > 1e-9:
         raise NumericError("conditioned chain failed to consume the target total")
 
 
-def conditional_site_marginals(dp: SuffixSumDP, n: int | None = None) -> list[DistTable]:
-    """Laws of each K_i given that the string total equals n."""
-    n = dp._resolve_total(n)
+def conditional_site_marginals(dp: SuffixSumDP) -> list[DistTable]:
+    """Laws of each K_i given that the string total equals dp.target."""
     out = []
-    for j, pi, states, ks, q in _forward_conditionals(dp, n):
+    for pi, states, q in _forward_conditionals(dp):
         probs = q @ pi[states]
         total = probs.sum()
         out.append(DistTable.from_probs(probs / total))
     return out
 
 
-def conditional_entropy_exact(dp: SuffixSumDP, n: int | None = None) -> float:
-    """Joint entropy, in bits, of the string given that its total equals n.
+def conditional_entropy_exact(dp: SuffixSumDP) -> float:
+    """Joint entropy, in bits, of the string given that its total equals
+    dp.target.
 
     Chain rule over sites: sum_j E_pi H(K_j | remaining total), with the
     expectation over the conditioned remaining-total states.
     """
-    n = dp._resolve_total(n)
     total_bits = 0.0
-    for j, pi, states, ks, q in _forward_conditionals(dp, n):
+    for pi, states, q in _forward_conditionals(dp):
         with np.errstate(divide="ignore", invalid="ignore"):
             plogp = np.where(q > 0.0, q * np.log(q), 0.0)
         site_bits = -(plogp.sum(axis=0)) / LN2
@@ -312,139 +274,11 @@ def conditional_entropy_exact(dp: SuffixSumDP, n: int | None = None) -> float:
     return total_bits
 
 
-def entropy_gap(marginals, n: int, max_cells: int = 1 << 24) -> float:
+def entropy_gap(marginals, n: int) -> float:
     """Conditional joint entropy minus the summed marginal entropies, in bits.
 
     Nonpositive: conditioning on the total can only lower the entropy.
     """
-    dp = build_suffix_dp(marginals, n, max_cells=max_cells)
+    dp = build_suffix_dp(marginals, n)
     free = sum(summary(t).entropy_bits for t in dp.marginals)
-    return conditional_entropy_exact(dp, n) - free
-
-
-@dataclass(frozen=True)
-class LocalCltReport:
-    sup_error: float
-    lyapunov_ratio: float
-    sigma: float
-
-
-def local_clt_error(marginals) -> LocalCltReport:
-    """Sup-norm distance between the exact law of the total and its Gaussian.
-
-    Reports sup_q |sigma P(S = q) - phi((q - mean)/sigma)| together with the
-    Lyapunov ratio L = sum E|K_i - E K_i|^3 / sigma^3 that controls it.
-    """
-    tables = list(marginals)
-    if not tables:
-        raise DomainError("need at least one marginal")
-    moments = [summary(t) for t in tables]
-    mean = sum(m.mean for m in moments)
-    var = sum(m.variance for m in moments)
-    if var <= 0.0:
-        raise DomainError("degenerate total: zero variance")
-    sigma = math.sqrt(var)
-    lyap = sum(m.abs_central_moment3 for m in moments) / sigma**3
-
-    law = functools.reduce(convolve, tables)
-    lo = min(0, math.floor(mean - 10.0 * sigma))
-    hi = max(law.support_max, math.ceil(mean + 10.0 * sigma))
-    qs = np.arange(lo, hi + 1, dtype=float)
-    pmf = np.zeros(qs.size)
-    inside = (qs >= 0) & (qs <= law.support_max)
-    pmf[inside] = law.probs[qs[inside].astype(int)]
-    gauss = np.exp(-((qs - mean) ** 2) / (2.0 * var)) / math.sqrt(2.0 * math.pi)
-    sup_err = float(np.max(np.abs(sigma * pmf - gauss)))
-    return LocalCltReport(sup_err, lyap, sigma)
-
-
-@dataclass(frozen=True)
-class ScoreRatioWitness:
-    holds: bool
-    lhs: float
-    rhs: float
-
-
-def score_ratio_check(marginals, n: int) -> ScoreRatioWitness:
-    """For independent Bernoulli occupancies, test the downward score bound
-
-        P(S = n-1) / P(S = n)  >=  n / ((M - n + 1) k*),
-
-    with M the number of sites and k* the mean odds p_i/(1-p_i).  Equality
-    holds in the exchangeable (all p_i equal) case.  n = 0 holds vacuously.
-    """
-    tables = list(marginals)
-    if not tables:
-        raise DomainError("need at least one marginal")
-    if any(t.support_max > 1 for t in tables):
-        raise PreconditionError("score ratio bound applies to Bernoulli marginals only")
-    ps = np.array([math.exp(t.logp[1]) if t.support_max >= 1 else 0.0 for t in tables])
-    if np.any(ps >= 1.0):
-        raise DomainError("odds undefined: some marginal is a point mass at 1")
-    M = len(tables)
-    if not (0 <= n <= M):
-        raise PreconditionError(f"total must lie in [0, {M}], got {n}")
-    if n == 0:
-        return ScoreRatioWitness(True, 0.0, 0.0)
-
-    law = functools.reduce(convolve, tables)
-    if law.logp[n] == NEG_INF:
-        raise PreconditionError(f"total {n} has probability zero")
-    lhs = float(math.exp(law.logp[n - 1] - law.logp[n]))
-    kstar = float(np.mean(ps / (1.0 - ps)))
-    rhs = n / ((M - n + 1) * kstar)
-    holds = lhs >= rhs * (1.0 - 1e-12) - 1e-15
-    return ScoreRatioWitness(bool(holds), lhs, rhs)
-
-
-def enumerate_configs(marginals):
-    """Yield (config, weight) over the product support, skipping weight 0.
-
-    The weight is the product of the marginal probabilities.  This brute-force
-    route is kept independent of the suffix-sum recursion on purpose.
-    """
-    rows = [t.probs for t in marginals]
-    for config in itertools.product(*(range(r.size) for r in rows)):
-        w = 1.0
-        for r, k in zip(rows, config):
-            w *= r[k]
-        if w > 0.0:
-            yield config, w
-
-
-def efron_monotonicity_check(
-    marginals,
-    phi,
-    max_configs: int = 250_000,
-) -> bool:
-    """Whether E[phi(K) | S = s] is nondecreasing in s, by exhaustive enumeration.
-
-    phi maps an occupancy tuple to a float and must be coordinatewise
-    nondecreasing for the property to be guaranteed; the marginals must be
-    log-concave.  Instances larger than max_configs configurations are
-    refused rather than silently subsampled.
-    """
-    tables = list(marginals)
-    if not tables:
-        raise DomainError("need at least one marginal")
-    for t in tables:
-        if not is_log_concave(t):
-            raise PreconditionError("monotonicity guarantee needs log-concave marginals")
-    n_configs = math.prod(t.support_max + 1 for t in tables)
-    if n_configs > max_configs:
-        raise PreconditionError(
-            f"{n_configs} configurations exceed the exhaustive cap {max_configs}"
-        )
-    smax = sum(t.support_max for t in tables)
-    num = np.zeros(smax + 1)
-    den = np.zeros(smax + 1)
-    for config, w in enumerate_configs(tables):
-        s = sum(config)
-        num[s] += w * phi(config)
-        den[s] += w
-    live = den > 0.0
-    vals = num[live] / den[live]
-    if vals.size < 2:
-        return True
-    tol = 1e-9 * max(1.0, float(np.max(np.abs(vals))))
-    return bool(np.all(np.diff(vals) >= -tol))
+    return conditional_entropy_exact(dp) - free

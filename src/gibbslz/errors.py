@@ -33,11 +33,6 @@ class ImpossibleConditionError(GibbsLzError, ValueError):
     """The conditioning event (fixed total occupancy) has probability zero."""
 
 
-class PreconditionError(GibbsLzError, ValueError):
-    """A documented precondition of a check or oracle does not hold, so the
-    result would be meaningless rather than false."""
-
-
 class NumericError(GibbsLzError, RuntimeError):
     """A numerical routine failed to reach its requested accuracy or ran
     into degenerate intermediate values."""

@@ -218,8 +218,8 @@ def load_config(path: str | Path, seed_override: int | None = None,
         raise ConfigError("analysis.epsilon must lie in (0, 1)")
     two_sided = _parse_bool("analysis.two_sided", m.get("analysis.two_sided", "false"))
     quad_tol = _parse_float("analysis.quad_tol", m.get("analysis.quad_tol", "1e-9"))
-    if quad_tol <= 0.0:
-        raise ConfigError("analysis.quad_tol must be positive")
+    if not (0.0 < quad_tol < math.inf):
+        raise ConfigError("analysis.quad_tol must be positive and finite")
     tail_tol = _parse_float("analysis.tail_tol", m.get("analysis.tail_tol", "1e-12"))
     if not (0.0 < tail_tol < 1e-6):
         raise ConfigError("analysis.tail_tol must be a small positive mass")

@@ -530,7 +530,7 @@ class CanonicalSampler:
         """Draw one string per row of uniforms; uniforms has shape (m, ell).
 
         Column c feeds the c-th merge node (root first, level by level);
-        the last column is unused.
+        the last column is unused.  Every drawn string is checked to sum to n.
         """
         U = np.asarray(uniforms, dtype=float)
         if U.ndim != 2 or U.shape[1] != self.ell:
@@ -542,11 +542,9 @@ class CanonicalSampler:
         out = np.empty((m, self.ell), dtype=np.int64)
         for i in range(0, m, rows):
             out[i:i + rows] = self._draw(U[i:i + rows])
-        return out
-
-    def _check_totals(self, vals: np.ndarray) -> None:
-        if not np.all(vals.sum(axis=1) == self.n):
+        if not np.all(out.sum(axis=1) == self.n):
             raise NumericError("draws failed to consume the target total exactly")
+        return out
 
     def sample_batch(self, seed: int, replicas) -> list[OccupancyString]:
         """Deterministic per-replica draws; output depends only on
@@ -556,17 +554,7 @@ class CanonicalSampler:
         for i, rep in enumerate(reps):
             U[i] = make_rng(seed, self.ell, rep).random(self.ell)
         vals = self.sample_from_uniforms(U)
-        self._check_totals(vals)
         return [OccupancyString(vals[i], Provenance(
                     self.spec.label(), "canonical", self.ell, self.n, int(seed),
                     rep, self.truncation_tail))
                 for i, rep in enumerate(reps)]
-
-    def sample_bulk(self, rng: np.random.Generator, m: int) -> np.ndarray:
-        """m law-exact draws from one shared stream (for large Monte Carlo
-        checks where per-replica addressing is not needed)."""
-        if m < 1:
-            raise DomainError("need at least one draw")
-        vals = self.sample_from_uniforms(rng.random((m, self.ell)))
-        self._check_totals(vals)
-        return vals

@@ -65,7 +65,8 @@ def test_accept_3_sampler_fidelity():
     t0 = time.perf_counter()
     ell, n = 6, 3
     cs = g.CanonicalSampler(FERMI, ell, n)
-    draws = cs.sample_bulk(g.make_rng(31, ell, 0), 1_000_000)
+    u = g.make_rng(31, ell, 0).random((1_000_000, cs.ell))
+    draws = cs.sample_from_uniforms(u)
     codes = draws @ (1 << np.arange(ell))
     counts = np.bincount(codes, minlength=1 << ell)
 
@@ -85,7 +86,8 @@ def test_accept_3_sampler_fidelity():
     n = g.choose_n(0.5, ell).n
     cs = g.CanonicalSampler(FERMI, ell, n)
     m = 20_000
-    emp = cs.sample_bulk(g.make_rng(32, ell, 0), m).mean(axis=0)
+    u = g.make_rng(32, ell, 0).random((m, cs.ell))
+    emp = cs.sample_from_uniforms(u).mean(axis=0)
     dp = g.build_suffix_dp(g.marginal_tables(FERMI, ell), n)
     for i, table in enumerate(g.conditional_site_marginals(dp)):
         ks = np.arange(table.probs.size)

@@ -12,16 +12,13 @@ from gibbslz import (
     DomainError,
     ImpossibleConditionError,
     NumericError,
-    PreconditionError,
     build_suffix_dp,
+    checks,
     conditional_entropy_exact,
     conditional_site_marginals,
     convolve,
-    efron_monotonicity_check,
+    disttab,
     entropy_gap,
-    is_log_concave,
-    local_clt_error,
-    score_ratio_check,
     summary,
 )
 
@@ -97,7 +94,7 @@ def test_geometric_matches_closed_form():
     two_bits = (a + 1) * math.log2(a + 1) - a * math.log2(a) if a != 1 else 2.0
     assert ms.entropy_bits == pytest.approx(two_bits, abs=1e-10)
     assert t.truncation_tail < 1e-13
-    assert is_log_concave(t)
+    assert np.all(np.diff(t.logp, 2) <= 1e-12)  # log-concave
     # recorded tail equals the true dropped geometric mass
     q = a / (1 + a)
     assert t.truncation_tail == pytest.approx(q ** (t.support_max + 1), rel=1e-6)
@@ -119,12 +116,13 @@ def test_convolution_preserves_log_concavity():
     for _ in range(6):
         other = DistTable.geometric(float(rng.uniform(0.2, 2.0)))
         t = convolve(t, other)
-        assert is_log_concave(t)
+        # p(k)^2 >= p(k-1) p(k+1), up to float rounding
+        assert np.all(np.diff(t.logp, 2) <= 1e-12)
 
 
 def test_is_log_concave_detects_violation():
     bad = DistTable.from_probs([0.5, 0.01, 0.49])
-    assert not is_log_concave(bad)
+    assert np.diff(bad.logp, 2)[0] > 0.0  # p(1)^2 < p(0) p(2)
 
 
 def test_conditional_law_matches_enumeration():
@@ -178,14 +176,15 @@ def test_two_site_heterogeneous_anchor():
 
 
 def test_dp_reuse_across_totals():
+    # One DP per total: each conditions on its own target.
     tables = [DistTable.bernoulli(0.4)] * 6
-    dp = build_suffix_dp(tables, 6)
     for n in (0, 1, 3, 6):
         expected, _ = enumerate_conditional(tables, n)
         h = -sum(w * math.log2(w) for w in expected.values() if w > 0)
-        assert conditional_entropy_exact(dp, n) == pytest.approx(h, abs=1e-10)
-    with pytest.raises(DomainError):
-        conditional_entropy_exact(dp, 7)
+        dp = build_suffix_dp(tables, n)
+        assert conditional_entropy_exact(dp) == pytest.approx(h, abs=1e-10)
+    with pytest.raises(ImpossibleConditionError):
+        build_suffix_dp(tables, 7)
 
 
 def test_entropy_gap_is_nonpositive():
@@ -206,55 +205,48 @@ def test_impossible_condition_raises():
         build_suffix_dp(certain, 1)
 
 
-def test_dp_cell_budget():
+def test_dp_cell_budget(monkeypatch):
     tables = [DistTable.bernoulli(0.5)] * 64
+    monkeypatch.setattr(disttab, "_MAX_CELLS", 100)
     with pytest.raises(NumericError):
-        build_suffix_dp(tables, 32, max_cells=100)
+        build_suffix_dp(tables, 32)
 
 
 def test_local_clt_error_shrinks_with_size():
-    small = local_clt_error([DistTable.bernoulli(0.5)] * 25)
-    big = local_clt_error([DistTable.bernoulli(0.5)] * 400)
-    assert big.sup_error < small.sup_error
-    assert small.lyapunov_ratio <= 1.0
-    assert big.lyapunov_ratio <= 1.0
-    assert big.sigma == pytest.approx(10.0, rel=1e-12)
+    small_sup, small_lyap = checks._local_clt([DistTable.bernoulli(0.5)] * 25)
+    big_sup, big_lyap = checks._local_clt([DistTable.bernoulli(0.5)] * 400)
+    assert big_sup < small_sup
+    assert small_lyap <= 1.0
+    # Fair Bernoulli sites: E|K - 1/2|^3 = 1/8 and sigma^3 = (m/4)^{3/2}.
+    assert big_lyap == pytest.approx(400 * 0.125 / 10.0**3, rel=1e-12)
     with pytest.raises(DomainError):
-        local_clt_error([delta(2)] * 4)
+        checks._local_clt([delta(2)] * 4)
 
 
 def test_score_ratio_iid_equality_and_bounds():
     tables = [DistTable.bernoulli(0.3)] * 12
     for n in range(1, 13):
-        w = score_ratio_check(tables, n)
-        assert w.holds
+        lhs, rhs = checks._score_ratio(tables, n)
         # exchangeable sites make the bound an identity
-        assert w.lhs == pytest.approx(w.rhs, rel=1e-12)
+        assert lhs == pytest.approx(rhs, rel=1e-12)
     rng = np.random.default_rng(3)
     for _ in range(20):
         het = [DistTable.bernoulli(float(rng.uniform(0.05, 0.95)))
                for _ in range(int(rng.integers(2, 10)))]
         n = int(rng.integers(1, len(het) + 1))
-        w = score_ratio_check(het, n)
-        assert w.lhs >= w.rhs - 1e-12
-    vac = score_ratio_check(tables, 0)
-    assert vac.holds and vac.lhs == 0.0 and vac.rhs == 0.0
+        lhs, rhs = checks._score_ratio(het, n)
+        assert lhs >= rhs - 1e-12
+    assert checks._score_ratio(tables, 0) == (0.0, 0.0)
 
 
-def test_score_ratio_rejects_non_binary():
-    with pytest.raises(PreconditionError):
-        score_ratio_check([DistTable.geometric(0.5)], 1)
-
-
-def test_efron_monotonicity_increasing_vs_decreasing():
+def test_efron_monotonicity_increasing_vs_decreasing(monkeypatch):
+    # The battery's own phis on one mixed Bernoulli/geometric system; its
+    # fault swaps the increasing sum for the decreasing -sum.
     tables = [DistTable.bernoulli(0.3), DistTable.bernoulli(0.6),
               DistTable.geometric(0.8, tail_tol=1e-4)]
-    assert efron_monotonicity_check(tables, lambda k: float(sum(k)))
-    assert efron_monotonicity_check(tables, lambda k: float(max(k)))
-    assert not efron_monotonicity_check(tables, lambda k: -float(sum(k)))
-    with pytest.raises(PreconditionError):
-        big = [DistTable.geometric(1.0)] * 12
-        efron_monotonicity_check(big, lambda k: float(sum(k)), max_configs=1000)
+    monkeypatch.setattr(checks, "_efron_instances", lambda: [tables])
+    assert checks.check_efron().passed
+    assert not checks.check_efron(fault=True).passed
 
 
 @pytest.mark.parametrize("n", [0, 1, 3, 7])

@@ -110,6 +110,8 @@ def test_load_config_rejects_bad_values(tmp_path):
         BASE + "analysis.epsilon = half\n",
         BASE + "analysis.two_sided = maybe\n",
         BASE + "analysis.quad_tol = 0\n",
+        BASE + "analysis.quad_tol = nan\n",
+        BASE + "analysis.quad_tol = inf\n",
         BASE + "analysis.tail_tol = 1e-3\n",
         BASE + "analysis.gap_budget = -1\n",
         BASE + "analysis.check_scale = huge\n",
@@ -412,6 +414,12 @@ def test_exit_codes(tmp_path, capsys):
     # Config problems found only downstream used to surface as exit 3.
     infinite = write_cfg(tmp_path, BASE.replace("cosine", "grid:1,inf"), "inf.cfg")
     assert main(["density", "--config", infinite, "--out", str(tmp_path)]) == 1
+    # A nan tolerance used to exhaust the quadrature budget (exit 3), an
+    # infinite one to print a wrong rate (exit 0).
+    for tol in ("nan", "inf"):
+        odd = write_cfg(tmp_path, BASE.replace("ensemble.r = 0.5", "ensemble.mu = 1.0")
+                        + f"analysis.quad_tol = {tol}\n", f"tol_{tol}.cfg")
+        assert main(["density", "--config", odd, "--out", str(tmp_path)]) == 1
     good = write_cfg(tmp_path, BASE, "good.cfg")
     assert main(["converge", "--config", good, "--out", str(tmp_path),
                  "--seed", "99999999999999999999"]) == 1

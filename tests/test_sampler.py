@@ -165,7 +165,8 @@ def test_two_site_conditional_law():
     p = site_means(spec, 2)
     np.testing.assert_allclose(p, [1 / 3, 2 / 3], rtol=1e-14)
     cs = CanonicalSampler(spec, 2, 1)
-    vals = cs.sample_bulk(np.random.default_rng(17), 20_000)
+    u = np.random.default_rng(17).random((20_000, cs.ell))
+    vals = cs.sample_from_uniforms(u)
     freq_first = float((vals[:, 0] == 1).mean())
     se = math.sqrt(0.2 * 0.8 / 20_000)
     assert abs(freq_first - 0.2) < 4 * se
@@ -176,7 +177,8 @@ def test_forced_configuration_with_float_degenerate_sites():
     disp = TabulatedGrid((-800.0, 800.0, 0.0))
     spec = EnsembleSpec(FERMI, 1.0, 0.0, disp)
     cs = CanonicalSampler(spec, 2, 1)
-    vals = cs.sample_bulk(np.random.default_rng(3), 50)
+    u = np.random.default_rng(3).random((50, cs.ell))
+    vals = cs.sample_from_uniforms(u)
     assert np.all(vals[:, 0] == 1)
     assert np.all(vals[:, 1] == 0)
 
@@ -288,7 +290,8 @@ def test_tree_draws_and_splits_match_enumeration(bose, beta, mu, ell, data):
             CanonicalSampler(spec, ell, n)
         return
     cs = CanonicalSampler(spec, ell, n)
-    vals = cs.sample_bulk(np.random.default_rng(ell * 100 + n), 200)
+    u = np.random.default_rng(ell * 100 + n).random((200, cs.ell))
+    vals = cs.sample_from_uniforms(u)
     assert np.all(vals.sum(axis=1) == n)
     assert np.all(vals <= np.array(tops))
 
@@ -331,8 +334,8 @@ def test_tree_entropy_and_means_match_exact_dp(spec, ell):
     cs = CanonicalSampler(spec, ell, n)
     tables = marginal_tables(spec, ell)
     dp = build_suffix_dp(tables, n)
-    assert abs(cs.conditional_entropy() - conditional_entropy_exact(dp, n)) <= 1e-10
-    means = [t.probs @ np.arange(t.probs.size) for t in conditional_site_marginals(dp, n)]
+    assert abs(cs.conditional_entropy() - conditional_entropy_exact(dp)) <= 1e-10
+    means = [t.probs @ np.arange(t.probs.size) for t in conditional_site_marginals(dp)]
     np.testing.assert_allclose(conditional_means(cs), means, rtol=0.0, atol=1e-13)
     assert abs(cs.entropy_gap() - entropy_gap(tables, n)) <= 1e-10
 
@@ -351,7 +354,8 @@ def test_degenerate_targets_cost_the_free_entropy(spec, ell, n):
 def test_bulk_draws_shape_and_sum():
     spec = bose_spec()
     cs = CanonicalSampler(spec, 64, 33)
-    vals = cs.sample_bulk(np.random.default_rng(1), 500)
+    u = np.random.default_rng(1).random((500, cs.ell))
+    vals = cs.sample_from_uniforms(u)
     assert vals.shape == (500, 64)
     assert np.all(vals.sum(axis=1) == 33)
 
@@ -360,7 +364,8 @@ def test_site_marginals_against_dp(scale=12_000):
     spec = fermi_spec()
     ell, n = 64, 32
     cs = CanonicalSampler(spec, ell, n)
-    vals = cs.sample_bulk(np.random.default_rng(23), scale)
+    u = np.random.default_rng(23).random((scale, cs.ell))
+    vals = cs.sample_from_uniforms(u)
     emp = vals.mean(axis=0)
     exact = [t.probs[1] if t.probs.size > 1 else 0.0
              for t in conditional_site_marginals(
@@ -396,9 +401,9 @@ def test_truncation_tail_recorded():
 def test_wrong_totals_raise_numeric_error(monkeypatch):
     # The total check must survive python -O, so it cannot be an assert.
     cs = CanonicalSampler(fermi_spec(), 16, 8)
-    monkeypatch.setattr(cs, "sample_from_uniforms",
+    monkeypatch.setattr(cs, "_draw",
                         lambda u: np.zeros((u.shape[0], 16), dtype=np.int64))
     with pytest.raises(NumericError):
         cs.sample_batch(seed=1, replicas=[0])
     with pytest.raises(NumericError):
-        cs.sample_bulk(np.random.default_rng(0), 3)
+        cs.sample_from_uniforms(np.random.default_rng(0).random((3, 16)))
