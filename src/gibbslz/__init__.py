@@ -28,7 +28,6 @@ from .ensemble import (
     marginal_entropy,
     marginal_mean,
     particle_density,
-    partition_intervals,
     site_entropies,
     site_means,
     solve_mu,
@@ -54,9 +53,7 @@ from .lzparse import (
 )
 from .sampler import (
     CanonicalSampler,
-    OccupancyString,
     ParticleTarget,
-    Provenance,
     choose_n,
     make_rng,
     marginal_tables,
@@ -69,13 +66,13 @@ __all__ = [
     "CanonicalSampler", "ConfigError", "CosineLattice", "Dispersion",
     "DistTable", "DomainError", "EnsembleError", "EnsembleSpec",
     "GibbsLzError", "ImpossibleConditionError", "LzParse", "MomentSummary",
-    "NumericError", "OccupancyString", "ParticleTarget", "Provenance",
-    "Statistics", "SuffixSumDP", "TabulatedGrid", "TargetRangeError",
-    "TypicalParams", "WordClassCounts", "build_suffix_dp", "choose_n",
-    "classify_words", "code_rate", "conditional_entropy_exact",
-    "conditional_site_marginals", "convolve", "entropy_gap", "entropy_of_mean",
-    "entropy_rate", "eval_dispersion", "lz78_parse", "lz_rate",
-    "lz_rate_from_count", "make_rng", "marginal_entropy", "marginal_mean",
-    "marginal_tables", "particle_density", "partition_intervals",
-    "sample_grand", "site_entropies", "site_means", "solve_mu", "summary",
+    "NumericError", "ParticleTarget", "Statistics", "SuffixSumDP",
+    "TabulatedGrid", "TargetRangeError", "TypicalParams", "WordClassCounts",
+    "build_suffix_dp", "choose_n", "classify_words", "code_rate",
+    "conditional_entropy_exact", "conditional_site_marginals", "convolve",
+    "entropy_gap", "entropy_of_mean", "entropy_rate", "eval_dispersion",
+    "lz78_parse", "lz_rate", "lz_rate_from_count", "make_rng",
+    "marginal_entropy", "marginal_mean", "marginal_tables",
+    "particle_density", "sample_grand", "site_entropies", "site_means",
+    "solve_mu", "summary",
 ]

@@ -22,7 +22,6 @@ import numpy as np
 from . import disttab, ensemble, sampler
 from .disttab import DistTable
 from .errors import DomainError, NumericError
-from .lzparse import TypicalParams
 
 LN2 = math.log(2.0)
 
@@ -287,7 +286,12 @@ def check_na_empirical(spec: ensemble.EnsembleSpec, seed: int, draws: int,
             prod = xc * yc
             cov = prod.mean()
             se = prod.std(ddof=1) / math.sqrt(draws)
-            ratio = cov / se
+            # Identical draws (n = 0, say) leave se = 0; so does a constant
+            # nonzero product, which then counts as infinitely many se.
+            if se > 0.0:
+                ratio = cov / se
+            else:
+                ratio = math.copysign(math.inf, cov) if cov else 0.0
             worst = max(worst, ratio)
             if cov > 3.0 * se:
                 ok = False
@@ -503,8 +507,8 @@ def check_conditional_entropy_enum(seed: int, instances: int,
 def check_ensemble_identities(spec: ensemble.EnsembleSpec, riemann_points: int,
                               fault: bool = False) -> CheckResult:
     """Cross-route identities: closed-form profiles vs exact tables, adaptive
-    quadrature vs a midpoint Riemann sum, density-solve round trip, and the
-    oscillation contract of the profile partition."""
+    quadrature vs a midpoint Riemann sum, the density-solve round trip, and
+    density monotone in mu."""
     tol_entropy = 1e-18 if fault else 1e-10
     msgs = []
     ok = True
@@ -545,19 +549,6 @@ def check_ensemble_identities(spec: ensemble.EnsembleSpec, riemann_points: int,
     if not all(a < b for a, b in zip(densities, densities[1:])):
         ok = False
     msgs.append("density monotone over 21 mu values")
-
-    eps = 0.3
-    params = ensemble.partition_intervals(spec, eps)
-    tp = TypicalParams.from_ensemble(spec, eps)
-    worst_osc = 0.0
-    for lo, hi in params:
-        ys = np.linspace(lo, hi, 10_001)
-        prof = np.asarray(ensemble.marginal_mean(spec, ys))
-        worst_osc = max(worst_osc, float(prof.max() - prof.min()))
-    if worst_osc > tp.eps_prime:
-        ok = False
-    msgs.append(f"partition: {len(params)} intervals, worst oscillation "
-                f"{worst_osc:.2e} vs allowance {tp.eps_prime:.2e}")
 
     return CheckResult("ensemble-identities", ok, "; ".join(msgs))
 

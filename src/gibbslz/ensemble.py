@@ -21,9 +21,7 @@ Two mode profiles drive everything downstream:
     marginal_entropy(y)   Shannon entropy, in bits, of the occupancy at y
 
 and their integrals over y in [0, 1]: particle_density and entropy_rate.
-solve_mu inverts the density map mu -> particle_density at fixed beta, and
-partition_intervals cuts [0, 1] into pieces on which the mean profile is
-nearly constant (the granularity used by the typical-window analysis).
+solve_mu inverts the density map mu -> particle_density at fixed beta.
 """
 
 import enum
@@ -117,10 +115,6 @@ class EnsembleSpec:
                 "Bose ensemble needs mu < min omega0 "
                 f"(mu={self.mu}, band minimum={self.dispersion.min_base_energy})"
             )
-
-    def label(self) -> str:
-        disp = type(self.dispersion).__name__
-        return f"{self.stats.value},beta={self.beta:g},mu={self.mu:g},{disp}"
 
 
 def _unit_points(y):
@@ -364,78 +358,3 @@ def solve_mu(
                 f"bisection bracket collapsed before reaching density tolerance {tol}"
             )
     raise NumericError("bisection failed to converge")
-
-
-def _bisect_half_crossing(spec: EnsembleSpec, a: float, b: float) -> float:
-    """Root of marginal_mean - 1/2 inside (a, b), assuming one sign change."""
-    fa = marginal_mean(spec, a) - 0.5
-    for _ in range(200):
-        m = 0.5 * (a + b)
-        fm = marginal_mean(spec, m) - 0.5
-        if fm == 0.0 or (b - a) < 1e-14:
-            return m
-        if (fa < 0.0) == (fm < 0.0):
-            a, fa = m, fm
-        else:
-            b = m
-    return 0.5 * (a + b)
-
-
-def partition_intervals(
-    spec: EnsembleSpec,
-    eps: float,
-    grid: int = 1 << 16,
-    margin: float = 0.9,
-) -> list[tuple[float, float]]:
-    """Tile [0, 1] with intervals on which the mean profile is nearly flat.
-
-    The oscillation budget per interval is eps' = eps * e(L) / (2 L), where L
-    is the supremum of the mean profile and e(.) the entropy-of-mean map; the
-    greedy sweep closes an interval once the grid oscillation would exceed
-    margin * eps', leaving headroom for off-grid variation.  Fermi profiles
-    are additionally cut wherever the mean crosses 1/2, so no interval mixes
-    sub- and super-half-filled modes.
-    """
-    if not (0.0 < eps < 1.0):
-        raise DomainError(f"eps must lie in (0, 1), got {eps}")
-    if not (0.0 < margin <= 1.0):
-        raise DomainError("margin must lie in (0, 1]")
-    ys = np.linspace(0.0, 1.0, grid + 1)
-    prof = np.asarray(marginal_mean(spec, ys))
-    sup_mean = float(prof.max())
-    eps_prime = eps * float(entropy_of_mean(spec.stats, sup_mean)) / (2.0 * sup_mean)
-    budget = margin * eps_prime
-
-    cuts = {0.0, 1.0}
-    if spec.stats is Statistics.FERMI:
-        signs = np.sign(prof - 0.5)
-        flips = np.nonzero(signs[:-1] * signs[1:] < 0.0)[0]
-        for i in flips:
-            cuts.add(_bisect_half_crossing(spec, ys[i], ys[i + 1]))
-        cuts.update(ys[np.nonzero(signs == 0.0)[0]].tolist())
-    bounds = sorted(cuts)
-
-    intervals: list[tuple[float, float]] = []
-    for seg_lo, seg_hi in zip(bounds[:-1], bounds[1:]):
-        inner = ys[(ys > seg_lo) & (ys < seg_hi)]
-        pts = np.concatenate([[seg_lo], inner, [seg_hi]])
-        vals = np.asarray(marginal_mean(spec, pts))
-        start = 0
-        run_min = run_max = vals[0]
-        for i in range(1, len(pts)):
-            new_min = min(run_min, vals[i])
-            new_max = max(run_max, vals[i])
-            if new_max - new_min > budget:
-                if i - 1 == start:
-                    raise NumericError(
-                        "oscillation budget exceeded within one grid step; "
-                        "increase the scan grid"
-                    )
-                intervals.append((float(pts[start]), float(pts[i - 1])))
-                start = i - 1
-                run_min = min(vals[i - 1], vals[i])
-                run_max = max(vals[i - 1], vals[i])
-            else:
-                run_min, run_max = new_min, new_max
-        intervals.append((float(pts[start]), float(pts[-1])))
-    return intervals

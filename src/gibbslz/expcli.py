@@ -53,7 +53,6 @@ from .errors import (
 from .lzparse import TypicalParams, classify_words, code_rate, lz78_parse, lz_rate
 from .sampler import (
     CanonicalSampler,
-    OccupancyString,
     choose_n,
     marginal_tables,  # not called here; bench/tracing.py wraps this name
     sample_grand,
@@ -308,10 +307,10 @@ def _length_sampler(cfg: ExperimentConfig, spec: EnsembleSpec, r_target: float,
 
 def _draw_strings(cfg: ExperimentConfig, spec: EnsembleSpec, ell: int,
                   sampler: CanonicalSampler | None,
-                  replicas: list[int]) -> list[OccupancyString]:
+                  replicas: list[int]) -> list[np.ndarray]:
     """The strings of one length for the given replicas, canonical or grand."""
     if cfg.kind == "canonical":
-        return sampler.sample_batch(cfg.seed, replicas)
+        return list(sampler.sample_batch(cfg.seed, replicas))
     return [sample_grand(spec, ell, cfg.seed, rep) for rep in replicas]
 
 
@@ -321,6 +320,7 @@ def _replica_rows(cfg: ExperimentConfig, spec: EnsembleSpec, typical: TypicalPar
                   replicas: list[int]) -> tuple[list[dict], list[dict]]:
     rows: list[dict] = []
     times: list[dict] = []
+    n = None if sampler is None else sampler.n
     t0 = time.perf_counter()
     strings = _draw_strings(cfg, spec, ell, sampler, replicas)
     sample_share = (time.perf_counter() - t0) / len(replicas)
@@ -333,7 +333,7 @@ def _replica_rows(cfg: ExperimentConfig, spec: EnsembleSpec, typical: TypicalPar
             "config_hash": cfg.config_hash,
             "kind": cfg.kind,
             "ell": ell,
-            "n": s.provenance.n,
+            "n": n,
             "replica": rep,
             "word_count": parse.word_count,
             "lz_rate": lz_rate(parse),
@@ -463,15 +463,16 @@ def cmd_sample(cfg: ExperimentConfig, out_dir: Path) -> int:
                              "replica": None, "file": None, "sum": None,
                              "truncation_tail": None, "error": error})
             continue
-        for s in _draw_strings(cfg, spec, ell, sampler, list(range(cfg.replicas))):
-            name = f"sample_{cfg.kind}_ell{ell}_rep{s.provenance.replica}.txt"
+        tail = 0.0 if sampler is None else sampler.truncation_tail
+        replicas = list(range(cfg.replicas))
+        for rep, s in zip(replicas, _draw_strings(cfg, spec, ell, sampler, replicas)):
+            name = f"sample_{cfg.kind}_ell{ell}_rep{rep}.txt"
             (samples_dir / name).write_text(
-                "\n".join(str(v) for v in s.values.tolist()) + "\n")
+                "\n".join(str(v) for v in s.tolist()) + "\n")
             manifest.append({
-                "kind": cfg.kind, "ell": ell, "n": s.provenance.n,
-                "replica": s.provenance.replica, "file": name,
-                "sum": int(s.values.sum()),
-                "truncation_tail": s.provenance.truncation_tail, "error": None,
+                "kind": cfg.kind, "ell": ell, "n": n, "replica": rep,
+                "file": name, "sum": int(s.sum()),
+                "truncation_tail": tail, "error": None,
             })
     cols = ("kind", "ell", "n", "replica", "file", "sum", "truncation_tail", "error")
     _emit(samples_dir, "manifest", cols, manifest, cfg.out_format)

@@ -35,8 +35,7 @@ LN2 = math.log(2.0)
 
 
 def _as_values(string) -> np.ndarray:
-    values = getattr(string, "values", string)
-    arr = np.asarray(values)
+    arr = np.asarray(string)
     if arr.ndim != 1:
         raise DomainError("occupancy string must be one-dimensional")
     if arr.size and not np.issubdtype(arr.dtype, np.integer):

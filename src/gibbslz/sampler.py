@@ -39,7 +39,7 @@ is confined to its own rows, so a string is a pure function of (ensemble,
 ell, n, seed, replica), independent of chunking, batching and process count.
 
 Bose marginals are truncated once their tail mass drops below a tolerance;
-the summed truncation bound is reported in the string provenance.
+the sampler reports the summed truncation bound as truncation_tail.
 """
 
 import math
@@ -93,36 +93,6 @@ def choose_n(r: float, ell: int) -> ParticleTarget:
     return ParticleTarget(ell, r, n)
 
 
-@dataclass(frozen=True)
-class Provenance:
-    spec_label: str
-    kind: str
-    ell: int
-    n: int | None
-    seed: int
-    replica: int
-    truncation_tail: float = 0.0
-
-
-@dataclass(frozen=True)
-class OccupancyString:
-    values: np.ndarray
-    provenance: Provenance
-
-    def __post_init__(self):
-        arr = np.ascontiguousarray(self.values, dtype=np.int64)
-        if arr.ndim != 1 or arr.size == 0:
-            raise DomainError("occupancy string must be a nonempty vector")
-        if np.any(arr < 0):
-            raise DomainError("occupancies must be nonnegative")
-        arr.flags.writeable = False
-        object.__setattr__(self, "values", arr)
-
-    @property
-    def ell(self) -> int:
-        return self.values.size
-
-
 def make_rng(seed: int, ell: int, replica: int) -> np.random.Generator:
     """Counter-based stream owned by the (seed, ell, replica) triple."""
     if not (0 <= int(seed) < 2**63):
@@ -143,21 +113,22 @@ def marginal_tables(spec: EnsembleSpec, ell: int,
 
 
 def sample_grand(spec: EnsembleSpec, ell: int, seed: int,
-                 replica: int = 0) -> OccupancyString:
-    """Independent draw of every site from its marginal law."""
+                 replica: int = 0) -> np.ndarray:
+    """Independent draw of every site from its marginal law, as a length-ell
+    int64 array."""
     if ell < 1:
         raise DomainError("ell must be at least 1")
     rng = make_rng(seed, ell, replica)
     u = rng.random(ell)
     x = spec.beta * (spec.dispersion.base_energy(np.arange(ell) / ell) - spec.mu)
     if spec.stats is Statistics.FERMI:
-        vals = (u < _fermi_mean(x)).astype(np.int64)
-    else:
-        # Geometric inverse transform: smallest k with 1 - q^{k+1} > u.
-        logq = -x
-        vals = np.floor(np.log1p(-u) / logq).astype(np.int64)
-    prov = Provenance(spec.label(), "grand", ell, None, int(seed), int(replica))
-    return OccupancyString(vals, prov)
+        return (u < _fermi_mean(x)).astype(np.int64)
+    # Geometric inverse transform: smallest k with 1 - q^{k+1} > u.
+    k = np.floor(np.log1p(-u) / -x)
+    if not np.all(k < 2.0**63):
+        raise DomainError("a Bose occupancy overflows int64; the ensemble is "
+                          "too close to condensation")
+    return k.astype(np.int64)
 
 
 def _site_laws(spec: EnsembleSpec, ell: int, n: int,
@@ -382,6 +353,11 @@ class CanonicalSampler:
             raise ImpossibleConditionError(
                 f"Fermi string of length {ell} cannot hold {n} particles"
             )
+        full = spec.stats is Statistics.FERMI and self.n == self.ell
+        if self.n > 0 and not full:
+            # The tree's leaves alone hold at least 2 ell cells; refuse
+            # before the site laws allocate anything of that size.
+            self._check_budget(2 * self.ell)
         a, top, tails = _site_laws(spec, self.ell, self.n, tail_tol)
         self.truncation_tail = float(tails.sum())
         if int(top.sum()) < n:
@@ -396,7 +372,7 @@ class CanonicalSampler:
         if self.n == 0:
             self._degenerate = np.zeros(ell, dtype=np.int64)
             return
-        if spec.stats is Statistics.FERMI and self.n == self.ell:
+        if full:
             self._degenerate = np.ones(ell, dtype=np.int64)
             return
         self._degenerate = None
@@ -530,7 +506,8 @@ class CanonicalSampler:
         """Draw one string per row of uniforms; uniforms has shape (m, ell).
 
         Column c feeds the c-th merge node (root first, level by level);
-        the last column is unused.  Every drawn string is checked to sum to n.
+        the last column is unused.  Every drawn string is checked to be
+        nonnegative and to sum to n.
         """
         U = np.asarray(uniforms, dtype=float)
         if U.ndim != 2 or U.shape[1] != self.ell:
@@ -542,19 +519,17 @@ class CanonicalSampler:
         out = np.empty((m, self.ell), dtype=np.int64)
         for i in range(0, m, rows):
             out[i:i + rows] = self._draw(U[i:i + rows])
-        if not np.all(out.sum(axis=1) == self.n):
-            raise NumericError("draws failed to consume the target total exactly")
+        if not (np.all(out.sum(axis=1) == self.n) and np.all(out >= 0)):
+            raise NumericError("draws failed to consume the target total exactly "
+                               "with nonnegative occupancies")
         return out
 
-    def sample_batch(self, seed: int, replicas) -> list[OccupancyString]:
-        """Deterministic per-replica draws; output depends only on
-        (ensemble, ell, n, seed, replica), never on the batch composition."""
+    def sample_batch(self, seed: int, replicas) -> np.ndarray:
+        """Deterministic per-replica draws as a (len(replicas), ell) int64
+        matrix; row i depends only on (ensemble, ell, n, seed, replicas[i]),
+        never on the batch composition."""
         reps = [int(r) for r in replicas]
         U = np.empty((len(reps), self.ell))
         for i, rep in enumerate(reps):
             U[i] = make_rng(seed, self.ell, rep).random(self.ell)
-        vals = self.sample_from_uniforms(U)
-        return [OccupancyString(vals[i], Provenance(
-                    self.spec.label(), "canonical", self.ell, self.n, int(seed),
-                    rep, self.truncation_tail))
-                for i, rep in enumerate(reps)]
+        return self.sample_from_uniforms(U)

@@ -37,3 +37,12 @@ def test_score_ratio_fault_fails_on_empty_total(monkeypatch):
     monkeypatch.setattr(checks, "_score_ratio", lambda tables, n: (0.0, 0.0))
     assert checks.check_score_ratio(1, 3).passed
     assert not checks.check_score_ratio(1, 3, fault=True).passed
+
+
+def test_na_empirical_passes_on_identical_draws():
+    # Fermi at mu = -45 has n = 0 at ell = 64: every draw is the empty
+    # string and every window covariance and its standard error vanish.
+    empty = g.EnsembleSpec(g.Statistics.FERMI, 1.0, -45.0, g.CosineLattice())
+    res = checks.check_na_empirical(empty, 2, QUICK.na_draws)
+    assert res.passed, res.detail
+    assert "n=0" in res.detail and "max cov/se 0.00" in res.detail

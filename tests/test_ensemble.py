@@ -18,7 +18,6 @@ from gibbslz import (
     marginal_entropy,
     marginal_mean,
     particle_density,
-    partition_intervals,
     site_entropies,
     site_means,
     solve_mu,
@@ -199,20 +198,3 @@ def test_density_monotone_in_mu():
     dens = [particle_density(fermi_spec(1.0, float(m)), 1e-10) for m in mus]
     assert all(b > a for a, b in zip(dens, dens[1:]))
 
-
-def test_partition_intervals_tiles_and_controls_oscillation():
-    spec = fermi_spec()
-    eps = 0.3
-    intervals = partition_intervals(spec, eps)
-    assert intervals[0][0] == 0.0
-    assert intervals[-1][1] == 1.0
-    for (a0, b0), (a1, b1) in zip(intervals, intervals[1:]):
-        assert b0 == a1
-    # the mean profile may not oscillate across any cell by more than the
-    # window slack the partition was built for
-    from gibbslz.lzparse import TypicalParams
-    allowance = TypicalParams.from_ensemble(spec, eps).eps_prime
-    for a, b in intervals:
-        y = np.linspace(a, b, 2001)
-        prof = marginal_mean(spec, y)
-        assert prof.max() - prof.min() <= allowance + 1e-12
