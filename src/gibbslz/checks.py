@@ -13,7 +13,6 @@ silently absorbed.
 """
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -21,7 +20,7 @@ import numpy as np
 
 from . import disttab, ensemble, sampler
 from .disttab import DistTable
-from .errors import DomainError, NumericError
+from .errors import ConfigError, DomainError, NumericError
 
 LN2 = math.log(2.0)
 
@@ -73,25 +72,21 @@ def _random_table(rng: np.random.Generator, support: int) -> DistTable:
     return DistTable.from_probs(p / p.sum())
 
 
-def enumerate_configs(marginals):
-    """Yield (config, weight) over the product support, skipping weight 0.
+def _atoms(tables, configs: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """(configs, weights): an (A, ell) int64 matrix of site configurations,
+    by default every one in the product support in lexicographic order, and
+    their product-law weights.
 
-    The weight is the product of the marginal probabilities.  This brute-force
-    route is kept independent of the suffix-sum recursion on purpose.
+    This brute-force route is kept independent of the suffix-sum recursion
+    on purpose.
     """
-    rows = [t.probs for t in marginals]
-    for config in itertools.product(*(range(r.size) for r in rows)):
-        w = 1.0
-        for r, k in zip(rows, config):
-            w *= r[k]
-        if w > 0.0:
-            yield config, w
-
-
-def _enumerate_conditional(tables, n: int):
-    """Yield (config, weight) over configurations with the given total; the
-    weights are unnormalised products of marginal probabilities."""
-    return ((c, w) for c, w in enumerate_configs(tables) if sum(c) == n)
+    if configs is None:
+        shape = [t.logp.size for t in tables]
+        configs = np.indices(shape).reshape(len(shape), -1).T
+    weights = np.ones(configs.shape[0])
+    for j, t in enumerate(tables):
+        weights *= t.probs[configs[:, j]]
+    return configs, weights
 
 
 def check_lc_closure(seed: int, trials: int, fault: bool = False) -> CheckResult:
@@ -179,27 +174,27 @@ def _efron_instances() -> list[list[DistTable]]:
 
 def check_efron(fault: bool = False) -> CheckResult:
     """E[phi | total] is nondecreasing for coordinatewise nondecreasing phi."""
+    # Each phi maps the (A, ell) configuration matrix to one value per atom.
     phis = [
-        ("sum", lambda k: float(sum(k))),
-        ("max", lambda k: float(max(k))),
-        ("min", lambda k: float(min(k))),
-        ("head", lambda k: float(k[0])),
-        ("weighted", lambda k: float(sum((i + 1) * v for i, v in enumerate(k)))),
-        ("threshold", lambda k: 1.0 if sum(k) >= 2 else 0.0),
-        ("capped", lambda k: float(sum(min(v, 2) for v in k))),
+        ("sum", lambda k: k.sum(axis=1)),
+        ("max", lambda k: k.max(axis=1)),
+        ("min", lambda k: k.min(axis=1)),
+        ("head", lambda k: k[:, 0]),
+        ("weighted", lambda k: k @ np.arange(1, k.shape[1] + 1)),
+        ("threshold", lambda k: k.sum(axis=1) >= 2),
+        ("capped", lambda k: np.minimum(k, 2).sum(axis=1)),
     ]
     cases = 0
     ok = True
     for tables in _efron_instances():
         # Every total up to the summed supports occurs: these laws have full
         # support, so each conditional mean below is well defined.
-        atoms = list(enumerate_configs(tables))
-        totals = [sum(c) for c, _ in atoms]
-        weights = np.array([w for _, w in atoms])
+        configs, weights = _atoms(tables)
+        totals = configs.sum(axis=1)
         den = np.bincount(totals, weights)
         for name, phi in phis:
-            test_phi = (lambda k: -float(sum(k))) if fault and name == "sum" else phi
-            vals = np.bincount(totals, weights * [test_phi(c) for c, _ in atoms]) / den
+            test_phi = (lambda k: -k.sum(axis=1)) if fault and name == "sum" else phi
+            vals = np.bincount(totals, weights * test_phi(configs)) / den
             tol = 1e-9 * max(1.0, float(np.max(np.abs(vals))))
             if np.any(np.diff(vals) < -tol):
                 ok = False
@@ -230,26 +225,23 @@ def check_na_exhaustive(fault: bool = False) -> CheckResult:
     pairs = 0
     ok = True
     for tables, totals in systems:
+        configs, weights = _atoms(tables)
         for n in totals:
-            atoms = list(_enumerate_conditional(tables, n))
-            z = sum(w for _, w in atoms)
+            on = configs.sum(axis=1) == n
+            k = configs[on].astype(float)
+            w = weights[on]
+            z = w.sum()
             for a_sites, b_sites in splits:
                 if max(a_sites + b_sites) >= len(tables):
                     continue
-                for fname, f in _WINDOW_FUNCS:
-                    for gname, g in _WINDOW_FUNCS:
+                for _, f in _WINDOW_FUNCS:
+                    for _, g in _WINDOW_FUNCS:
                         pairs += 1
-                        ef = eg = efg = 0.0
-                        for config, w in atoms:
-                            ka = np.asarray([config[i] for i in a_sites], dtype=float)
-                            kb = np.asarray([config[i] for i in b_sites], dtype=float)
-                            fv = float(f(ka))
-                            gv = float(g(kb))
-                            if fault:
-                                gv = -gv
-                            ef += w * fv
-                            eg += w * gv
-                            efg += w * fv * gv
+                        fv = f(k[:, a_sites])
+                        gv = -g(k[:, b_sites]) if fault else g(k[:, b_sites])
+                        ef = (w * fv).sum()
+                        eg = (w * gv).sum()
+                        efg = (w * fv * gv).sum()
                         cov = efg / z - (ef / z) * (eg / z)
                         worst = max(worst, cov)
                         if cov > 1e-12:
@@ -279,8 +271,6 @@ def check_na_empirical(spec: ensemble.EnsembleSpec, seed: int, draws: int,
             pairs += 1
             x = vals[:, a0:a1].sum(axis=1)
             y = vals[:, b0:b1].sum(axis=1)
-            if fault:
-                y = -y
             xc = x - x.mean()
             yc = y - y.mean()
             prod = xc * yc
@@ -293,7 +283,9 @@ def check_na_empirical(spec: ensemble.EnsembleSpec, seed: int, draws: int,
             else:
                 ratio = math.copysign(math.inf, cov) if cov else 0.0
             worst = max(worst, ratio)
-            if cov > 3.0 * se:
+            # The fault's limit fails every covariance, even the zeros of
+            # identical draws.
+            if cov > (-math.inf if fault else 3.0 * se):
                 ok = False
     return CheckResult("na-empirical", ok,
                        f"{pairs} window pairs at ell={ell}, n={n}: "
@@ -436,23 +428,17 @@ def check_sampler_tv(spec: ensemble.EnsembleSpec, seed: int, draws: int,
     tables = sampler.marginal_tables(spec, ell)
     dp = disttab.build_suffix_dp(tables, n)
     cs = sampler.CanonicalSampler(spec, ell, n)
-    rng = np.random.default_rng(seed)
-    u = rng.random((draws, ell))
-    if fault:
-        u = u**1.3
-    vals = cs.sample_from_uniforms(u)
+    vals = cs.sample_from_uniforms(np.random.default_rng(seed).random((draws, ell)))
     # A 1-D integer unique is far faster than axis=0 or rows viewed as bytes.
     place = (n + 1)**np.arange(ell - 1, -1, -1, dtype=np.int64)
     keys, counts = np.unique(vals @ place, return_counts=True)
-    atoms = keys[:, None] // place % (n + 1)
-    logps = np.zeros(atoms.shape[0])
-    for j, t in enumerate(tables):
-        logps += t.logp[atoms[:, j]]
-    logps -= dp.logT[0, n]
-    exact = np.exp(logps)
+    atoms, weights = _atoms(tables, keys[:, None] // place % (n + 1))
+    exact = weights / math.exp(dp.logT[0, n])
     emp = counts / draws
     tv = 0.5 * (np.abs(emp - exact).sum() + max(0.0, 1.0 - exact.sum()))
-    bound = 0.01 if draws >= 500_000 else 0.05
+    # The fault's negative bound fails every TV, even the zero of a total
+    # that leaves one possible string.
+    bound = -1.0 if fault else 0.01 if draws >= 500_000 else 0.05
     return CheckResult("sampler-tv", bool(tv <= bound),
                        f"ell={ell}, n={n}, {draws} draws over {atoms.shape[0]} atoms: "
                        f"TV {tv:.4f} (bound {bound})")
@@ -481,20 +467,18 @@ def check_conditional_entropy_enum(seed: int, instances: int,
                 tables.append(_random_table(rng, int(rng.integers(1, 4))))
         smax = sum(t.support_max for t in tables)
         n = int(rng.integers(0, smax + 1))
-        atoms = list(_enumerate_conditional(tables, n))
-        if not atoms:
-            continue
-        z = sum(w for _, w in atoms)
-        h_enum = -sum(w / z * math.log2(w / z) for _, w in atoms)
+        # Every law has full support, so some configuration has total n.
+        configs, weights = _atoms(tables)
+        on = configs.sum(axis=1) == n
+        p = weights[on] / weights[on].sum()
+        h_enum = float(-(p * np.log2(p)).sum())
         dp = disttab.build_suffix_dp(tables, n)
         h_dp = disttab.conditional_entropy_exact(dp)
         gap = abs(h_dp - h_enum)
         worst = max(worst, gap)
         if gap > tol:
             ok = False
-        marg0 = np.zeros(tables[0].support_max + 1)
-        for config, w in atoms:
-            marg0[config[0]] += w / z
+        marg0 = np.bincount(configs[on, 0], p, minlength=tables[0].support_max + 1)
         got = disttab.conditional_site_marginals(dp)[0].probs
         gap_m = float(np.max(np.abs(got - marg0[: got.size])))
         worst = max(worst, gap_m)
@@ -509,7 +493,8 @@ def check_ensemble_identities(spec: ensemble.EnsembleSpec, riemann_points: int,
     """Cross-route identities: closed-form profiles vs exact tables, adaptive
     quadrature vs a midpoint Riemann sum, the density-solve round trip, and
     density monotone in mu."""
-    tol_entropy = 1e-18 if fault else 1e-10
+    # The fault's negative tolerance fails every error, even an exact zero.
+    tol_entropy = -1.0 if fault else 1e-10
     msgs = []
     ok = True
 
@@ -558,27 +543,25 @@ def run_batteries(spec: ensemble.EnsembleSpec, seed: int,
                   inject_fault: str | None = None) -> list[CheckResult]:
     """Run every battery against one ensemble; see each battery's docstring."""
     s = scale or BatteryScale.full()
-
-    def hit(name: str) -> bool:
-        return inject_fault == name
-
-    results = [
-        check_lc_closure(seed, s.lc_trials, fault=hit("lc-closure")),
-        check_score_ratio(seed + 1, s.score_trials, fault=hit("score-ratio")),
-        check_efron(fault=hit("efron-monotonicity")),
-        check_na_exhaustive(fault=hit("na-exhaustive")),
-        check_na_empirical(spec, seed + 2, s.na_draws, fault=hit("na-empirical")),
-        check_chebyshev(seed + 3, s.chebyshev_trials,
-                        fault=hit("chebyshev-rearrangement")),
-        check_moment_constants(spec, fault=hit("moment-constants")),
-        check_bottomley(seed + 4, s.bottomley_trials, fault=hit("bottomley-mode-mean")),
-        check_local_clt(spec, s.clt_sizes, fault=hit("local-clt")),
-        check_sampler_tv(spec, seed + 5, s.tv_draws, fault=hit("sampler-tv")),
-        check_conditional_entropy_enum(seed + 6, s.enum_instances,
-                                       fault=hit("conditional-entropy-enum")),
-        check_ensemble_identities(spec, s.riemann_points,
-                                  fault=hit("ensemble-identities")),
-    ]
-    if inject_fault is not None and inject_fault not in {r.name for r in results}:
-        raise DomainError(f"unknown fault target {inject_fault!r}")
-    return results
+    batteries = {
+        "lc-closure": lambda fault: check_lc_closure(seed, s.lc_trials, fault),
+        "score-ratio": lambda fault: check_score_ratio(seed + 1, s.score_trials, fault),
+        "efron-monotonicity": check_efron,
+        "na-exhaustive": check_na_exhaustive,
+        "na-empirical": lambda fault: check_na_empirical(spec, seed + 2, s.na_draws,
+                                                         fault),
+        "chebyshev-rearrangement": lambda fault: check_chebyshev(
+            seed + 3, s.chebyshev_trials, fault),
+        "moment-constants": lambda fault: check_moment_constants(spec, fault),
+        "bottomley-mode-mean": lambda fault: check_bottomley(
+            seed + 4, s.bottomley_trials, fault),
+        "local-clt": lambda fault: check_local_clt(spec, s.clt_sizes, fault),
+        "sampler-tv": lambda fault: check_sampler_tv(spec, seed + 5, s.tv_draws, fault),
+        "conditional-entropy-enum": lambda fault: check_conditional_entropy_enum(
+            seed + 6, s.enum_instances, fault),
+        "ensemble-identities": lambda fault: check_ensemble_identities(
+            spec, s.riemann_points, fault),
+    }
+    if inject_fault is not None and inject_fault not in batteries:
+        raise ConfigError(f"unknown fault target {inject_fault!r}")
+    return [run(name == inject_fault) for name, run in batteries.items()]

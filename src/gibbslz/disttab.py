@@ -103,17 +103,24 @@ class DistTable:
         tail mass drops below tail_tol; the discarded mass is recorded."""
         if not (mean > 0.0 and math.isfinite(mean)):
             raise DomainError(f"geometric mean must be positive and finite, got {mean}")
-        if not (0.0 < tail_tol < 0.1):
-            raise DomainError("tail tolerance must be a small positive mass")
         # mean a gives success ratio q = a / (1 + a); P(K > m) = q^{m+1}.
         logq = math.log(mean) - math.log1p(mean)
-        kmax = max(0, math.ceil(math.log(tail_tol) / logq) - 1)
-        while (kmax + 1) * logq >= math.log(tail_tol):
-            kmax += 1
+        kmax = int(geometric_tops(np.array([logq]), tail_tol)[0])
         ks = np.arange(kmax + 1)
         log1mq = math.log1p(-mean / (1.0 + mean))
         tail = math.exp((kmax + 1) * logq)
         return cls(log1mq + ks * logq, truncation_tail=tail)
+
+
+def geometric_tops(logq: np.ndarray, tail_tol: float) -> np.ndarray:
+    """Last kept k of geometric laws with log ratios logq < 0, truncated at
+    the smallest top with q^{top+1} < tail_tol, as floats."""
+    if not (0.0 < tail_tol < 0.1):
+        raise DomainError("tail tolerance must be a small positive mass")
+    log_tol = math.log(tail_tol)
+    top = np.maximum(np.ceil(log_tol / logq) - 1.0, 0.0)
+    top += (top + 1.0) * logq >= log_tol
+    return top
 
 
 @dataclass(frozen=True)

@@ -47,7 +47,6 @@ from .errors import (
     ConfigError,
     EnsembleError,
     GibbsLzError,
-    ImpossibleConditionError,
     TargetRangeError,
 )
 from .lzparse import TypicalParams, classify_words, code_rate, lz78_parse, lz_rate
@@ -131,15 +130,12 @@ def _parse_dispersion(raw: str) -> Dispersion:
     if raw == "cosine":
         return CosineLattice()
     if raw.startswith("grid:"):
+        # TabulatedGrid's DomainError (too few or non-finite values) is a
+        # ValueError as well.
         try:
-            vals = tuple(float(v) for v in raw[len("grid:"):].split(","))
+            return TabulatedGrid(tuple(float(v) for v in raw[len("grid:"):].split(",")))
         except ValueError as exc:
-            raise ConfigError(f"bad grid dispersion {raw!r}") from exc
-        if len(vals) < 2:
-            raise ConfigError("grid dispersion needs at least two values")
-        if not all(math.isfinite(v) for v in vals):
-            raise ConfigError(f"grid dispersion values must be finite, got {raw!r}")
-        return TabulatedGrid(vals)
+            raise ConfigError(f"bad grid dispersion {raw!r}: {exc}") from exc
     raise ConfigError(f"unknown dispersion {raw!r} (use cosine or grid:v0,v1,...)")
 
 
@@ -291,18 +287,13 @@ def _emit(out_dir: Path, stem: str, columns: tuple[str, ...], rows: list[dict],
 
 
 def _length_sampler(cfg: ExperimentConfig, spec: EnsembleSpec, r_target: float,
-                    ell: int, kind: str,
-                    ) -> tuple[int | None, CanonicalSampler | None, str | None]:
-    """(n, sampler, error) of one length.  A canonical kind gets its total n
-    and the sampler for it, or the reason n cannot be reached in error; the
-    grand kind gets (None, None, None)."""
+                    ell: int, kind: str) -> CanonicalSampler | None:
+    """The canonical sampler of one length at its total n = round(r ell), or
+    None for the grand kind.  A total the sampler cannot reach or hold
+    raises, and the command exits 3."""
     if kind == "grand":
-        return None, None, None
-    n = choose_n(r_target, ell).n
-    try:
-        return n, CanonicalSampler(spec, ell, n, tail_tol=cfg.tail_tol), None
-    except ImpossibleConditionError as exc:
-        return n, None, str(exc)
+        return None
+    return CanonicalSampler(spec, ell, choose_n(r_target, ell).n, tail_tol=cfg.tail_tol)
 
 
 def _draw_strings(cfg: ExperimentConfig, spec: EnsembleSpec, ell: int,
@@ -355,19 +346,10 @@ def _chunks(items: list[int], parts: int) -> list[list[int]]:
     return [items[i:i + size] for i in range(0, len(items), size)]
 
 
-def _error_row(cfg: ExperimentConfig, ell: int, n: int | None, msg: str) -> dict:
-    row = {c: None for c in RESULT_COLUMNS}
-    row.update({"config_hash": cfg.config_hash, "kind": cfg.kind, "ell": ell,
-                "n": n, "error": msg})
-    return row
-
-
 def _run_length(cfg: ExperimentConfig, spec: EnsembleSpec, typical: TypicalParams,
                 r_target: float, h_target: float, ell: int, workers: int,
                 ) -> tuple[list[dict], list[dict]]:
-    n, sampler, error = _length_sampler(cfg, spec, r_target, ell, cfg.kind)
-    if error is not None:
-        return [_error_row(cfg, ell, n, error)], []
+    sampler = _length_sampler(cfg, spec, r_target, ell, cfg.kind)
     gap_per_site = None if sampler is None else sampler.entropy_gap() / ell
 
     # Workers are forked and receive the sampler pickled with each chunk.
@@ -391,15 +373,6 @@ def _summarise(cfg: ExperimentConfig, rows: list[dict], h_target: float) -> list
     out: list[dict] = []
     for ell in cfg.lengths:
         block = [r for r in rows if r["ell"] == ell]
-        if not block:
-            continue
-        err = next((r for r in block if r["error"]), None)
-        if err is not None:
-            srow = {c: None for c in SUMMARY_COLUMNS}
-            srow.update({"config_hash": cfg.config_hash, "kind": cfg.kind,
-                         "ell": ell, "n": err["n"], "error": err["error"]})
-            out.append(srow)
-            continue
         rates = np.array([r["lz_rate"] for r in block])
         words = np.array([r["word_count"] for r in block], dtype=float)
         non_typ = sum(r["non_typical_words"] for r in block)
@@ -436,18 +409,15 @@ def cmd_converge(cfg: ExperimentConfig, out_dir: Path, workers: int) -> int:
                                   workers)
         all_rows.extend(rows)
         all_times.extend(times)
-    all_rows.sort(key=lambda r: (r["ell"], -1 if r["replica"] is None else r["replica"]))
+    all_rows.sort(key=lambda r: (r["ell"], r["replica"]))
     summaries = _summarise(cfg, all_rows, h_target)
     _emit(out_dir, "results", RESULT_COLUMNS, all_rows, cfg.out_format)
     _emit(out_dir, "summary", SUMMARY_COLUMNS, summaries, cfg.out_format)
     _write_csv(out_dir / "timings.csv", ("ell", "replica", "seconds"), all_times)
     for s in summaries:
-        if s["error"]:
-            print(f"ell={s['ell']}: ERROR {s['error']}")
-        else:
-            print(f"ell={s['ell']}: mean_lz_rate={s['mean_lz_rate']:.6f} "
-                  f"(h={h_target:.6f}, rel_dev={s['rel_dev_from_h']:+.4f}, "
-                  f"se={s['se_lz_rate']:.2e})")
+        print(f"ell={s['ell']}: mean_lz_rate={s['mean_lz_rate']:.6f} "
+              f"(h={h_target:.6f}, rel_dev={s['rel_dev_from_h']:+.4f}, "
+              f"se={s['se_lz_rate']:.2e})")
     return 0
 
 
@@ -457,13 +427,8 @@ def cmd_sample(cfg: ExperimentConfig, out_dir: Path) -> int:
     samples_dir.mkdir(parents=True, exist_ok=True)
     manifest: list[dict] = []
     for ell in cfg.lengths:
-        n, sampler, error = _length_sampler(cfg, spec, r_target, ell, cfg.kind)
-        if error is not None:
-            manifest.append({"kind": cfg.kind, "ell": ell, "n": n,
-                             "replica": None, "file": None, "sum": None,
-                             "truncation_tail": None, "error": error})
-            continue
-        tail = 0.0 if sampler is None else sampler.truncation_tail
+        sampler = _length_sampler(cfg, spec, r_target, ell, cfg.kind)
+        n, tail = (None, 0.0) if sampler is None else (sampler.n, sampler.truncation_tail)
         replicas = list(range(cfg.replicas))
         for rep, s in zip(replicas, _draw_strings(cfg, spec, ell, sampler, replicas)):
             name = f"sample_{cfg.kind}_ell{ell}_rep{rep}.txt"
@@ -476,7 +441,7 @@ def cmd_sample(cfg: ExperimentConfig, out_dir: Path) -> int:
             })
     cols = ("kind", "ell", "n", "replica", "file", "sum", "truncation_tail", "error")
     _emit(samples_dir, "manifest", cols, manifest, cfg.out_format)
-    print(f"wrote {sum(1 for m in manifest if m['file'])} samples to {samples_dir}")
+    print(f"wrote {len(manifest)} samples to {samples_dir}")
     return 0
 
 
@@ -507,12 +472,10 @@ def cmd_entropy_gap(cfg: ExperimentConfig, out_dir: Path) -> int:
     rows = []
     for ell in cfg.lengths:
         # The gap is a canonical quantity whatever run.kind says.
-        n, sampler, error = _length_sampler(cfg, spec, r_target, ell, "canonical")
-        if error is not None:
-            raise ImpossibleConditionError(error)
+        sampler = _length_sampler(cfg, spec, r_target, ell, "canonical")
         gap = sampler.entropy_gap()
         # skipped stays as a column, always False, for readers of the file.
-        rows.append({"config_hash": cfg.config_hash, "ell": ell, "n": n,
+        rows.append({"config_hash": cfg.config_hash, "ell": ell, "n": sampler.n,
                      "cells": sampler.cells, "gap_bits": gap,
                      "gap_per_site": gap / ell, "skipped": False})
     _emit(out_dir, "entropy_gap", GAP_COLUMNS, rows, cfg.out_format)
@@ -544,15 +507,15 @@ def cmd_check(cfg: ExperimentConfig, out_dir: Path,
 
 
 def _scalar_command(cfg: ExperimentConfig, which: str) -> int:
+    if which == "solve-mu" and cfg.r is None:
+        raise ConfigError("solve-mu requires ensemble.r in the config")
+    spec, _, h_target = resolve_spec(cfg)
     if which == "solve-mu":
-        if cfg.r is None:
-            raise ConfigError("solve-mu requires ensemble.r in the config")
-        value = solve_mu(cfg.stats, cfg.dispersion, cfg.beta, cfg.r,
-                         quad_tol=cfg.quad_tol)
+        value = spec.mu
+    elif which == "density":
+        value = particle_density(spec, cfg.quad_tol)
     else:
-        spec, _, h_target = resolve_spec(cfg)
-        value = particle_density(spec, cfg.quad_tol) if which == "density" \
-            else h_target
+        value = h_target
     print(repr(float(value)))
     return 0
 

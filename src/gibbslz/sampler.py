@@ -47,7 +47,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .disttab import LN2, DistTable
+from .disttab import LN2, DistTable, geometric_tops
 from .ensemble import (
     EnsembleSpec,
     Statistics,
@@ -137,27 +137,15 @@ def _site_laws(spec: EnsembleSpec, ell: int, n: int,
     e^{a_j k} on k = 0..top_j.  Returns (a, top, dropped tail mass).
 
     a_j = -beta * omega(j/ell) is the log-odds of a Fermi site and the log
-    ratio of a Bose site.  Bose supports end where DistTable.geometric ends
-    them, at the smallest top with q^{top+1} < tail_tol, and every support
-    is cut at n, which is exact: no site of a string with total n holds more.
+    ratio of a Bose site.  Bose supports end at geometric_tops, and every
+    support is cut at n, which is exact: no site of a string with total n
+    holds more.
     """
     a = -spec.beta * np.asarray(eval_dispersion(spec, np.arange(ell) / ell))
     if spec.stats is Statistics.FERMI:
         return a, np.full(ell, min(1, n), dtype=np.int64), np.zeros(ell)
-    top = _geometric_tops(a, tail_tol)
+    top = geometric_tops(a, tail_tol)
     return a, np.minimum(top, n).astype(np.int64), np.exp((top + 1.0) * a)
-
-
-def _geometric_tops(logq: np.ndarray, tail_tol: float) -> np.ndarray:
-    """Last kept k of geometric laws with log ratios logq, truncated as
-    DistTable.geometric truncates them: the smallest top with
-    q^{top+1} < tail_tol."""
-    if not (0.0 < tail_tol < 0.1):
-        raise DomainError("tail tolerance must be a small positive mass")
-    log_tol = math.log(tail_tol)
-    top = np.maximum(np.ceil(log_tol / logq) - 1.0, 0.0)
-    top += (top + 1.0) * logq >= log_tol
-    return top
 
 
 def _free_entropy(spec: EnsembleSpec, ell: int, tail_tol: float) -> float:
@@ -173,7 +161,7 @@ def _free_entropy(spec: EnsembleSpec, ell: int, tail_tol: float) -> float:
     if spec.stats is Statistics.FERMI:
         return float(entropy_of_mean(spec.stats, mean).sum())
     logq = np.log(mean) - np.log1p(mean)
-    top = _geometric_tops(logq, tail_tol)
+    top = geometric_tops(logq, tail_tol)
     qtop = np.exp(top * logq)
     qnext = np.exp((top + 1.0) * logq)
     moment = mean * (1.0 - (top + 1.0) * qtop + top * qnext)

@@ -379,8 +379,9 @@ def test_entropy_gap_command_matches_library(tmp_path, capsys):
                         .replace("cosine", "grid:14,14,5e-4")
                         .replace("run.lengths = 16,32", "run.lengths = 2")
                         + "analysis.tail_tol = 9e-7\n", "crowded.cfg")
-    assert main(["entropy-gap", "--config", crowded, "--out", str(tmp_path)]) == 3
-    assert "exceeds the summed" in capsys.readouterr().err
+    for command in ("entropy-gap", "converge", "sample"):
+        assert main([command, "--config", crowded, "--out", str(tmp_path)]) == 3
+        assert "exceeds the summed" in capsys.readouterr().err
 
 
 def test_scalar_commands_print_reprs(tmp_path, capsys):
@@ -402,7 +403,8 @@ def test_exit_codes(tmp_path, capsys):
     assert main(["density", "--config", bad, "--out", str(tmp_path)]) == 1
 
     unsolvable = write_cfg(tmp_path, BASE.replace("= 0.5", "= 1.5"), "uns.cfg")
-    assert main(["converge", "--config", unsolvable, "--out", str(tmp_path)]) == 1
+    for command in ("converge", "solve-mu"):
+        assert main([command, "--config", unsolvable, "--out", str(tmp_path)]) == 1
 
     # A Bose chemical potential essentially at the band floor makes the
     # density integrand blow past the quadrature budget: a numeric failure.
@@ -493,6 +495,12 @@ def test_check_command_and_fault_injection(tmp_path, capsys):
     failed = [r["name"] for r in report if not r["passed"]]
     assert failed == ["score-ratio"]
     capsys.readouterr()
+
+    # An unknown target is a config error, refused before any battery runs.
+    assert main(["check", "--config", cfg_path, "--out", str(tmp_path / "bogus"),
+                 "--inject-fault", "bogus"]) == 1
+    assert "unknown fault target" in capsys.readouterr().err
+    assert not (tmp_path / "bogus" / "check_report.jsonl").exists()
 
 
 def test_workers_env_fallback(tmp_path, monkeypatch, capsys):
