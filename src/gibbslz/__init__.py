@@ -22,7 +22,6 @@ from .ensemble import (
     EnsembleSpec,
     Statistics,
     TabulatedGrid,
-    entropy_of_mean,
     entropy_rate,
     eval_dispersion,
     marginal_entropy,
@@ -70,7 +69,7 @@ __all__ = [
     "TabulatedGrid", "TargetRangeError", "TypicalParams", "WordClassCounts",
     "build_suffix_dp", "choose_n", "classify_words", "code_rate",
     "conditional_entropy_exact", "conditional_site_marginals", "convolve",
-    "entropy_gap", "entropy_of_mean", "entropy_rate", "eval_dispersion",
+    "entropy_gap", "entropy_rate", "eval_dispersion",
     "lz78_parse", "lz_rate", "lz_rate_from_count", "make_rng",
     "marginal_entropy", "marginal_mean", "marginal_tables",
     "particle_density", "sample_grand", "site_entropies", "site_means",

@@ -179,28 +179,6 @@ def marginal_entropy(spec: EnsembleSpec, y):
     return _match_shape(out, y)
 
 
-def entropy_of_mean(stats: Statistics, a):
-    """Entropy, in bits, of the marginal law parametrised by its mean a.
-
-    Fermi: the binary entropy H2(a) for 0 <= a <= 1, with its limit 0 at
-    the endpoints (a mode so cold that its mean rounds to 0 or 1).  Bose:
-    the geometric entropy (a+1) log2(a+1) - a log2 a for a > 0.
-    """
-    arr = np.asarray(a, dtype=float)
-    if stats is Statistics.FERMI:
-        if np.any(arr < 0.0) or np.any(arr > 1.0):
-            raise DomainError("Fermi mean occupancy must lie in [0, 1]")
-        with np.errstate(divide="ignore", invalid="ignore"):
-            alog = np.where(arr > 0.0, arr * np.log(arr), 0.0)
-            blog = np.where(arr < 1.0, (1.0 - arr) * np.log1p(-arr), 0.0)
-        out = -(alog + blog) / LN2
-    else:
-        if np.any(arr <= 0.0):
-            raise DomainError("Bose mean occupancy must be positive")
-        out = ((arr + 1.0) * np.log1p(arr) - arr * np.log(arr)) / LN2
-    return _match_shape(out, a)
-
-
 def site_means(spec: EnsembleSpec, ell: int) -> np.ndarray:
     """Mean occupancy profile at the ell mode points j/ell, j = 0..ell-1."""
     if ell < 1:

@@ -189,7 +189,8 @@ def load_config(path: str | Path, seed_override: int | None = None,
 
     lengths_raw = need("run.lengths")
     try:
-        lengths = tuple(int(tok) for tok in lengths_raw.split(","))
+        # Every command runs and reports the lengths in ascending order.
+        lengths = tuple(sorted(int(tok) for tok in lengths_raw.split(",")))
     except ValueError as exc:
         raise ConfigError(f"run.lengths must be comma-separated integers") from exc
     if not lengths or any(ell < 2 for ell in lengths):
@@ -401,15 +402,18 @@ def _summarise(cfg: ExperimentConfig, rows: list[dict], h_target: float) -> list
 
 def cmd_converge(cfg: ExperimentConfig, out_dir: Path, workers: int) -> int:
     spec, r_target, h_target = resolve_spec(cfg)
+    if not h_target > 0.0:
+        raise ConfigError(f"entropy rate is {h_target!r}: the ensemble is frozen, "
+                          "and converge compares word counts with a positive rate")
     typical = TypicalParams.from_ensemble(spec, cfg.epsilon, two_sided=cfg.two_sided)
     all_rows: list[dict] = []
     all_times: list[dict] = []
+    # Lengths ascend, so the rows come out sorted by (ell, replica).
     for ell in cfg.lengths:
         rows, times = _run_length(cfg, spec, typical, r_target, h_target, ell,
                                   workers)
         all_rows.extend(rows)
         all_times.extend(times)
-    all_rows.sort(key=lambda r: (r["ell"], r["replica"]))
     summaries = _summarise(cfg, all_rows, h_target)
     _emit(out_dir, "results", RESULT_COLUMNS, all_rows, cfg.out_format)
     _emit(out_dir, "summary", SUMMARY_COLUMNS, summaries, cfg.out_format)

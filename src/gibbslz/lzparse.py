@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ensemble import EnsembleSpec, entropy_of_mean, marginal_mean, \
+from .ensemble import EnsembleSpec, marginal_entropy, marginal_mean, \
     site_entropies, site_means
 from .errors import DomainError
 
@@ -78,10 +78,6 @@ class LzParse:
     @property
     def word_count(self) -> int:
         return self.starts.size
-
-    @property
-    def words(self) -> list[tuple[int, int]]:
-        return list(zip(self.starts.tolist(), self.lengths.tolist()))
 
 
 def lz78_parse(string) -> LzParse:
@@ -141,7 +137,7 @@ class TypicalParams:
     """Per-site deviation allowance for the typical-window test.
 
     eps_prime = eps * e(L) / (2 L), where L is the supremum of the mean
-    profile and e(.) the entropy of the marginal law with that mean.  A
+    profile and e(L) the entropy of the mode where the mean peaks.  A
     window of length M is typical when its summed occupancy exceeds the
     summed mean profile by at most M * eps_prime (one-sided by default;
     two_sided also rejects windows that undershoot by more than that).
@@ -159,8 +155,13 @@ class TypicalParams:
         if not (0.0 < eps < 1.0):
             raise DomainError(f"eps must lie in (0, 1), got {eps}")
         ys = np.linspace(0.0, 1.0, grid + 1)
-        sup_mean = float(np.max(np.asarray(marginal_mean(spec, ys))))
-        e_sup = float(entropy_of_mean(spec.stats, sup_mean))
+        means = np.asarray(marginal_mean(spec, ys))
+        at = int(np.argmax(means))
+        sup_mean = float(means[at])
+        if not sup_mean > 0.0:
+            raise DomainError("the mean occupancy profile is zero everywhere; "
+                              "the ensemble is frozen")
+        e_sup = float(marginal_entropy(spec, ys[at]))
         eps_prime = eps * e_sup / (2.0 * sup_mean)
         return cls(eps, eps_prime, sup_mean, e_sup, two_sided)
 
@@ -172,10 +173,6 @@ class WordClassCounts:
     low_typical: int
     other_typical: int
     non_typical: int
-
-    @property
-    def total(self) -> int:
-        return self.low_typical + self.other_typical + self.non_typical
 
 
 @functools.lru_cache(maxsize=1)

@@ -38,8 +38,11 @@ in chunks whose size a fixed cell budget sets, and each replica's arithmetic
 is confined to its own rows, so a string is a pure function of (ensemble,
 ell, n, seed, replica), independent of chunking, batching and process count.
 
-Bose marginals are truncated once their tail mass drops below a tolerance;
-the sampler reports the summed truncation bound as truncation_tail.
+Site laws have one source, _site_laws: site j's law is proportional to
+e^{a_j k}, a_j = -beta omega(j/ell), on k = 0..top_j, where Fermi supports
+end at 1 and Bose supports end once the tail mass drops below a tolerance.
+The tree, marginal_tables (the tables of the exact DP oracle) and the free
+entropy of the gap all read them; the summed Bose tail is truncation_tail.
 """
 
 import math
@@ -48,14 +51,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .disttab import LN2, DistTable, geometric_tops
-from .ensemble import (
-    EnsembleSpec,
-    Statistics,
-    _fermi_mean,
-    entropy_of_mean,
-    eval_dispersion,
-    site_means,
-)
+from .ensemble import EnsembleSpec, Statistics, _fermi_mean, eval_dispersion
 from .errors import (
     DomainError,
     ImpossibleConditionError,
@@ -66,7 +62,7 @@ _DEFAULT_TAIL_TOL = 1e-12
 # Node windows reach this many tilted standard deviations, plus one leaf
 # width, to each side of the node's tilted mean.
 _WINDOW_SIGMAS = 12.0
-# Float cells (leaf columns plus node windows) one sampler may hold; larger
+# Float cells one sampler or one marginal_tables call may hold; larger
 # instances fail fast with NumericError instead of running unbounded.
 _MAX_CELLS = 1 << 25
 # Split-weight cells one chunk of replicas may hold at once.
@@ -105,11 +101,22 @@ def make_rng(seed: int, ell: int, replica: int) -> np.random.Generator:
 
 def marginal_tables(spec: EnsembleSpec, ell: int,
                     tail_tol: float = _DEFAULT_TAIL_TOL) -> list[DistTable]:
-    """Occupancy laws of all ell sites; site j is the mode at y = j/ell."""
-    means = site_means(spec, ell).tolist()
+    """Occupancy laws of all ell sites, each on its own support 0..top_j.
+
+    Rows use the untruncated normaliser: a Bose table is not renormalised
+    and records its dropped mass as its truncation tail.
+    """
+    a, top, tail = _site_laws(spec, ell, tail_tol)
+    if top.sum() + ell > _MAX_CELLS:
+        raise NumericError(f"site tables would need more than {_MAX_CELLS} cells; "
+                           "the ensemble is too close to condensation")
     if spec.stats is Statistics.FERMI:
-        return [DistTable.bernoulli(mean) for mean in means]
-    return [DistTable.geometric(mean, tail_tol=tail_tol) for mean in means]
+        log0 = -np.logaddexp(0.0, a)
+    else:
+        log0 = np.log(-np.expm1(a))
+    return [DistTable(z + aj * np.arange(t + 1), truncation_tail=d)
+            for z, aj, t, d in zip(log0.tolist(), a.tolist(),
+                                   top.astype(np.int64).tolist(), tail.tolist())]
 
 
 def sample_grand(spec: EnsembleSpec, ell: int, seed: int,
@@ -131,41 +138,36 @@ def sample_grand(spec: EnsembleSpec, ell: int, seed: int,
     return k.astype(np.int64)
 
 
-def _site_laws(spec: EnsembleSpec, ell: int, n: int,
+def _site_laws(spec: EnsembleSpec, ell: int,
                tail_tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Every site law as a truncated geometric: p_j(k) is proportional to
-    e^{a_j k} on k = 0..top_j.  Returns (a, top, dropped tail mass).
+    """(a, top, dropped tail mass) of every site law, tops as floats.
 
-    a_j = -beta * omega(j/ell) is the log-odds of a Fermi site and the log
-    ratio of a Bose site.  Bose supports end at geometric_tops, and every
-    support is cut at n, which is exact: no site of a string with total n
-    holds more.
+    a_j is the log-odds of a Fermi site and the log ratio of a Bose site,
+    whose support ends at geometric_tops.
     """
     a = -spec.beta * np.asarray(eval_dispersion(spec, np.arange(ell) / ell))
     if spec.stats is Statistics.FERMI:
-        return a, np.full(ell, min(1, n), dtype=np.int64), np.zeros(ell)
+        return a, np.ones(ell), np.zeros(ell)
     top = geometric_tops(a, tail_tol)
-    return a, np.minimum(top, n).astype(np.int64), np.exp((top + 1.0) * a)
+    return a, top, np.exp((top + 1.0) * a)
 
 
-def _free_entropy(spec: EnsembleSpec, ell: int, tail_tol: float) -> float:
-    """Summed entropy, in bits, of the unconditioned site laws as
-    marginal_tables gives them, in closed form.
+def _free_entropy(stats: Statistics, a: np.ndarray, top: np.ndarray,
+                  tail: np.ndarray) -> float:
+    """Summed entropy, in bits, of the site laws as marginal_tables gives
+    them, in closed form and O(ell) however long the supports are.
 
-    A Bose law is (1 - q) q^k on k = 0..top with q = mean / (1 + mean), on
-    its uncut support and not renormalised, as DistTable.geometric leaves
-    it: its mass is 1 - q^{top+1} and its first moment is
-    mean (1 - (top + 1) q^top + top q^{top+1}).
+    A Fermi law has entropy log(1 + e^a) - a sigma(a).  A Bose law
+    (1 - q) q^k, q = e^a, on k = 0..top has mass 1 - tail and first moment
+    m (1 - (top + 1) q^top + top q^{top+1}), with m = q / (1 - q) and
+    -log(1 - q) = log(1 + m).
     """
-    mean = site_means(spec, ell)
-    if spec.stats is Statistics.FERMI:
-        return float(entropy_of_mean(spec.stats, mean).sum())
-    logq = np.log(mean) - np.log1p(mean)
-    top = geometric_tops(logq, tail_tol)
-    qtop = np.exp(top * logq)
-    qnext = np.exp((top + 1.0) * logq)
-    moment = mean * (1.0 - (top + 1.0) * qtop + top * qnext)
-    nats = (1.0 - qnext) * np.log1p(mean) - logq * moment
+    if stats is Statistics.FERMI:
+        nats = np.logaddexp(0.0, a) - a * _fermi_mean(-a)
+    else:
+        mean = np.exp(a) / -np.expm1(a)
+        moment = mean * (1.0 - (top + 1.0) * np.exp(top * a) + top * tail)
+        nats = (1.0 - tail) * np.log1p(mean) - a * moment
     return float(nats.sum()) / LN2
 
 
@@ -337,17 +339,15 @@ class CanonicalSampler:
         self.n = int(n)
         self.tail_tol = tail_tol
 
-        if spec.stats is Statistics.FERMI and n > ell:
-            raise ImpossibleConditionError(
-                f"Fermi string of length {ell} cannot hold {n} particles"
-            )
         full = spec.stats is Statistics.FERMI and self.n == self.ell
         if self.n > 0 and not full:
             # The tree's leaves alone hold at least 2 ell cells; refuse
             # before the site laws allocate anything of that size.
             self._check_budget(2 * self.ell)
-        a, top, tails = _site_laws(spec, self.ell, self.n, tail_tol)
+        a, top, tails = _site_laws(spec, self.ell, tail_tol)
         self.truncation_tail = float(tails.sum())
+        # Cut at n, which is exact: no site of a string with total n holds more.
+        top = np.minimum(top, self.n).astype(np.int64)
         if int(top.sum()) < n:
             raise ImpossibleConditionError(
                 f"total {n} exceeds the summed (truncated) site supports"
@@ -487,8 +487,9 @@ class CanonicalSampler:
     def entropy_gap(self) -> float:
         """Conditional joint entropy minus the summed entropies of the
         unconditioned site laws, in bits; nonpositive."""
-        return self.conditional_entropy() - _free_entropy(self.spec, self.ell,
-                                                          self.tail_tol)
+        free = _free_entropy(self.spec.stats,
+                             *_site_laws(self.spec, self.ell, self.tail_tol))
+        return self.conditional_entropy() - free
 
     def sample_from_uniforms(self, uniforms: np.ndarray) -> np.ndarray:
         """Draw one string per row of uniforms; uniforms has shape (m, ell).

@@ -12,7 +12,6 @@ from gibbslz import (
     Statistics,
     TabulatedGrid,
     TargetRangeError,
-    entropy_of_mean,
     entropy_rate,
     eval_dispersion,
     marginal_entropy,
@@ -97,18 +96,6 @@ def test_bose_marginal_closed_points():
     spec = EnsembleSpec(BOSE, 1.0, -math.log(2.0), CosineLattice())
     assert marginal_mean(spec, 0.0) == pytest.approx(1.0, rel=1e-14)
     assert marginal_entropy(spec, 0.0) == pytest.approx(2.0, rel=1e-14)
-
-
-def test_entropy_of_mean_matches_marginal_entropy():
-    for spec in (fermi_spec(0.7, 0.3), bose_spec(1.3, -0.2)):
-        y = np.linspace(0.0, 1.0, 17)
-        a = marginal_mean(spec, y)
-        np.testing.assert_allclose(entropy_of_mean(spec.stats, a),
-                                   marginal_entropy(spec, y), rtol=1e-12)
-    # a Fermi mode so cold its mean rounds to 0 or 1 carries no entropy
-    np.testing.assert_array_equal(entropy_of_mean(FERMI, [0.0, 1.0]), [0.0, 0.0])
-    with pytest.raises(DomainError):
-        entropy_of_mean(FERMI, 1.5)
 
 
 def test_marginal_extreme_arguments_are_finite():

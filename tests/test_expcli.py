@@ -523,3 +523,63 @@ def test_seed_override_changes_results(tmp_path):
     assert main(["converge", "--config", cfg_path, "--out", str(out_b),
                  "--seed", "12345"]) == 0
     assert (out_a / "results.csv").read_bytes() != (out_b / "results.csv").read_bytes()
+
+
+def test_lengths_run_and_report_in_ascending_order(tmp_path, capsys):
+    # The config lists 32 before 16; every output follows ascending ell.
+    cfg_path = write_cfg(tmp_path, BASE.replace("16,32", "32,16"))
+    out = tmp_path / "out"
+    assert main(["converge", "--config", cfg_path, "--out", str(out)]) == 0
+    assert [line.split(":")[0] for line in capsys.readouterr().out.splitlines()] \
+        == ["ell=16", "ell=32"]
+    for name, columns in (("results.csv", RESULT_COLUMNS),
+                          ("summary.csv", SUMMARY_COLUMNS)):
+        lines = (out / name).read_text().splitlines()[1:]
+        ells = [int(dict(zip(columns, line.split(",")))["ell"]) for line in lines]
+        assert ells == sorted(ells) and set(ells) == {16, 32}
+    assert main(["entropy-gap", "--config", cfg_path, "--out", str(out)]) == 0
+    assert [line.split(":")[0] for line in capsys.readouterr().out.splitlines()] \
+        == ["ell=16", "ell=32"]
+    rows = [json.loads(ln) for ln in (out / "entropy_gap.jsonl").read_text().splitlines()]
+    assert [row["ell"] for row in rows] == [16, 32]
+
+
+@pytest.mark.parametrize("stats, mu", [("fermi", "-1"), ("fermi", "5"), ("bose", "-1")],
+                         ids=["fermi-empty", "fermi-full", "bose-empty"])
+def test_converge_refuses_frozen_ensembles(tmp_path, capsys, stats, mu):
+    # At beta = 1000 every mode is frozen empty (or, Fermi at mu = 5, full),
+    # so the entropy rate is 0 and no word-count rate can be compared with
+    # it.  converge refuses before any length; rate and density still work.
+    cfg_path = write_cfg(tmp_path, BASE.replace("fermi", stats)
+                         .replace("ensemble.beta = 1.0", "ensemble.beta = 1000")
+                         .replace("ensemble.r = 0.5", f"ensemble.mu = {mu}"))
+    out = tmp_path / "out"
+    assert main(["converge", "--config", cfg_path, "--out", str(out)]) == 1
+    assert "frozen" in capsys.readouterr().err
+    assert not (out / "results.csv").exists()
+    assert main(["rate", "--config", cfg_path, "--out", str(out)]) == 0
+    assert capsys.readouterr().out.strip() == "0.0"
+    assert main(["density", "--config", cfg_path, "--out", str(out)]) == 0
+    assert float(capsys.readouterr().out) == (1.0 if mu == "5" else 0.0)
+
+
+def test_entropy_gap_at_a_coarse_tail_tolerance_matches_the_dp(tmp_path):
+    # analysis.tail_tol reaches both routes: the tree behind entropy-gap and
+    # the suffix DP over marginal_tables truncate the same Bose site laws.
+    cfg_path = write_cfg(tmp_path, BASE.replace("fermi", "bose")
+                         .replace("ensemble.r = 0.5", "ensemble.mu = -0.5")
+                         .replace("16,32", "16,64") + "analysis.tail_tol = 1e-7\n")
+    out = tmp_path / "out"
+    assert main(["entropy-gap", "--config", cfg_path, "--out", str(out)]) == 0
+    cfg = load_config(cfg_path)
+    assert cfg.tail_tol == 1e-7
+    spec, _, _ = resolve_spec(cfg)
+    rows = [json.loads(ln) for ln in (out / "entropy_gap.jsonl").read_text().splitlines()]
+    assert [row["ell"] for row in rows] == [16, 64]
+    for row in rows:
+        coarse = entropy_gap(marginal_tables(spec, row["ell"], tail_tol=1e-7), row["n"])
+        assert abs(row["gap_bits"] - coarse) <= 1e-10
+        # The tolerance matters at this precision: the default one moves
+        # the gap by far more than the bound above.
+        fine = entropy_gap(marginal_tables(spec, row["ell"]), row["n"])
+        assert abs(row["gap_bits"] - fine) > 1e-8

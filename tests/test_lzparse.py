@@ -30,6 +30,16 @@ FERMI = EnsembleSpec(Statistics.FERMI, 1.0, 1.0, CosineLattice())
 # Reference routes: word by word, the quantities classify_words computes in
 # bulk from prefix sums, plus the greatest word count of a parse.
 
+def word_windows(parse: LzParse) -> list[tuple[int, int]]:
+    """(start, length) of every word of the parse."""
+    return list(zip(parse.starts.tolist(), parse.lengths.tolist()))
+
+
+def class_total(counts) -> int:
+    """Words counted by a WordClassCounts, over all three classes."""
+    return counts.low_typical + counts.other_typical + counts.non_typical
+
+
 def word_ensemble_entropy(spec: EnsembleSpec, ell: int, start: int,
                           length: int) -> float:
     """Summed per-site entropy profile (bits) across one word's window."""
@@ -96,9 +106,9 @@ def test_all_zeros_closed_form():
 
 def test_trailing_word_may_duplicate():
     parse = lz78_parse(np.array([0, 1, 0, 1, 0, 1]))
-    assert parse.words == [(0, 1), (1, 1), (2, 2), (4, 2)]
+    assert word_windows(parse) == [(0, 1), (1, 1), (2, 2), (4, 2)]
     vals = np.array([0, 1, 0, 1, 0, 1])
-    words = [tuple(vals[s:s + m]) for s, m in parse.words]
+    words = [tuple(vals[s:s + m]) for s, m in word_windows(parse)]
     assert words[-1] == words[2]
     assert len(set(words[:-1])) == len(words) - 1
 
@@ -106,7 +116,7 @@ def test_trailing_word_may_duplicate():
 def test_single_repeated_symbol_counts_trailer():
     parse = lz78_parse(np.array([1, 1]))
     assert parse.word_count == 2
-    assert parse.words == [(0, 1), (1, 1)]
+    assert word_windows(parse) == [(0, 1), (1, 1)]
 
 
 def test_all_but_last_word_distinct_on_samples():
@@ -114,7 +124,7 @@ def test_all_but_last_word_distinct_on_samples():
     for _ in range(20):
         vals = rng.integers(0, 3, size=rng.integers(2, 400))
         parse = lz78_parse(vals)
-        words = [tuple(vals[s:s + m]) for s, m in parse.words]
+        words = [tuple(vals[s:s + m]) for s, m in word_windows(parse)]
         assert len(set(words[:-1])) == len(words) - 1
         assert int(parse.lengths.sum()) == vals.size
 
@@ -125,7 +135,7 @@ def test_prefix_closure_on_samples():
         vals = rng.integers(0, 2, size=rng.integers(2, 300))
         parse = lz78_parse(vals)
         seen = set()
-        for s, m in parse.words[:-1]:
+        for s, m in word_windows(parse)[:-1]:
             word = tuple(vals[s:s + m])
             if m > 1:
                 assert word[:-1] in seen
@@ -256,7 +266,7 @@ def direct_counts(parse, string, spec: EnsembleSpec,
     means = site_means(spec, parse.ell)
     budget = (1.0 - params.eps ** 2) * math.log2(parse.ell)
     low = other = non = 0
-    for s, m in parse.words:
+    for s, m in word_windows(parse):
         typ = typical_membership(string, s, m, means, params)
         ent = word_ensemble_entropy(spec, parse.ell, s, m)
         if typ and ent <= budget:
@@ -277,7 +287,7 @@ def test_classify_words_matches_direct_loop():
     counts = classify_words(parse, string, FERMI, params)
     assert (counts.low_typical, counts.other_typical, counts.non_typical) == \
         direct_counts(parse, string, FERMI, params)
-    assert counts.total == parse.word_count
+    assert class_total(counts) == parse.word_count
 
 
 def test_classify_words_profile_cache_is_keyed_on_spec_and_length():
@@ -322,4 +332,13 @@ def test_classify_words_two_sided_is_stricter():
     c1 = classify_words(parse, vals, FERMI, one)
     c2 = classify_words(parse, vals, FERMI, two)
     assert c2.non_typical >= c1.non_typical
-    assert c1.total == c2.total == parse.word_count
+    assert class_total(c1) == class_total(c2) == parse.word_count
+
+
+@pytest.mark.parametrize("stats", [Statistics.FERMI, Statistics.BOSE])
+def test_typical_params_refuse_an_all_zero_mean_profile(stats):
+    # At beta = 1000 and mu = -1 every mean occupancy underflows to 0, so
+    # the per-site allowance eps e(L) / (2 L) has no value.
+    frozen = EnsembleSpec(stats, 1000.0, -1.0, CosineLattice())
+    with pytest.raises(DomainError, match="frozen"):
+        TypicalParams.from_ensemble(frozen, 0.3)

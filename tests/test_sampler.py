@@ -429,3 +429,26 @@ def test_cell_budget_checked_before_site_laws(monkeypatch):
     monkeypatch.setattr(sampler, "_site_laws", unreachable)
     with pytest.raises(NumericError, match="budget"):
         CanonicalSampler(fermi_spec(), 128, 64)
+
+
+def test_marginal_tables_keep_each_site_support_near_condensation():
+    # Bose mu = -1e-4 at ell = 256: site 0's law runs to about 276k entries
+    # while most sites need a few dozen, so a dense ell x max(top) matrix
+    # would hold about 70M cells.  Each table keeps only its own support,
+    # and the closed-form free entropy agrees with the tables' entropies.
+    spec = bose_spec(mu=-1e-4)
+    ell = 256
+    tables = marginal_tables(spec, ell)
+    a, top, tail = sampler._site_laws(spec, ell, 1e-12)
+    sizes = [t.logp.size for t in tables]
+    assert sizes == (top + 1).astype(int).tolist()
+    assert sum(sizes) < ell * max(sizes) // 50
+    assert [t.truncation_tail for t in tables] == tail.tolist()
+    free = sum(summary(t).entropy_bits for t in tables)
+    assert sampler._free_entropy(spec.stats, a, top, tail) == pytest.approx(free, rel=1e-12)
+
+
+def test_marginal_tables_refuse_supports_over_the_cell_budget():
+    # At mu = -1e-9 site 0's Bose support would run to 2.8e10 entries.
+    with pytest.raises(NumericError, match="cells"):
+        marginal_tables(bose_spec(mu=-1e-9), 16)
