@@ -12,7 +12,6 @@ harness run can demonstrate that violations are detected and reported, not
 silently absorbed.
 """
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -123,7 +122,7 @@ def _score_ratio(tables, n: int) -> tuple[float, float]:
     """
     if n == 0:
         return 0.0, 0.0
-    law = functools.reduce(disttab.convolve, tables)
+    law = disttab.convolve(*tables)
     ps = np.array([math.exp(t.logp[1]) for t in tables])
     kstar = float(np.mean(ps / (1.0 - ps)))
     return (math.exp(law.logp[n - 1] - law.logp[n]),
@@ -374,7 +373,7 @@ def _local_clt(tables) -> tuple[float, float]:
     if var <= 0.0:
         raise DomainError("degenerate total: zero variance")
     sigma = math.sqrt(var)
-    law = functools.reduce(disttab.convolve, tables)
+    law = disttab.convolve(*tables)
     lo = min(0, math.floor(mean - 10.0 * sigma))
     hi = max(law.support_max, math.ceil(mean + 10.0 * sigma))
     qs = np.arange(lo, hi + 1, dtype=float)
@@ -415,6 +414,10 @@ def check_local_clt(spec: ensemble.EnsembleSpec, sizes: tuple[int, ...],
                        + "; ".join(details))
 
 
+# Rows of uniforms sampler-tv draws at a time.
+_TV_BLOCK = 1 << 16
+
+
 def check_sampler_tv(spec: ensemble.EnsembleSpec, seed: int, draws: int,
                      fault: bool = False) -> CheckResult:
     """Total variation between fixed-total draws at ell=6 and the exact
@@ -428,10 +431,17 @@ def check_sampler_tv(spec: ensemble.EnsembleSpec, seed: int, draws: int,
     tables = sampler.marginal_tables(spec, ell)
     dp = disttab.build_suffix_dp(tables, n)
     cs = sampler.CanonicalSampler(spec, ell, n)
-    vals = cs.sample_from_uniforms(np.random.default_rng(seed).random((draws, ell)))
     # A 1-D integer unique is far faster than axis=0 or rows viewed as bytes.
     place = (n + 1)**np.arange(ell - 1, -1, -1, dtype=np.int64)
-    keys, counts = np.unique(vals @ place, return_counts=True)
+    # Uniforms come in blocks of rows from one stream, which fills rows in
+    # order, so the draws equal those of one (draws, ell) matrix; only the
+    # codes are kept.
+    rng = np.random.default_rng(seed)
+    codes = np.empty(draws, dtype=np.int64)
+    for lo in range(0, draws, _TV_BLOCK):
+        block = rng.random((min(_TV_BLOCK, draws - lo), ell))
+        codes[lo:lo + block.shape[0]] = cs.sample_from_uniforms(block) @ place
+    keys, counts = np.unique(codes, return_counts=True)
     atoms, weights = _atoms(tables, keys[:, None] // place % (n + 1))
     exact = weights / math.exp(dp.logT[0, n])
     emp = counts / draws

@@ -60,11 +60,12 @@ class DistTable:
         arr = np.asarray(self.logp, dtype=float)
         if arr.ndim != 1 or arr.size == 0:
             raise DomainError("log-probability table must be a nonempty vector")
-        if np.any(np.isnan(arr)) or np.any(arr > 0.0):
+        # One pass each: NaN fails the comparison, and exp(-inf) is exactly 0.
+        if not np.all(arr <= 0.0):
             raise DomainError("log-probabilities must be in [-inf, 0]")
         if not (0.0 <= self.truncation_tail < 0.1):
             raise DomainError("truncation tail must be a small nonnegative mass")
-        mass = float(np.exp(arr, where=np.isfinite(arr), out=np.zeros_like(arr)).sum())
+        mass = float(np.exp(arr).sum())
         slack = _MASS_TOL + self.truncation_tail + _MASS_EPS_PER_ENTRY * arr.size
         if abs(mass - 1.0) > slack:
             raise DomainError(f"probabilities sum to {mass!r}, not 1 within {slack:g}")
@@ -76,8 +77,7 @@ class DistTable:
 
     @property
     def probs(self) -> np.ndarray:
-        out = np.exp(self.logp, where=np.isfinite(self.logp),
-                     out=np.zeros_like(self.logp))
+        out = np.exp(self.logp)
         out.flags.writeable = False
         return out
 
@@ -166,10 +166,19 @@ def _log_convolve(la: np.ndarray, lb: np.ndarray, size: int) -> np.ndarray:
     return out
 
 
-def convolve(a: DistTable, b: DistTable) -> DistTable:
-    """Law of the sum of two independent occupancies, in the log domain."""
-    out = _log_convolve(a.logp, b.logp, a.logp.size + b.logp.size - 1)
-    return DistTable(out, truncation_tail=a.truncation_tail + b.truncation_tail)
+def convolve(*tables: DistTable) -> DistTable:
+    """Law of the sum of independent occupancies, in the log domain.
+
+    Folds left to right over the raw log arrays and validates only the
+    result, whose truncation tail is the sum of the tables' tails.
+    """
+    if not tables:
+        raise DomainError("need at least one table to convolve")
+    out, tail = tables[0].logp, tables[0].truncation_tail
+    for t in tables[1:]:
+        out = _log_convolve(out, t.logp, out.size + t.logp.size - 1)
+        tail += t.truncation_tail
+    return DistTable(out, truncation_tail=tail)
 
 
 @dataclass(frozen=True)

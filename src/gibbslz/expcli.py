@@ -24,15 +24,12 @@ import math
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
-from multiprocessing import get_context
 from pathlib import Path
 
 import numpy as np
 
-from . import checks
 from .ensemble import (
     CosineLattice,
     Dispersion,
@@ -360,6 +357,10 @@ def _run_length(cfg: ExperimentConfig, spec: EnsembleSpec, typical: TypicalParam
     if workers <= 1 or len(replicas) == 1:
         outputs = [work(replicas)]
     else:
+        # Deferred: these imports cost start-up on every one-worker run.
+        from concurrent.futures import ProcessPoolExecutor
+        from multiprocessing import get_context
+
         chunks = _chunks(replicas, workers)
         ctx = get_context("fork")
         with ProcessPoolExecutor(max_workers=len(chunks), mp_context=ctx) as pool:
@@ -491,6 +492,8 @@ def cmd_entropy_gap(cfg: ExperimentConfig, out_dir: Path) -> int:
 
 def cmd_check(cfg: ExperimentConfig, out_dir: Path,
               inject_fault: str | None) -> int:
+    from . import checks  # deferred: only this command needs the batteries
+
     spec, _, _ = resolve_spec(cfg)
     scale = checks.BatteryScale.full() if cfg.check_scale == "full" \
         else checks.BatteryScale.quick()

@@ -27,6 +27,12 @@ mean; the tilted mass cut off by the windows is added to the reported
 truncation tail.  Leaves are cut at n, which is exact: larger totals cannot
 occur.
 
+A call that draws many strings tabulates a level's split CDFs,
+cumsum(L(s) R(t - s)) for every merge and every total t of the parent
+window, so each replica gathers its rows instead of rebuilding them.  The
+tables stay on the sampler for later calls, and each row is the same
+multiply and cumsum as the row it replaces.
+
 The same tree gives the exact entropy cost of conditioning: one root-to-leaf
 pass turns the node laws into the site laws given the total, and the
 conditional entropy follows from those and the root's probability of n.
@@ -36,7 +42,8 @@ stream.  A replica reads ell uniforms from it and uses one per merge node of
 the tree (ell - 1 of them; the last uniform is unused).  Replicas are drawn
 in chunks whose size a fixed cell budget sets, and each replica's arithmetic
 is confined to its own rows, so a string is a pure function of (ensemble,
-ell, n, seed, replica), independent of chunking, batching and process count.
+ell, n, seed, replica), independent of chunking, tabulation, batching and
+process count.
 
 Site laws have one source, _site_laws: site j's law is proportional to
 e^{a_j k}, a_j = -beta omega(j/ell), on k = 0..top_j, where Fermi supports
@@ -67,6 +74,11 @@ _WINDOW_SIGMAS = 12.0
 _MAX_CELLS = 1 << 25
 # Split-weight cells one chunk of replicas may hold at once.
 _CHUNK_CELLS = 1 << 20
+# A call to sample_from_uniforms tabulates a level's split CDFs only when it
+# draws at least this many strings per table row (m >= _TABLE_REUSE times
+# the parent width), and only while all of the sampler's tables together
+# fit in _CHUNK_CELLS cells.
+_TABLE_REUSE = 16
 # Newton steps allowed for the saddle-point tilt.
 _TILT_STEPS = 100
 
@@ -356,6 +368,8 @@ class CanonicalSampler:
         self.cells = 0
         self._levels: list[_Level] = []
         self._split_cells = 1
+        # Split CDFs of the tabulated levels, keyed by the parent level h.
+        self._tables: dict[int, np.ndarray] = {}
 
         if self.n == 0:
             self._degenerate = np.zeros(ell, dtype=np.int64)
@@ -416,6 +430,22 @@ class CanonicalSampler:
         weights *= child.law[0:2 * pairs:2]
         return weights
 
+    def _tabulate(self, m: int) -> None:
+        """Tabulate the split CDFs of each level that a call drawing m
+        strings reuses enough (see _TABLE_REUSE), as a (W_parent, pairs,
+        w_child) array: row t - off of a merge is its cumsum at total t."""
+        held = sum(tab.size for tab in self._tables.values())
+        for h in range(len(self._levels) - 1, 0, -1):
+            parent, child = self._levels[h], self._levels[h - 1]
+            pairs = child.off.size // 2
+            cells = parent.width * pairs * child.width
+            if h in self._tables or m < _TABLE_REUSE * parent.width \
+                    or held + cells > _CHUNK_CELLS:
+                continue
+            t = parent.off[:pairs] + np.arange(parent.width)[:, None]
+            self._tables[h] = np.cumsum(self._split_weights(h, t), axis=2)
+            held += cells
+
     def _draw(self, U: np.ndarray) -> np.ndarray:
         """Top-down pass for one chunk of replicas; merges take uniforms
         column by column, root first."""
@@ -424,7 +454,15 @@ class CanonicalSampler:
         for h in range(len(self._levels) - 1, 0, -1):
             child = self._levels[h - 1]
             pairs = child.off.size // 2
-            c = np.cumsum(self._split_weights(h, t[:, :pairs]), axis=2)
+            if h in self._tables:
+                parent = self._levels[h]
+                row = t[:, :pairs] - parent.off[:pairs]
+                if not np.all((row >= 0) & (row < parent.width)):
+                    raise NumericError("a conditioned node total fell outside "
+                                       "its window")
+                c = self._tables[h][row, np.arange(pairs)]
+            else:
+                c = np.cumsum(self._split_weights(h, t[:, :pairs]), axis=2)
             tot = c[:, :, -1]
             if not np.all(tot > 0.0):
                 raise NumericError(
@@ -504,6 +542,7 @@ class CanonicalSampler:
         m = U.shape[0]
         if self._degenerate is not None:
             return np.tile(self._degenerate, (m, 1))
+        self._tabulate(m)
         rows = max(1, _CHUNK_CELLS // self._split_cells)
         out = np.empty((m, self.ell), dtype=np.int64)
         for i in range(0, m, rows):

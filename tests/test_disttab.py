@@ -55,6 +55,11 @@ def test_table_validation():
         DistTable.bernoulli(1.5)
     with pytest.raises(DomainError):
         DistTable.geometric(-2.0)
+    # The one-pass check must reject NaN and +inf log-probabilities too.
+    with pytest.raises(DomainError):
+        DistTable(np.array([np.nan, 0.0]))
+    with pytest.raises(DomainError):
+        DistTable(np.array([-np.inf, np.inf]))
 
 
 def test_table_is_read_only():
@@ -108,6 +113,29 @@ def test_convolve_exact_and_tail_bookkeeping():
     g = DistTable.geometric(0.7, tail_tol=1e-10)
     s = convolve(g, g)
     assert s.truncation_tail == pytest.approx(2 * g.truncation_tail, rel=1e-12)
+
+
+def test_convolve_many_equals_the_pairwise_fold():
+    rng = np.random.default_rng(4)
+    tables = [DistTable.bernoulli(0.3), DistTable.geometric(0.8, tail_tol=1e-10),
+              delta(2)] + [DistTable.bernoulli(float(p))
+                           for p in rng.uniform(0.05, 0.95, size=20)]
+    tables.append(DistTable.geometric(1.7, tail_tol=1e-9))
+    many = convolve(*tables)
+    folded = functools.reduce(convolve, tables)
+    np.testing.assert_array_equal(many.logp, folded.logp)
+    assert many.truncation_tail == folded.truncation_tail
+    assert many.truncation_tail == pytest.approx(
+        sum(t.truncation_tail for t in tables), rel=1e-15)
+
+
+def test_convolve_of_one_table_and_of_none():
+    g = DistTable.geometric(0.7, tail_tol=1e-10)
+    one = convolve(g)
+    np.testing.assert_array_equal(one.logp, g.logp)
+    assert one.truncation_tail == g.truncation_tail
+    with pytest.raises(DomainError):
+        convolve()
 
 
 def test_convolution_preserves_log_concavity():

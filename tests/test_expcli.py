@@ -2,6 +2,8 @@
 
 import json
 import math
+import subprocess
+import sys
 import time
 import warnings
 from pathlib import Path
@@ -34,6 +36,16 @@ run.replicas = 3
 run.seed = 11
 run.kind = canonical
 """
+
+
+def test_cli_start_up_defers_batteries_and_process_pool():
+    # Every command pays for what expcli imports; the batteries load only in
+    # check, the process pool only in a run with more than one worker.
+    code = ("import sys, gibbslz.expcli; print(sorted(m for m in ('gibbslz.checks', "
+            "'concurrent.futures', 'multiprocessing') if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "[]"
 
 
 def write_cfg(tmp_path: Path, text: str, name: str = "run.cfg") -> str:

@@ -141,17 +141,76 @@ def test_canonical_rejects_impossible_totals():
 
 def test_draws_identical_across_replica_chunks(monkeypatch):
     # Replicas are drawn in chunks sized by a cell budget; a string must not
-    # depend on the chunk it lands in, nor on the rest of its batch.
+    # depend on the chunk it lands in, nor on the rest of its batch.  With
+    # tables on, the first batch leaves split tables that the later ones reuse.
     spec = bose_spec()
-    cs = CanonicalSampler(spec, 300, 150)
     reps = [0, 1, 2, 3, 4]
-    assert sampler._CHUNK_CELLS // cs._split_cells >= len(reps)
-    whole = cs.sample_batch(seed=9, replicas=reps)
-    monkeypatch.setattr(sampler, "_CHUNK_CELLS", 1)  # one replica per chunk
-    chunked = cs.sample_batch(seed=9, replicas=reps)
-    mixed = cs.sample_batch(seed=9, replicas=[4, 1])
-    np.testing.assert_array_equal(whole, chunked)
-    np.testing.assert_array_equal(mixed, whole[[4, 1]])
+    chunk_cells = sampler._CHUNK_CELLS
+    for tabulate in (False, True):
+        monkeypatch.setattr(sampler, "_TABLE_REUSE", 0 if tabulate else 10**12)
+        monkeypatch.setattr(sampler, "_CHUNK_CELLS", chunk_cells)
+        cs = CanonicalSampler(spec, 300, 150)
+        assert sampler._CHUNK_CELLS // cs._split_cells >= len(reps)
+        whole = cs.sample_batch(seed=9, replicas=reps)
+        assert bool(cs._tables) == tabulate
+        monkeypatch.setattr(sampler, "_CHUNK_CELLS", 1)  # one replica per chunk
+        chunked = cs.sample_batch(seed=9, replicas=reps)
+        mixed = cs.sample_batch(seed=9, replicas=[4, 1])
+        np.testing.assert_array_equal(whole, chunked)
+        np.testing.assert_array_equal(mixed, whole[[4, 1]])
+
+
+@pytest.mark.parametrize("spec, ell, n", [
+    (fermi_spec(), 6, 4),
+    (bose_spec(), 6, 5),
+    (fermi_spec(), 37, 20),  # odd ell: a last node carried up unmerged
+    (bose_spec(), 37, 30),
+    (fermi_spec(), 12, 0),  # degenerate targets
+    (fermi_spec(), 12, 12),
+])
+def test_tabulated_draws_equal_untabulated(monkeypatch, spec, ell, n):
+    u = np.random.default_rng(7).random((400, ell))
+    monkeypatch.setattr(sampler, "_TABLE_REUSE", 10**12)
+    plain = CanonicalSampler(spec, ell, n)
+    expect = plain.sample_from_uniforms(u)
+    assert not plain._tables
+    monkeypatch.setattr(sampler, "_TABLE_REUSE", 1)
+    cs = CanonicalSampler(spec, ell, n)
+    np.testing.assert_array_equal(cs.sample_from_uniforms(u), expect)
+    assert sorted(cs._tables) == list(range(1, len(cs._levels)))
+    assert sum(t.size for t in cs._tables.values()) <= sampler._CHUNK_CELLS
+    # Later calls reuse the tables, however few strings they draw.
+    np.testing.assert_array_equal(cs.sample_from_uniforms(u[:3]), expect[:3])
+
+
+def test_split_tables_stay_within_the_chunk_budget(monkeypatch):
+    # All levels of this tree would need about 2.9M table cells; only the
+    # levels that fit the budget together are tabulated, across calls too.
+    monkeypatch.setattr(sampler, "_TABLE_REUSE", 0)
+    monkeypatch.setattr(sampler, "_CHUNK_CELLS", 1 << 17)
+    spec = bose_spec()
+    u = np.random.default_rng(3).random((12, 301))
+    cs = CanonicalSampler(spec, 301, 150)
+    first = cs.sample_from_uniforms(u)
+    again = cs.sample_from_uniforms(u)
+    held = sum(t.size for t in cs._tables.values())
+    assert 0 < held <= sampler._CHUNK_CELLS
+    assert len(cs._tables) < len(cs._levels) - 1
+    monkeypatch.setattr(sampler, "_TABLE_REUSE", 10**12)
+    plain = CanonicalSampler(spec, 301, 150).sample_from_uniforms(u)
+    np.testing.assert_array_equal(first, plain)
+    np.testing.assert_array_equal(again, plain)
+
+
+def test_tabulated_draw_refuses_a_total_outside_its_window(monkeypatch):
+    # A parent total outside its window must raise, never be clipped into it.
+    monkeypatch.setattr(sampler, "_TABLE_REUSE", 1)
+    cs = CanonicalSampler(fermi_spec(), 6, 4)
+    cs.sample_from_uniforms(np.full((64, 6), 0.5))
+    assert len(cs._levels) - 1 in cs._tables
+    monkeypatch.setattr(cs, "n", cs.n + cs._levels[-1].width)
+    with pytest.raises(NumericError, match="outside its window"):
+        cs._draw(np.full((2, 6), 0.5))
 
 
 def test_draws_independent_of_batch_composition():
