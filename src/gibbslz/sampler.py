@@ -33,9 +33,13 @@ window, so each replica gathers its rows instead of rebuilding them.  The
 tables stay on the sampler for later calls, and each row is the same
 multiply and cumsum as the row it replaces.
 
-The same tree gives the exact entropy cost of conditioning: one root-to-leaf
-pass turns the node laws into the site laws given the total, and the
-conditional entropy follows from those and the root's probability of n.
+The build also gives the exact entropy cost of conditioning.  Each node
+carries, beside its law P, the cost moment G(t) = sum over its subtree's
+occupancies k with total t of P(k) (-log P(k)): a leaf has G = -p log p,
+and a merge gives G = G_L * R + L * G_R from the same transforms as the law
+(the product rule of the expectation semiring, Li & Eisner 2009).  The
+root's entries at n give the conditional entropy, and no pass runs back
+down the tree.
 
 Determinism: each (seed, ell, replica) triple owns a counter-based random
 stream.  A replica reads ell uniforms from it and uses one per merge node of
@@ -72,7 +76,8 @@ _WINDOW_SIGMAS = 12.0
 # Float cells one sampler or one marginal_tables call may hold; larger
 # instances fail fast with NumericError instead of running unbounded.
 _MAX_CELLS = 1 << 25
-# Split-weight cells one chunk of replicas may hold at once.
+# Split-weight cells one chunk of replicas, and transform cells one chunk of
+# merges, may hold at once.
 _CHUNK_CELLS = 1 << 20
 # A call to sample_from_uniforms tabulates a level's split CDFs only when it
 # draws at least this many strings per table row (m >= _TABLE_REUSE times
@@ -259,69 +264,44 @@ class _Level:
         return self.law.shape[1]
 
 
-def _merge_level(child: _Level, off: np.ndarray, wid: np.ndarray,
-                 n: int) -> tuple[_Level, float]:
-    """Laws of the next level up, cut to the planned windows (off, wid),
-    and the tilted mass the cut removed."""
+def _merge_level(child: _Level, cost: np.ndarray, off: np.ndarray,
+                 wid: np.ndarray, n: int) -> tuple[_Level, np.ndarray, float]:
+    """Laws and cost moments of the next level up, cut to the planned
+    windows (off, wid), and the tilted mass the cut removed.  cost holds the
+    child level's moments, and a merge gives G = G_L * R + L * G_R.  Merges
+    go in chunks of at most _CHUNK_CELLS transform cells."""
     w = child.width
     pairs = child.off.size // 2
     size = 2 * w - 1
     nfft = 1 << (size - 1).bit_length()
-    spec = np.fft.rfft(child.law[0:2 * pairs:2], nfft, axis=1)
-    spec *= np.fft.rfft(child.law[1:2 * pairs:2], nfft, axis=1)
-    conv = np.fft.irfft(spec, nfft, axis=1)[:, :size]
-    del spec
-    np.maximum(conv, 0.0, out=conv)
     base = child.off[0:2 * pairs:2] + child.off[1:2 * pairs:2]
-    reachable = float(conv.sum(where=base[:, None] + np.arange(size) <= n))
-
     width = int(wid.max())
     cols = np.arange(width)
-    idx = np.minimum((off[:pairs] - base)[:, None] + cols, size - 1)
-    win = np.take_along_axis(conv, idx, axis=1)
-    win *= cols < wid[:pairs, None]
     law = np.zeros((off.size, width))
-    law[:pairs] = win
-    if off.size > pairs:
-        law[pairs, :wid[pairs]] = child.law[-1, :wid[pairs]]
-    return _Level(off, law), max(0.0, reachable - float(win.sum()))
-
-
-def _split_level(child: _Level, off: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Conditional weights of the child level's nodes from the weights w of
-    the level above, whose row i covers totals off[i], off[i] + 1, ...
-
-    A node's weight is w(t) = P(S_node = t | S = n) / P(S_node = t) under
-    the tree's laws.  A merge hands its left child
-    w_L(s) = sum_t w(t) R(t - s) and its right child
-    w_R(u) = sum_t w(t) L(t - u): per side, one batched FFT convolution of
-    w with the reversed sibling laws.  An odd last node keeps its w.
-    """
-    cw = child.width
-    pairs = child.off.size // 2
-    size = w.shape[1] + cw - 1
-    nfft = 1 << (size - 1).bit_length()
-    # Entry cw - 1 - d + i of a convolution weighs child total
-    # off_child + i, where d = off_parent - off_left - off_right >= 0.
-    d = off[:pairs] - child.off[0:2 * pairs:2] - child.off[1:2 * pairs:2]
-    out = np.zeros((child.off.size, cw))
-    # Merges go in chunks of at most _CHUNK_CELLS transform cells.
+    moment = np.zeros((off.size, width))
+    reachable = kept = 0.0
     rows = max(1, _CHUNK_CELLS // nfft)
     for lo in range(0, pairs, rows):
         hi = min(pairs, lo + rows)
-        idx = (cw - 1 - d[lo:hi])[:, None] + np.arange(cw)
-        inside = (idx >= 0) & (idx < size)
-        np.clip(idx, 0, size - 1, out=idx)
-        wspec = np.fft.rfft(w[lo:hi], nfft, axis=1)
-        for side in (0, 1):
-            conv = np.fft.rfft(child.law[2 * lo + 1 - side:2 * hi:2, ::-1], nfft, axis=1)
-            conv *= wspec
-            conv = np.fft.irfft(conv, nfft, axis=1)
-            out[2 * lo + side:2 * hi:2] = np.take_along_axis(conv, idx, axis=1) * inside
-    if child.off.size % 2:
-        keep = min(cw, w.shape[1])
-        out[-1, :keep] = w[pairs, :keep]
-    return out
+        spec = np.fft.rfft(child.law[2 * lo:2 * hi:2], nfft, axis=1)
+        rspec = np.fft.rfft(child.law[2 * lo + 1:2 * hi:2], nfft, axis=1)
+        gspec = np.fft.rfft(cost[2 * lo:2 * hi:2], nfft, axis=1) * rspec
+        gspec += np.fft.rfft(cost[2 * lo + 1:2 * hi:2], nfft, axis=1) * spec
+        spec *= rspec
+        conv = np.fft.irfft(spec, nfft, axis=1)[:, :size]
+        gconv = np.fft.irfft(gspec, nfft, axis=1)[:, :size]
+        del spec, rspec, gspec
+        np.maximum(conv, 0.0, out=conv)
+        reachable += float(conv.sum(where=base[lo:hi, None] + np.arange(size) <= n))
+        idx = np.minimum((off[lo:hi] - base[lo:hi])[:, None] + cols, size - 1)
+        inside = cols < wid[lo:hi, None]
+        law[lo:hi] = np.take_along_axis(conv, idx, axis=1) * inside
+        moment[lo:hi] = np.take_along_axis(gconv, idx, axis=1) * inside
+        kept += float(law[lo:hi].sum())
+    if off.size > pairs:
+        law[pairs, :wid[pairs]] = child.law[-1, :wid[pairs]]
+        moment[pairs, :wid[pairs]] = cost[-1, :wid[pairs]]
+    return _Level(off, law), moment, max(0.0, reachable - kept)
 
 
 class CanonicalSampler:
@@ -332,7 +312,7 @@ class CanonicalSampler:
     bypass the tree entirely.
 
     `entropy_gap` is the exact per-string entropy cost of conditioning on
-    n, from one further pass over the tree.
+    n, from cost moments the build carries with the laws.
 
     Diagnostics: `tilt` is the saddle-point theta, `cells` the float cells
     held by the leaves and node windows (at most _MAX_CELLS), and
@@ -346,10 +326,8 @@ class CanonicalSampler:
             raise DomainError("ell must be at least 1")
         if n < 0:
             raise DomainError("target total must be nonnegative")
-        self.spec = spec
         self.ell = int(ell)
         self.n = int(n)
-        self.tail_tol = tail_tol
 
         full = spec.stats is Statistics.FERMI and self.n == self.ell
         if self.n > 0 and not full:
@@ -358,6 +336,7 @@ class CanonicalSampler:
             self._check_budget(2 * self.ell)
         a, top, tails = _site_laws(spec, self.ell, tail_tol)
         self.truncation_tail = float(tails.sum())
+        self._free = _free_entropy(spec.stats, a, top, tails)
         # Cut at n, which is exact: no site of a string with total n holds more.
         top = np.minimum(top, self.n).astype(np.int64)
         if int(top.sum()) < n:
@@ -366,6 +345,7 @@ class CanonicalSampler:
             )
         self.tilt = 0.0
         self.cells = 0
+        self._entropy = 0.0
         self._levels: list[_Level] = []
         self._split_cells = 1
         # Split CDFs of the tabulated levels, keyed by the parent level h.
@@ -386,8 +366,10 @@ class CanonicalSampler:
         self._check_budget(self.cells)
 
         self._levels = [_Level(plan[0][0], laws)]
+        cost = np.log(laws, where=laws > 0.0, out=np.zeros_like(laws))
+        cost *= -laws
         for off, wid in plan[1:]:
-            level, cut = _merge_level(self._levels[-1], off, wid, self.n)
+            level, cost, cut = _merge_level(self._levels[-1], cost, off, wid, self.n)
             self._levels.append(level)
             self.truncation_tail += cut
         self._split_cells = max(
@@ -400,6 +382,8 @@ class CanonicalSampler:
                 f"total {n} has no probability under the tilted tree; it is "
                 "too deep in the tail of the site laws"
             )
+        total = root.law[0, at]
+        self._entropy = float(cost[0, at] / total + math.log(total)) / LN2
 
     @staticmethod
     def _check_budget(cells: int) -> None:
@@ -483,51 +467,24 @@ class CanonicalSampler:
             t = nxt
         return t
 
-    def _conditional_laws(self) -> np.ndarray:
-        """(ell, K) matrix of the site laws given the total n, from one
-        root-to-leaf pass.  The weights start at the root as 1 / P(S = n)
-        on total n; a leaf's conditional law is its tilted law times its
-        weight.  The pass holds about one tree level at a time and stores
-        nothing on the sampler."""
-        root = self._levels[-1]
-        at = self.n - int(root.off[0])
-        w = np.zeros((1, root.width))
-        w[0, at] = 1.0 / root.law[0, at]
-        for h in range(len(self._levels) - 1, 0, -1):
-            w = _split_level(self._levels[h - 1], self._levels[h].off, w)
-        w *= self._levels[0].law
-        w /= w.sum(axis=1, keepdims=True)
-        return w
-
     def conditional_entropy(self) -> float:
         """Joint entropy, in bits, of the string given its total n.
 
-        The leaves are the tilted site laws p_j(k) = e^{(a_j + theta) k} / Z_j,
-        and tilting leaves the conditional law unchanged, so it is
-        prod_j p_j(k_j) / P(S = n) and, in nats,
+        Tilting leaves the conditional law unchanged, so it is
+        P(k) / P(S = n) with P the product of the tilted leaf laws, and, in
+        nats,
 
-            H(K | S = n) = -sum_j E[log p_j(K_j) | S = n] + log P(S = n)
-                         = sum_j log Z_j - sum_j a_j m_j - theta n + log P(S = n),
+            H(K | S = n) = G(n) / P(S = n) + log P(S = n),
 
-        with m_j the conditional means and P(S = n) the root's entry at n.
+        where G is the root's cost moment, built up by G = G_L * R + L * G_R
+        from G = -p log p at the leaves.
         """
-        if self._degenerate is not None:
-            return 0.0
-        laws = self._conditional_laws()
-        leaves = self._levels[0].law
-        logp = np.log(leaves, where=leaves > 0.0, out=np.zeros_like(leaves))
-        root = self._levels[-1]
-        log_total = math.log(root.law[0, self.n - int(root.off[0])])
-        # einsum, not a BLAS dot: a threaded BLAS call leaves its worker
-        # threads spinning, which costs CPU time for nothing.
-        return (log_total - float(np.einsum("ij,ij->", laws, logp))) / LN2
+        return self._entropy
 
     def entropy_gap(self) -> float:
         """Conditional joint entropy minus the summed entropies of the
         unconditioned site laws, in bits; nonpositive."""
-        free = _free_entropy(self.spec.stats,
-                             *_site_laws(self.spec, self.ell, self.tail_tol))
-        return self.conditional_entropy() - free
+        return self._entropy - self._free
 
     def sample_from_uniforms(self, uniforms: np.ndarray) -> np.ndarray:
         """Draw one string per row of uniforms; uniforms has shape (m, ell).

@@ -158,6 +158,12 @@ def test_draws_identical_across_replica_chunks(monkeypatch):
         mixed = cs.sample_batch(seed=9, replicas=[4, 1])
         np.testing.assert_array_equal(whole, chunked)
         np.testing.assert_array_equal(mixed, whole[[4, 1]])
+    # Nor may the build depend on its chunks: here it merges one pair at a time.
+    one = CanonicalSampler(spec, 300, 150)
+    assert len(one._levels) == len(cs._levels)
+    for mine, theirs in zip(one._levels, cs._levels):
+        np.testing.assert_array_equal(mine.law, theirs.law)
+    assert one.conditional_entropy() == cs.conditional_entropy()
 
 
 @pytest.mark.parametrize("spec, ell, n", [
@@ -321,12 +327,9 @@ def test_node_splits_match_exact_dp():
                 assert not got[t + 1:].any()
                 got = np.pad(got[:t + 1], (0, max(0, t + 1 - got.size)))
                 np.testing.assert_allclose(got, exact, atol=1e-12)
-
-
-def conditional_means(cs):
-    """E[K_j | S = n] of every site, from the tree's root-to-leaf pass."""
-    laws = cs._conditional_laws()
-    return laws @ np.arange(laws.shape[1])
+    # The entropy carried up the tree holds in this regime too.
+    exact_bits = conditional_entropy_exact(build_suffix_dp(tables, n))
+    assert cs.conditional_entropy() == pytest.approx(exact_bits, rel=1e-12)
 
 
 def bounded_configs(tops, n):
@@ -370,8 +373,6 @@ def test_tree_draws_and_splits_match_enumeration(bose, beta, mu, ell, data):
     bits = -float(weights @ np.log2(weights, where=weights > 0.0,
                                      out=np.zeros_like(weights)))
     assert abs(cs.conditional_entropy() - bits) <= 1e-9
-    if cs._degenerate is None:
-        np.testing.assert_allclose(conditional_means(cs), weights @ configs, atol=1e-9)
     sites = node_sites(ell)
     for h in range(1, len(cs._levels)):
         start, size = sites[h - 1]
@@ -395,15 +396,13 @@ def test_tree_draws_and_splits_match_enumeration(bose, beta, mu, ell, data):
 @pytest.mark.parametrize("spec", [fermi_spec(), bose_spec()], ids=["fermi", "bose"])
 @pytest.mark.parametrize("ell", [7, 64, 256, 1024])
 def test_tree_entropy_and_means_match_exact_dp(spec, ell):
-    """The root-to-leaf pass gives the conditional entropy and site means
+    """The cost moments carried up the tree give the conditional entropy
     the log-domain suffix DP gives, and the gap that entropy_gap gives."""
     n = ell // 2
     cs = CanonicalSampler(spec, ell, n)
     tables = marginal_tables(spec, ell)
     dp = build_suffix_dp(tables, n)
     assert abs(cs.conditional_entropy() - conditional_entropy_exact(dp)) <= 1e-10
-    means = [t.probs @ np.arange(t.probs.size) for t in conditional_site_marginals(dp)]
-    np.testing.assert_allclose(conditional_means(cs), means, rtol=0.0, atol=1e-13)
     assert abs(cs.entropy_gap() - entropy_gap(tables, n)) <= 1e-10
 
 
