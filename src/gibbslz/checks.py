@@ -5,7 +5,11 @@ or one pair of independent computation routes, and returns a CheckResult
 with a measured margin.  The batteries are deliberately redundant with the
 unit tests: they run at larger trial counts, under one command, against the
 configured ensemble.  Each battery computes its own inequality; disttab
-supplies only the table algebra and the suffix-DP oracle.
+supplies the table algebra and the suffix-DP oracle.  score-ratio and
+local-clt fold their sums of independent laws in the probability domain
+with np.convolve, and the tests hold both folds to disttab.convolve;
+lc-closure convolves DistTables, so the log-domain algebra that stays the
+oracle is exercised by the batteries too.
 
 Fault injection deliberately corrupts one battery's input or tolerance so a
 harness run can demonstrate that violations are detected and reported, not
@@ -111,22 +115,23 @@ def check_lc_closure(seed: int, trials: int, fault: bool = False) -> CheckResult
                        f"{trials} convolutions, worst log-concavity margin {worst:.3e}")
 
 
-def _score_ratio(tables, n: int) -> tuple[float, float]:
+def _score_ratio(ps: np.ndarray, n: int) -> tuple[float, float]:
     """(lhs, rhs) of the downward score bound for a sum S of independent
-    Bernoulli occupancies,
+    Bernoulli(p_i) occupancies,
 
         P(S = n-1) / P(S = n)  >=  n / ((M - n + 1) k*),
 
     with M the number of sites and k* the mean odds p_i/(1-p_i).  Equality
     holds in the exchangeable (all p_i equal) case; n = 0 gives (0, 0).
+    The law of S is folded in the probability domain, one site at a time.
     """
     if n == 0:
         return 0.0, 0.0
-    law = disttab.convolve(*tables)
-    ps = np.array([math.exp(t.logp[1]) for t in tables])
+    law = np.ones(1)
+    for p in ps:
+        law = np.convolve(law, (1.0 - p, p))
     kstar = float(np.mean(ps / (1.0 - ps)))
-    return (math.exp(law.logp[n - 1] - law.logp[n]),
-            n / ((len(tables) - n + 1) * kstar))
+    return float(law[n - 1] / law[n]), n / ((len(ps) - n + 1) * kstar)
 
 
 def check_score_ratio(seed: int, trials: int, fault: bool = False) -> CheckResult:
@@ -141,9 +146,8 @@ def check_score_ratio(seed: int, trials: int, fault: bool = False) -> CheckResul
             ps = np.full(m, float(rng.uniform(0.1, 0.9)))
         else:
             ps = rng.uniform(0.05, 0.95, size=m)
-        tables = [DistTable.bernoulli(float(p)) for p in ps]
         n = int(rng.integers(0, m + 1))
-        lhs, rhs = _score_ratio(tables, n)
+        lhs, rhs = _score_ratio(ps, n)
         holds = lhs >= rhs * (1.0 - 1e-12) - 1e-15
         if fault and t == trials // 2:
             holds = lhs < rhs
@@ -365,24 +369,33 @@ def _local_clt(tables) -> tuple[float, float]:
 
     The sup error is sup_q |sigma P(S = q) - phi((q - mean)/sigma)| against
     the standard Gaussian density phi; the Lyapunov ratio
-    L = sum E|K_i - E K_i|^3 / sigma^3 controls it.
+    L = sum E|K_i - E K_i|^3 / sigma^3 controls it.  The site moments come
+    from one padded (tables, K) probability matrix, and the law of S from a
+    probability-domain fold of the tables.
     """
-    moments = [disttab.summary(t) for t in tables]
-    mean = sum(m.mean for m in moments)
-    var = sum(m.variance for m in moments)
+    probs = [t.probs for t in tables]
+    pmat = np.zeros((len(probs), max(p.size for p in probs)))
+    for row, p in zip(pmat, probs):
+        row[:p.size] = p
+    ks = np.arange(pmat.shape[1], dtype=float)
+    means = pmat @ ks
+    dev = np.abs(ks - means[:, None])
+    mean = float(means.sum())
+    var = float((pmat * dev**2).sum())
     if var <= 0.0:
         raise DomainError("degenerate total: zero variance")
     sigma = math.sqrt(var)
-    law = disttab.convolve(*tables)
+    law = probs[0]
+    for p in probs[1:]:
+        law = np.convolve(law, p)
     lo = min(0, math.floor(mean - 10.0 * sigma))
-    hi = max(law.support_max, math.ceil(mean + 10.0 * sigma))
+    hi = max(law.size - 1, math.ceil(mean + 10.0 * sigma))
+    pmf = np.zeros(hi - lo + 1)
+    pmf[-lo:law.size - lo] = law
     qs = np.arange(lo, hi + 1, dtype=float)
-    pmf = np.zeros(qs.size)
-    inside = (qs >= 0) & (qs <= law.support_max)
-    pmf[inside] = law.probs[qs[inside].astype(int)]
     gauss = np.exp(-((qs - mean) ** 2) / (2.0 * var)) / math.sqrt(2.0 * math.pi)
     return (float(np.max(np.abs(sigma * pmf - gauss))),
-            sum(m.abs_central_moment3 for m in moments) / sigma**3)
+            float((pmat * dev**3).sum()) / sigma**3)
 
 
 def check_local_clt(spec: ensemble.EnsembleSpec, sizes: tuple[int, ...],

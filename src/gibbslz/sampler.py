@@ -29,9 +29,14 @@ occur.
 
 A call that draws many strings tabulates a level's split CDFs,
 cumsum(L(s) R(t - s)) for every merge and every total t of the parent
-window, so each replica gathers its rows instead of rebuilding them.  The
-tables stay on the sampler for later calls, and each row is the same
-multiply and cumsum as the row it replaces.
+window, so each replica gathers its entries instead of rebuilding them.
+A level's table is stored by column: row i holds entry i of every CDF,
+flat over (total, merge) at (t - off) * pairs + p, and one more row holds
+each CDF's cap nextafter(tot, 0).  A draw gathers its totals and caps, then
+counts the entries at or below its threshold one column at a time; the
+last column is tot itself, which exceeds every threshold, so the count
+skips it.  The tables stay on the sampler for later calls, and each entry,
+threshold and comparison is the one the untabulated draw makes.
 
 The build also gives the exact entropy cost of conditioning.  Each node
 carries, beside its law P, the cost moment G(t) = sum over its subtree's
@@ -267,9 +272,10 @@ class _Level:
 def _merge_level(child: _Level, cost: np.ndarray, off: np.ndarray,
                  wid: np.ndarray, n: int) -> tuple[_Level, np.ndarray, float]:
     """Laws and cost moments of the next level up, cut to the planned
-    windows (off, wid), and the tilted mass the cut removed.  cost holds the
-    child level's moments, and a merge gives G = G_L * R + L * G_R.  Merges
-    go in chunks of at most _CHUNK_CELLS transform cells."""
+    windows (off, wid), and the tilted mass the cut removed: the reachable
+    entries (totals at most n) outside each window, summed directly.  cost
+    holds the child level's moments, and a merge gives G = G_L * R + L * G_R.
+    Merges go in chunks of at most _CHUNK_CELLS transform cells."""
     w = child.width
     pairs = child.off.size // 2
     size = 2 * w - 1
@@ -277,9 +283,10 @@ def _merge_level(child: _Level, cost: np.ndarray, off: np.ndarray,
     base = child.off[0:2 * pairs:2] + child.off[1:2 * pairs:2]
     width = int(wid.max())
     cols = np.arange(width)
+    span = np.arange(size)
     law = np.zeros((off.size, width))
     moment = np.zeros((off.size, width))
-    reachable = kept = 0.0
+    cut = 0.0
     rows = max(1, _CHUNK_CELLS // nfft)
     for lo in range(0, pairs, rows):
         hi = min(pairs, lo + rows)
@@ -292,16 +299,17 @@ def _merge_level(child: _Level, cost: np.ndarray, off: np.ndarray,
         gconv = np.fft.irfft(gspec, nfft, axis=1)[:, :size]
         del spec, rspec, gspec
         np.maximum(conv, 0.0, out=conv)
-        reachable += float(conv.sum(where=base[lo:hi, None] + np.arange(size) <= n))
-        idx = np.minimum((off[lo:hi] - base[lo:hi])[:, None] + cols, size - 1)
+        start = (off[lo:hi] - base[lo:hi])[:, None]
+        outside = (span < start) | (span >= start + wid[lo:hi, None])
+        cut += float(conv.sum(where=outside & (base[lo:hi, None] + span <= n)))
+        idx = np.minimum(start + cols, size - 1)
         inside = cols < wid[lo:hi, None]
         law[lo:hi] = np.take_along_axis(conv, idx, axis=1) * inside
         moment[lo:hi] = np.take_along_axis(gconv, idx, axis=1) * inside
-        kept += float(law[lo:hi].sum())
     if off.size > pairs:
         law[pairs, :wid[pairs]] = child.law[-1, :wid[pairs]]
         moment[pairs, :wid[pairs]] = cost[-1, :wid[pairs]]
-    return _Level(off, law), moment, max(0.0, reachable - kept)
+    return _Level(off, law), moment, cut
 
 
 class CanonicalSampler:
@@ -416,19 +424,37 @@ class CanonicalSampler:
 
     def _tabulate(self, m: int) -> None:
         """Tabulate the split CDFs of each level that a call drawing m
-        strings reuses enough (see _TABLE_REUSE), as a (W_parent, pairs,
-        w_child) array: row t - off of a merge is its cumsum at total t."""
+        strings reuses enough (see _TABLE_REUSE), as a (w_child + 1,
+        W_parent * pairs) array: entry [i, row * pairs + p] is merge p's
+        cumsum at s = off + i given total off + row, so row w_child - 1
+        holds the totals, and the last row holds their caps
+        nextafter(tot, 0)."""
         held = sum(tab.size for tab in self._tables.values())
         for h in range(len(self._levels) - 1, 0, -1):
             parent, child = self._levels[h], self._levels[h - 1]
             pairs = child.off.size // 2
-            cells = parent.width * pairs * child.width
+            cells = (child.width + 1) * parent.width * pairs
             if h in self._tables or m < _TABLE_REUSE * parent.width \
                     or held + cells > _CHUNK_CELLS:
                 continue
             t = parent.off[:pairs] + np.arange(parent.width)[:, None]
-            self._tables[h] = np.cumsum(self._split_weights(h, t), axis=2)
+            cdf = np.cumsum(self._split_weights(h, t), axis=2)
+            tab = np.empty((child.width + 1, parent.width * pairs))
+            tab[:-1] = cdf.reshape(-1, child.width).T
+            tab[-1] = np.nextafter(tab[-2], 0.0)
+            self._tables[h] = tab
             held += cells
+
+    @staticmethod
+    def _thresholds(u: np.ndarray, tot: np.ndarray, cap: np.ndarray) -> np.ndarray:
+        """u * tot, kept at or below cap = nextafter(tot, 0) so the pick
+        lands on an entry of positive weight even when u * tot rounds up."""
+        if not np.all(tot > 0.0):
+            raise NumericError(
+                "split weights vanished; a conditioned node total fell "
+                "outside its children's windows"
+            )
+        return np.minimum(u * tot, cap)
 
     def _draw(self, U: np.ndarray) -> np.ndarray:
         """Top-down pass for one chunk of replicas; merges take uniforms
@@ -438,26 +464,26 @@ class CanonicalSampler:
         for h in range(len(self._levels) - 1, 0, -1):
             child = self._levels[h - 1]
             pairs = child.off.size // 2
+            u = U[:, col:col + pairs]
             if h in self._tables:
                 parent = self._levels[h]
                 row = t[:, :pairs] - parent.off[:pairs]
                 if not np.all((row >= 0) & (row < parent.width)):
                     raise NumericError("a conditioned node total fell outside "
                                        "its window")
-                c = self._tables[h][row, np.arange(pairs)]
+                tab = self._tables[h]
+                idx = row * pairs + np.arange(pairs)
+                thr = self._thresholds(u, tab[-2].take(idx), tab[-1].take(idx))
+                # The last CDF column is tot > thr, so it never counts.
+                picked = np.zeros(idx.shape, dtype=np.int64)
+                for cdf in tab[:-2]:
+                    picked += cdf.take(idx) <= thr
             else:
                 c = np.cumsum(self._split_weights(h, t[:, :pairs]), axis=2)
-            tot = c[:, :, -1]
-            if not np.all(tot > 0.0):
-                raise NumericError(
-                    "split weights vanished; a conditioned node total fell "
-                    "outside its children's windows"
-                )
-            # Keeping the threshold below tot makes the pick land on an
-            # entry of positive weight even when u * tot rounds up.
-            thr = np.minimum(U[:, col:col + pairs] * tot, np.nextafter(tot, 0.0))
-            left = child.off[0:2 * pairs:2] + np.count_nonzero(
-                c <= thr[:, :, None], axis=2)
+                tot = c[:, :, -1]
+                thr = self._thresholds(u, tot, np.nextafter(tot, 0.0))
+                picked = np.count_nonzero(c <= thr[:, :, None], axis=2)
+            left = child.off[0:2 * pairs:2] + picked
             col += pairs
             nxt = np.empty((U.shape[0], child.off.size), dtype=np.int64)
             nxt[:, 0:2 * pairs:2] = left

@@ -45,7 +45,7 @@ def test_fault_flips_battery(name, spec):
 
 def test_score_ratio_fault_fails_on_empty_total(monkeypatch):
     # n = 0 gives the vacuous (0, 0); a fault landing there must still fail.
-    monkeypatch.setattr(checks, "_score_ratio", lambda tables, n: (0.0, 0.0))
+    monkeypatch.setattr(checks, "_score_ratio", lambda ps, n: (0.0, 0.0))
     assert checks.check_score_ratio(1, 3).passed
     assert not checks.check_score_ratio(1, 3, fault=True).passed
 

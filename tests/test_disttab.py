@@ -8,10 +8,13 @@ import numpy as np
 import pytest
 
 from gibbslz import (
+    CosineLattice,
     DistTable,
     DomainError,
+    EnsembleSpec,
     ImpossibleConditionError,
     NumericError,
+    Statistics,
     build_suffix_dp,
     checks,
     conditional_entropy_exact,
@@ -19,6 +22,7 @@ from gibbslz import (
     convolve,
     disttab,
     entropy_gap,
+    marginal_tables,
     summary,
 )
 
@@ -252,19 +256,58 @@ def test_local_clt_error_shrinks_with_size():
 
 
 def test_score_ratio_iid_equality_and_bounds():
-    tables = [DistTable.bernoulli(0.3)] * 12
+    ps = np.full(12, 0.3)
     for n in range(1, 13):
-        lhs, rhs = checks._score_ratio(tables, n)
+        lhs, rhs = checks._score_ratio(ps, n)
         # exchangeable sites make the bound an identity
         assert lhs == pytest.approx(rhs, rel=1e-12)
     rng = np.random.default_rng(3)
     for _ in range(20):
-        het = [DistTable.bernoulli(float(rng.uniform(0.05, 0.95)))
-               for _ in range(int(rng.integers(2, 10)))]
-        n = int(rng.integers(1, len(het) + 1))
+        het = rng.uniform(0.05, 0.95, size=int(rng.integers(2, 10)))
+        n = int(rng.integers(1, het.size + 1))
         lhs, rhs = checks._score_ratio(het, n)
         assert lhs >= rhs - 1e-12
-    assert checks._score_ratio(tables, 0) == (0.0, 0.0)
+    assert checks._score_ratio(ps, 0) == (0.0, 0.0)
+
+
+def log_domain_clt(tables):
+    """(sup error, Lyapunov ratio) of checks._local_clt, with the moments
+    from disttab.summary and the law from the log-domain convolve."""
+    moments = [summary(t) for t in tables]
+    mean = sum(m.mean for m in moments)
+    var = sum(m.variance for m in moments)
+    sigma = math.sqrt(var)
+    law = convolve(*tables)
+    qs = np.arange(min(0, math.floor(mean - 10.0 * sigma)),
+                   max(law.support_max, math.ceil(mean + 10.0 * sigma)) + 1)
+    pmf = np.zeros(qs.size)
+    inside = (qs >= 0) & (qs <= law.support_max)
+    pmf[inside] = law.probs[qs[inside]]
+    gauss = np.exp(-((qs - mean) ** 2) / (2.0 * var)) / math.sqrt(2.0 * math.pi)
+    return (float(np.max(np.abs(sigma * pmf - gauss))),
+            sum(m.abs_central_moment3 for m in moments) / sigma**3)
+
+
+def test_probability_folds_match_log_domain_convolve():
+    # score-ratio and local-clt fold their sums in the probability domain;
+    # the log-domain DistTable algebra is the oracle they must agree with.
+    rng = np.random.default_rng(11)
+    for _ in range(40):
+        ps = rng.uniform(0.05, 0.95, size=int(rng.integers(2, 33)))
+        n = int(rng.integers(1, ps.size + 1))
+        law = convolve(*[DistTable.bernoulli(float(p)) for p in ps])
+        lhs, _ = checks._score_ratio(ps, n)
+        ref = math.exp(law.logp[n - 1] - law.logp[n])
+        assert lhs == pytest.approx(ref, rel=1e-12, abs=0.0)
+    systems = [[DistTable.bernoulli(p)] * m for p in (0.5, 0.35)
+               for m in (25, 100, 400, 1600)]
+    systems += [marginal_tables(EnsembleSpec(stats, 1.0, mu, CosineLattice()), 64)
+                for stats, mu in ((Statistics.FERMI, 1.0), (Statistics.BOSE, -0.5))]
+    for tables in systems:
+        sup, lyap = checks._local_clt(tables)
+        ref_sup, ref_lyap = log_domain_clt(tables)
+        assert sup == pytest.approx(ref_sup, rel=0.0, abs=1e-12)
+        assert lyap == pytest.approx(ref_lyap, rel=1e-12, abs=0.0)
 
 
 def test_efron_monotonicity_increasing_vs_decreasing(monkeypatch):

@@ -22,6 +22,7 @@ from gibbslz import (
     entropy_gap,
     make_rng,
     marginal_tables,
+    particle_density,
     sample_grand,
     site_means,
     summary,
@@ -164,6 +165,18 @@ def test_draws_identical_across_replica_chunks(monkeypatch):
     for mine, theirs in zip(one._levels, cs._levels):
         np.testing.assert_array_equal(mine.law, theirs.law)
     assert one.conditional_entropy() == cs.conditional_entropy()
+    # The window cuts are summed directly, so only the order of the sum
+    # depends on the chunks.
+    assert one.truncation_tail == pytest.approx(cs.truncation_tail, rel=1e-12, abs=0.0)
+
+
+def assert_tables_hold_every_cell(cs):
+    # One array per tabulated level holds its CDF columns, totals and caps,
+    # so t.size counts every stored cell.
+    for h, t in cs._tables.items():
+        parent, child = cs._levels[h], cs._levels[h - 1]
+        assert t.shape == (child.width + 1, parent.width * (child.off.size // 2))
+        np.testing.assert_array_equal(t[-1], np.nextafter(t[-2], 0.0))
 
 
 @pytest.mark.parametrize("spec, ell, n", [
@@ -173,6 +186,8 @@ def test_draws_identical_across_replica_chunks(monkeypatch):
     (bose_spec(), 37, 30),
     (fermi_spec(), 12, 0),  # degenerate targets
     (fermi_spec(), 12, 12),
+    # na-empirical's shape: every level is 34 wide.
+    (bose_spec(), 64, choose_n(particle_density(bose_spec()), 64).n),
 ])
 def test_tabulated_draws_equal_untabulated(monkeypatch, spec, ell, n):
     u = np.random.default_rng(7).random((400, ell))
@@ -184,6 +199,7 @@ def test_tabulated_draws_equal_untabulated(monkeypatch, spec, ell, n):
     cs = CanonicalSampler(spec, ell, n)
     np.testing.assert_array_equal(cs.sample_from_uniforms(u), expect)
     assert sorted(cs._tables) == list(range(1, len(cs._levels)))
+    assert_tables_hold_every_cell(cs)
     assert sum(t.size for t in cs._tables.values()) <= sampler._CHUNK_CELLS
     # Later calls reuse the tables, however few strings they draw.
     np.testing.assert_array_equal(cs.sample_from_uniforms(u[:3]), expect[:3])
@@ -199,6 +215,7 @@ def test_split_tables_stay_within_the_chunk_budget(monkeypatch):
     cs = CanonicalSampler(spec, 301, 150)
     first = cs.sample_from_uniforms(u)
     again = cs.sample_from_uniforms(u)
+    assert_tables_hold_every_cell(cs)
     held = sum(t.size for t in cs._tables.values())
     assert 0 < held <= sampler._CHUNK_CELLS
     assert len(cs._tables) < len(cs._levels) - 1
