@@ -48,11 +48,13 @@ down the tree.
 
 Determinism: each (seed, ell, replica) triple owns a counter-based random
 stream.  A replica reads ell uniforms from it and uses one per merge node of
-the tree (ell - 1 of them; the last uniform is unused).  Replicas are drawn
-in chunks whose size a fixed cell budget sets, and each replica's arithmetic
-is confined to its own rows, so a string is a pure function of (ensemble,
-ell, n, seed, replica), independent of chunking, tabulation, batching and
-process count.
+the tree (ell - 1 of them; the last uniform is unused).  Every transient
+array is cut to a block of _BLOCK_CELLS cells: a draw runs over blocks of
+replicas, an untabulated level draws its merges in blocks, and a block's
+uniforms are read from its replicas' streams just before it is drawn.  Each
+merge's arithmetic is confined to its own row and merge, so a string is a
+pure function of (ensemble, ell, n, seed, replica), independent of blocking,
+tabulation, batching and process count.
 
 Site laws have one source, _site_laws: site j's law is proportional to
 e^{a_j k}, a_j = -beta omega(j/ell), on k = 0..top_j, where Fermi supports
@@ -81,14 +83,17 @@ _WINDOW_SIGMAS = 12.0
 # Float cells one sampler or one marginal_tables call may hold; larger
 # instances fail fast with NumericError instead of running unbounded.
 _MAX_CELLS = 1 << 25
-# Split-weight cells one chunk of replicas, and transform cells one chunk of
-# merges, may hold at once.
-_CHUNK_CELLS = 1 << 20
-# A call to sample_from_uniforms tabulates a level's split CDFs only when it
+# Split-table cells one sampler may hold over all its tabulated levels.
+_TABLE_CELLS = 1 << 20
+# A call that draws m strings tabulates a level's split CDFs only when it
 # draws at least this many strings per table row (m >= _TABLE_REUSE times
 # the parent width), and only while all of the sampler's tables together
-# fit in _CHUNK_CELLS cells.
+# fit in _TABLE_CELLS cells.
 _TABLE_REUSE = 16
+# Cells of one transient block: the split weights of a block of replicas and
+# merges in a draw, the transforms of a batch of merges in the build.  2^17
+# float cells are 1 MiB, so a block stays within a core's L2 cache.
+_BLOCK_CELLS = 1 << 17
 # Newton steps allowed for the saddle-point tilt.
 _TILT_STEPS = 100
 
@@ -100,6 +105,13 @@ class ParticleTarget:
     ell: int
     r: float
     n: int
+
+
+def _blocks(count: int, cells: int) -> list[tuple[int, int]]:
+    """(lo, hi) ranges that cover 0..count in order, each of at least one
+    item and at most _BLOCK_CELLS cells when one item holds `cells`."""
+    step = max(1, _BLOCK_CELLS // max(1, cells))
+    return [(lo, min(count, lo + step)) for lo in range(0, count, step)]
 
 
 def choose_n(r: float, ell: int) -> ParticleTarget:
@@ -275,7 +287,7 @@ def _merge_level(child: _Level, cost: np.ndarray, off: np.ndarray,
     windows (off, wid), and the tilted mass the cut removed: the reachable
     entries (totals at most n) outside each window, summed directly.  cost
     holds the child level's moments, and a merge gives G = G_L * R + L * G_R.
-    Merges go in chunks of at most _CHUNK_CELLS transform cells."""
+    Merges go in batches of at most _BLOCK_CELLS transform cells."""
     w = child.width
     pairs = child.off.size // 2
     size = 2 * w - 1
@@ -287,9 +299,7 @@ def _merge_level(child: _Level, cost: np.ndarray, off: np.ndarray,
     law = np.zeros((off.size, width))
     moment = np.zeros((off.size, width))
     cut = 0.0
-    rows = max(1, _CHUNK_CELLS // nfft)
-    for lo in range(0, pairs, rows):
-        hi = min(pairs, lo + rows)
+    for lo, hi in _blocks(pairs, nfft):
         spec = np.fft.rfft(child.law[2 * lo:2 * hi:2], nfft, axis=1)
         rspec = np.fft.rfft(child.law[2 * lo + 1:2 * hi:2], nfft, axis=1)
         gspec = np.fft.rfft(cost[2 * lo:2 * hi:2], nfft, axis=1) * rspec
@@ -355,7 +365,6 @@ class CanonicalSampler:
         self.cells = 0
         self._entropy = 0.0
         self._levels: list[_Level] = []
-        self._split_cells = 1
         # Split CDFs of the tabulated levels, keyed by the parent level h.
         self._tables: dict[int, np.ndarray] = {}
 
@@ -380,8 +389,6 @@ class CanonicalSampler:
             level, cost, cut = _merge_level(self._levels[-1], cost, off, wid, self.n)
             self._levels.append(level)
             self.truncation_tail += cut
-        self._split_cells = max(
-            [(lv.off.size // 2) * lv.width for lv in self._levels[:-1]] + [1])
 
         root = self._levels[-1]
         at = self.n - int(root.off[0])
@@ -401,25 +408,28 @@ class CanonicalSampler:
                 f"{_MAX_CELLS}); the site laws are too wide for this (ell, n)"
             )
 
-    def _split_weights(self, h: int, t: np.ndarray) -> np.ndarray:
-        """Unnormalised split weights L(s) R(t - s) of the merges at level h.
+    def _split_weights(self, h: int, t: np.ndarray, lo: int = 0) -> np.ndarray:
+        """Unnormalised split weights L(s) R(t - s) of merges lo, lo + 1, ...
+        at level h.
 
-        t has shape (m, P): the totals of the P merged nodes of level h for
-        m replicas.  Entry [r, p, i] of the result weighs left-child total
-        s = off + i, with off the left child's window offset.
+        t has shape (m, P): the totals of the P merged nodes from merge lo
+        on, for m replicas.  Entry [r, p, i] of the result weighs merge
+        lo + p's left-child total s = off + i, with off the left child's
+        window offset.
         """
         child = self._levels[h - 1]
         w = child.width
-        pairs = child.off.size // 2
+        left = slice(2 * lo, 2 * (lo + t.shape[1]), 2)
+        right = slice(2 * lo + 1, 2 * (lo + t.shape[1]), 2)
         # R(t - s) for s = off_L, off_L + 1, ... is a length-w slice of the
         # right law reversed and zero-padded by w on each side.
-        rpad = np.zeros((pairs, 3 * w))
-        rpad[:, w:2 * w] = child.law[1:2 * pairs:2, ::-1]
-        start = 2 * w - 1 - (t - child.off[0:2 * pairs:2] - child.off[1:2 * pairs:2])
+        rpad = np.zeros((t.shape[1], 3 * w))
+        rpad[:, w:2 * w] = child.law[right, ::-1]
+        start = 2 * w - 1 - (t - child.off[left] - child.off[right])
         np.clip(start, 0, 2 * w, out=start)
         slices = np.lib.stride_tricks.sliding_window_view(rpad, w, axis=1)
-        weights = slices[np.arange(pairs), start]
-        weights *= child.law[0:2 * pairs:2]
+        weights = slices[np.arange(t.shape[1]), start]
+        weights *= child.law[left]
         return weights
 
     def _tabulate(self, m: int) -> None:
@@ -428,19 +438,21 @@ class CanonicalSampler:
         W_parent * pairs) array: entry [i, row * pairs + p] is merge p's
         cumsum at s = off + i given total off + row, so row w_child - 1
         holds the totals, and the last row holds their caps
-        nextafter(tot, 0)."""
+        nextafter(tot, 0).  The CDFs are built in blocks of merges."""
         held = sum(tab.size for tab in self._tables.values())
         for h in range(len(self._levels) - 1, 0, -1):
             parent, child = self._levels[h], self._levels[h - 1]
             pairs = child.off.size // 2
             cells = (child.width + 1) * parent.width * pairs
             if h in self._tables or m < _TABLE_REUSE * parent.width \
-                    or held + cells > _CHUNK_CELLS:
+                    or held + cells > _TABLE_CELLS:
                 continue
             t = parent.off[:pairs] + np.arange(parent.width)[:, None]
-            cdf = np.cumsum(self._split_weights(h, t), axis=2)
             tab = np.empty((child.width + 1, parent.width * pairs))
-            tab[:-1] = cdf.reshape(-1, child.width).T
+            cdfs = tab[:-1].reshape(child.width, parent.width, pairs)
+            for lo, hi in _blocks(pairs, parent.width * child.width):
+                cdf = np.cumsum(self._split_weights(h, t[:, lo:hi], lo), axis=2)
+                cdfs[:, :, lo:hi] = cdf.transpose(2, 0, 1)
             tab[-1] = np.nextafter(tab[-2], 0.0)
             self._tables[h] = tab
             held += cells
@@ -457,8 +469,9 @@ class CanonicalSampler:
         return np.minimum(u * tot, cap)
 
     def _draw(self, U: np.ndarray) -> np.ndarray:
-        """Top-down pass for one chunk of replicas; merges take uniforms
-        column by column, root first."""
+        """Top-down pass for one block of replicas; merges take uniforms
+        column by column, root first.  An untabulated level draws its merges
+        in blocks of at most _BLOCK_CELLS split weights."""
         t = np.full((U.shape[0], 1), self.n, dtype=np.int64)
         col = 0
         for h in range(len(self._levels) - 1, 0, -1):
@@ -479,10 +492,12 @@ class CanonicalSampler:
                 for cdf in tab[:-2]:
                     picked += cdf.take(idx) <= thr
             else:
-                c = np.cumsum(self._split_weights(h, t[:, :pairs]), axis=2)
-                tot = c[:, :, -1]
-                thr = self._thresholds(u, tot, np.nextafter(tot, 0.0))
-                picked = np.count_nonzero(c <= thr[:, :, None], axis=2)
+                picked = np.empty((U.shape[0], pairs), dtype=np.int64)
+                for lo, hi in _blocks(pairs, U.shape[0] * child.width):
+                    c = np.cumsum(self._split_weights(h, t[:, lo:hi], lo), axis=2)
+                    tot = c[:, :, -1]
+                    thr = self._thresholds(u[:, lo:hi], tot, np.nextafter(tot, 0.0))
+                    picked[:, lo:hi] = np.count_nonzero(c <= thr[:, :, None], axis=2)
             left = child.off[0:2 * pairs:2] + picked
             col += pairs
             nxt = np.empty((U.shape[0], child.off.size), dtype=np.int64)
@@ -522,25 +537,38 @@ class CanonicalSampler:
         U = np.asarray(uniforms, dtype=float)
         if U.ndim != 2 or U.shape[1] != self.ell:
             raise DomainError(f"uniforms must have shape (m, {self.ell})")
-        m = U.shape[0]
-        if self._degenerate is not None:
-            return np.tile(self._degenerate, (m, 1))
-        self._tabulate(m)
-        rows = max(1, _CHUNK_CELLS // self._split_cells)
-        out = np.empty((m, self.ell), dtype=np.int64)
-        for i in range(0, m, rows):
-            out[i:i + rows] = self._draw(U[i:i + rows])
-        if not (np.all(out.sum(axis=1) == self.n) and np.all(out >= 0)):
-            raise NumericError("draws failed to consume the target total exactly "
-                               "with nonnegative occupancies")
-        return out
+        return self._sample(U.shape[0], lambda lo, hi: U[lo:hi])
 
     def sample_batch(self, seed: int, replicas) -> np.ndarray:
         """Deterministic per-replica draws as a (len(replicas), ell) int64
         matrix; row i depends only on (ensemble, ell, n, seed, replicas[i]),
         never on the batch composition."""
-        reps = [int(r) for r in replicas]
-        U = np.empty((len(reps), self.ell))
-        for i, rep in enumerate(reps):
-            U[i] = make_rng(seed, self.ell, rep).random(self.ell)
-        return self.sample_from_uniforms(U)
+        streams = [make_rng(seed, self.ell, int(r)) for r in replicas]
+
+        def uniforms(lo: int, hi: int) -> np.ndarray:
+            U = np.empty((hi - lo, self.ell))
+            for row, rng in zip(U, streams[lo:hi]):
+                rng.random(out=row)
+            return U
+
+        return self._sample(len(streams), uniforms)
+
+    def _sample(self, m: int, uniforms) -> np.ndarray:
+        """Draw m strings in blocks of replicas; uniforms(lo, hi) gives the
+        uniform rows of replicas lo..hi - 1.  A replica's draw holds its
+        leaf totals (ell cells) or, if wider, one merge of an untabulated
+        level, and that sets how many replicas a block takes."""
+        if self._degenerate is not None:
+            return np.tile(self._degenerate, (m, 1))
+        self._tabulate(m)
+        cells = max([self.ell] + [self._levels[h - 1].width
+                                  for h in range(1, len(self._levels))
+                                  if h not in self._tables])
+        out = np.empty((m, self.ell), dtype=np.int64)
+        for lo, hi in _blocks(m, cells):
+            block = self._draw(uniforms(lo, hi))
+            if not (np.all(block.sum(axis=1) == self.n) and np.all(block >= 0)):
+                raise NumericError("draws failed to consume the target total "
+                                   "exactly with nonnegative occupancies")
+            out[lo:hi] = block
+        return out

@@ -1,4 +1,6 @@
+import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -141,33 +143,77 @@ def test_canonical_rejects_impossible_totals():
 
 
 def test_draws_identical_across_replica_chunks(monkeypatch):
-    # Replicas are drawn in chunks sized by a cell budget; a string must not
-    # depend on the chunk it lands in, nor on the rest of its batch.  With
-    # tables on, the first batch leaves split tables that the later ones reuse.
-    spec = bose_spec()
+    # Replicas, and the merges of an untabulated level, are drawn in blocks
+    # sized by a cell budget; a string must not depend on the block it lands
+    # in, nor on the rest of its batch.  With tables on, the first batch
+    # leaves split tables that the later ones reuse.  sample_batch and
+    # sample_from_uniforms share the block loop and agree bit for bit.
     reps = [0, 1, 2, 3, 4]
-    chunk_cells = sampler._CHUNK_CELLS
-    for tabulate in (False, True):
-        monkeypatch.setattr(sampler, "_TABLE_REUSE", 0 if tabulate else 10**12)
-        monkeypatch.setattr(sampler, "_CHUNK_CELLS", chunk_cells)
-        cs = CanonicalSampler(spec, 300, 150)
-        assert sampler._CHUNK_CELLS // cs._split_cells >= len(reps)
-        whole = cs.sample_batch(seed=9, replicas=reps)
-        assert bool(cs._tables) == tabulate
-        monkeypatch.setattr(sampler, "_CHUNK_CELLS", 1)  # one replica per chunk
-        chunked = cs.sample_batch(seed=9, replicas=reps)
-        mixed = cs.sample_batch(seed=9, replicas=[4, 1])
-        np.testing.assert_array_equal(whole, chunked)
-        np.testing.assert_array_equal(mixed, whole[[4, 1]])
-    # Nor may the build depend on its chunks: here it merges one pair at a time.
-    one = CanonicalSampler(spec, 300, 150)
-    assert len(one._levels) == len(cs._levels)
-    for mine, theirs in zip(one._levels, cs._levels):
-        np.testing.assert_array_equal(mine.law, theirs.law)
-    assert one.conditional_entropy() == cs.conditional_entropy()
-    # The window cuts are summed directly, so only the order of the sum
-    # depends on the chunks.
-    assert one.truncation_tail == pytest.approx(cs.truncation_tail, rel=1e-12, abs=0.0)
+    u = np.stack([make_rng(9, 300, r).random(300) for r in reps])
+    block_cells = sampler._BLOCK_CELLS
+    for spec in (bose_spec(), fermi_spec()):
+        for tabulate in (False, True):
+            monkeypatch.setattr(sampler, "_TABLE_REUSE", 0 if tabulate else 10**12)
+            monkeypatch.setattr(sampler, "_BLOCK_CELLS", block_cells)
+            cs = CanonicalSampler(spec, 300, 150)
+            # One block holds the whole batch and every merge of a level.
+            widest = max((lv.off.size // 2) * lv.width for lv in cs._levels[:-1])
+            assert sampler._BLOCK_CELLS // widest >= len(reps)
+            whole = cs.sample_batch(seed=9, replicas=reps)
+            assert bool(cs._tables) == tabulate
+            np.testing.assert_array_equal(cs.sample_from_uniforms(u), whole)
+            # One replica, and one merge of an untabulated level, per block.
+            monkeypatch.setattr(sampler, "_BLOCK_CELLS", 1)
+            chunked = cs.sample_batch(seed=9, replicas=reps)
+            mixed = cs.sample_batch(seed=9, replicas=[4, 1])
+            np.testing.assert_array_equal(whole, chunked)
+            np.testing.assert_array_equal(mixed, whole[[4, 1]])
+            np.testing.assert_array_equal(cs.sample_from_uniforms(u), whole)
+        # Nor may the build depend on its blocks: here it merges one pair at
+        # a time, and tabulates one merge at a time.
+        one = CanonicalSampler(spec, 300, 150)
+        assert len(one._levels) == len(cs._levels)
+        for mine, theirs in zip(one._levels, cs._levels):
+            np.testing.assert_array_equal(mine.law, theirs.law)
+        assert one.conditional_entropy() == cs.conditional_entropy()
+        np.testing.assert_array_equal(one.sample_batch(seed=9, replicas=reps), whole)
+        assert sorted(one._tables) == sorted(cs._tables)
+        # The window cuts are summed directly, so only the order of the sum
+        # depends on the blocks.
+        assert one.truncation_tail == pytest.approx(cs.truncation_tail, rel=1e-12,
+                                                    abs=0.0)
+
+
+@pytest.mark.parametrize("spec, ell, n", [
+    (fermi_spec(), 1 << 14, choose_n(0.5, 1 << 14).n),
+    (bose_spec(), 1 << 12, choose_n(particle_density(bose_spec()), 1 << 12).n),
+], ids=["fermi", "bose"])
+def test_draw_working_set_stays_within_blocks(spec, ell, n):
+    # Beyond its output, a draw allocates a few blocks of transient arrays,
+    # however long the strings and wide the windows.
+    cs = CanonicalSampler(spec, ell, n)
+    tracemalloc.start()
+    try:
+        out = cs.sample_batch(seed=5, replicas=range(20))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not cs._tables
+    assert peak <= out.nbytes + 12 * 8 * sampler._BLOCK_CELLS
+
+
+@pytest.mark.parametrize("spec, ell, n, digest", [
+    (fermi_spec(), 1024, choose_n(0.5, 1024).n,
+     "4583e899c92a8e8dc07aa2cecfcdbb4e86ec79b94385c5b49ad86eeef4a05d5d"),
+    (bose_spec(), 512, choose_n(particle_density(bose_spec()), 512).n,
+     "e50e1d725728c89842bae537eb3bf19d16545b04a804fe5c3c73ad05f1e94974"),
+], ids=["fermi", "bose"])
+def test_golden_draws(spec, ell, n, digest):
+    # Pinned bytes of a small batch: a change to the canonical law, the tree
+    # or the random streams that moves any string must update these hashes.
+    out = CanonicalSampler(spec, ell, n).sample_batch(seed=11, replicas=range(8))
+    raw = np.ascontiguousarray(out, dtype="<i8").tobytes()
+    assert hashlib.sha256(raw).hexdigest() == digest
 
 
 def assert_tables_hold_every_cell(cs):
@@ -200,16 +246,16 @@ def test_tabulated_draws_equal_untabulated(monkeypatch, spec, ell, n):
     np.testing.assert_array_equal(cs.sample_from_uniforms(u), expect)
     assert sorted(cs._tables) == list(range(1, len(cs._levels)))
     assert_tables_hold_every_cell(cs)
-    assert sum(t.size for t in cs._tables.values()) <= sampler._CHUNK_CELLS
+    assert sum(t.size for t in cs._tables.values()) <= sampler._TABLE_CELLS
     # Later calls reuse the tables, however few strings they draw.
     np.testing.assert_array_equal(cs.sample_from_uniforms(u[:3]), expect[:3])
 
 
-def test_split_tables_stay_within_the_chunk_budget(monkeypatch):
+def test_split_tables_stay_within_the_table_budget(monkeypatch):
     # All levels of this tree would need about 2.9M table cells; only the
     # levels that fit the budget together are tabulated, across calls too.
     monkeypatch.setattr(sampler, "_TABLE_REUSE", 0)
-    monkeypatch.setattr(sampler, "_CHUNK_CELLS", 1 << 17)
+    monkeypatch.setattr(sampler, "_TABLE_CELLS", 1 << 17)
     spec = bose_spec()
     u = np.random.default_rng(3).random((12, 301))
     cs = CanonicalSampler(spec, 301, 150)
@@ -217,7 +263,7 @@ def test_split_tables_stay_within_the_chunk_budget(monkeypatch):
     again = cs.sample_from_uniforms(u)
     assert_tables_hold_every_cell(cs)
     held = sum(t.size for t in cs._tables.values())
-    assert 0 < held <= sampler._CHUNK_CELLS
+    assert 0 < held <= sampler._TABLE_CELLS
     assert len(cs._tables) < len(cs._levels) - 1
     monkeypatch.setattr(sampler, "_TABLE_REUSE", 10**12)
     plain = CanonicalSampler(spec, 301, 150).sample_from_uniforms(u)
