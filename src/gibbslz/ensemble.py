@@ -52,6 +52,10 @@ class CosineLattice:
         return 0.0
 
     @property
+    def argmin_base_energy(self) -> float:
+        return 0.0
+
+    @property
     def mean_base_energy(self) -> float:
         return 1.0
 
@@ -81,6 +85,11 @@ class TabulatedGrid:
     @property
     def min_base_energy(self) -> float:
         return min(self.values)
+
+    @property
+    def argmin_base_energy(self) -> float:
+        nodes = np.linspace(0.0, 1.0, len(self.values))
+        return float(nodes[self.values.index(self.min_base_energy)])
 
     @property
     def mean_base_energy(self) -> float:

@@ -137,7 +137,8 @@ class TypicalParams:
     """Per-site deviation allowance for the typical-window test.
 
     eps_prime = eps * e(L) / (2 L), where L is the supremum of the mean
-    profile and e(L) the entropy of the mode where the mean peaks.  A
+    profile and e(L) the entropy of the mode where the mean peaks: at the
+    dispersion's minimising point, as occupancy falls with energy.  A
     window of length M is typical when its summed occupancy exceeds the
     summed mean profile by at most M * eps_prime (one-sided by default;
     two_sided also rejects windows that undershoot by more than that).
@@ -151,17 +152,15 @@ class TypicalParams:
 
     @classmethod
     def from_ensemble(cls, spec: EnsembleSpec, eps: float,
-                      grid: int = 1 << 16, two_sided: bool = False) -> "TypicalParams":
+                      two_sided: bool = False) -> "TypicalParams":
         if not (0.0 < eps < 1.0):
             raise DomainError(f"eps must lie in (0, 1), got {eps}")
-        ys = np.linspace(0.0, 1.0, grid + 1)
-        means = np.asarray(marginal_mean(spec, ys))
-        at = int(np.argmax(means))
-        sup_mean = float(means[at])
+        at = spec.dispersion.argmin_base_energy
+        sup_mean = marginal_mean(spec, at)
         if not sup_mean > 0.0:
             raise DomainError("the mean occupancy profile is zero everywhere; "
                               "the ensemble is frozen")
-        e_sup = float(marginal_entropy(spec, ys[at]))
+        e_sup = marginal_entropy(spec, at)
         eps_prime = eps * e_sup / (2.0 * sup_mean)
         return cls(eps, eps_prime, sup_mean, e_sup, two_sided)
 

@@ -27,16 +27,16 @@ mean; the tilted mass cut off by the windows is added to the reported
 truncation tail.  Leaves are cut at n, which is exact: larger totals cannot
 occur.
 
-A call that draws many strings tabulates a level's split CDFs,
-cumsum(L(s) R(t - s)) for every merge and every total t of the parent
-window, so each replica gathers its entries instead of rebuilding them.
-A level's table is stored by column: row i holds entry i of every CDF,
-flat over (total, merge) at (t - off) * pairs + p, and one more row holds
-each CDF's cap nextafter(tot, 0).  A draw gathers its totals and caps, then
-counts the entries at or below its threshold one column at a time; the
-last column is tot itself, which exceeds every threshold, so the count
-skips it.  The tables stay on the sampler for later calls, and each entry,
-threshold and comparison is the one the untabulated draw makes.
+The build ends by tabulating split CDFs cumsum(L(s) R(t - s)) over the
+merges and parent totals t of each level, root first, whose table still
+fits in one block, so replicas gather entries instead of rebuilding them.
+A table is stored by column: row i holds entry i of every CDF, flat over
+(total, merge) at (t - off) * pairs + p, and one more row holds each CDF's
+cap nextafter(tot, 0).  A draw gathers its totals and caps, then counts
+the entries at or below its threshold one column at a time; the last
+column is tot itself, which exceeds every threshold, so the count skips
+it.  Each entry, threshold and comparison is the one the untabulated draw
+makes, and no draw writes to the sampler.
 
 The build also gives the exact entropy cost of conditioning.  Each node
 carries, beside its law P, the cost moment G(t) = sum over its subtree's
@@ -83,16 +83,9 @@ _WINDOW_SIGMAS = 12.0
 # Float cells one sampler or one marginal_tables call may hold; larger
 # instances fail fast with NumericError instead of running unbounded.
 _MAX_CELLS = 1 << 25
-# Split-table cells one sampler may hold over all its tabulated levels.
-_TABLE_CELLS = 1 << 20
-# A call that draws m strings tabulates a level's split CDFs only when it
-# draws at least this many strings per table row (m >= _TABLE_REUSE times
-# the parent width), and only while all of the sampler's tables together
-# fit in _TABLE_CELLS cells.
-_TABLE_REUSE = 16
-# Cells of one transient block: the split weights of a block of replicas and
-# merges in a draw, the transforms of a batch of merges in the build.  2^17
-# float cells are 1 MiB, so a block stays within a core's L2 cache.
+# Cells of one block: a draw's split weights for a block of replicas and
+# merges, the build's transforms for a batch of merges, and all of one
+# sampler's split tables.  2^17 float cells (1 MiB) fit a core's L2 cache.
 _BLOCK_CELLS = 1 << 17
 # Newton steps allowed for the saddle-point tilt.
 _TILT_STEPS = 100
@@ -235,6 +228,7 @@ def _saddle_tilt(a: np.ndarray, top: np.ndarray, n: int):
             lo = theta
         step = theta + min(8.0, max(-8.0, -excess / spread))
         theta = step if lo < step < hi else 0.5 * (lo + hi)
+        del laws  # hold one (ell, K) matrix, not two, while rebuilding
         laws, mean, var = _tilted_laws(a, top, theta)
     return theta, laws, mean, var
 
@@ -399,6 +393,7 @@ class CanonicalSampler:
             )
         total = root.law[0, at]
         self._entropy = float(cost[0, at] / total + math.log(total)) / LN2
+        self._tabulate()
 
     @staticmethod
     def _check_budget(cells: int) -> None:
@@ -432,27 +427,24 @@ class CanonicalSampler:
         weights *= child.law[left]
         return weights
 
-    def _tabulate(self, m: int) -> None:
-        """Tabulate the split CDFs of each level that a call drawing m
-        strings reuses enough (see _TABLE_REUSE), as a (w_child + 1,
-        W_parent * pairs) array: entry [i, row * pairs + p] is merge p's
-        cumsum at s = off + i given total off + row, so row w_child - 1
-        holds the totals, and the last row holds their caps
-        nextafter(tot, 0).  The CDFs are built in blocks of merges."""
-        held = sum(tab.size for tab in self._tables.values())
+    def _tabulate(self) -> None:
+        """Tabulate the split CDFs of each level, root first, whose table
+        fits beside the tables already made in _BLOCK_CELLS cells.  A
+        table is a (w_child + 1, W_parent * pairs) array: entry
+        [i, row * pairs + p] is merge p's cumsum at s = off + i given total
+        off + row, so row w_child - 1 holds the totals, and the last row
+        holds their caps nextafter(tot, 0)."""
+        held = 0
         for h in range(len(self._levels) - 1, 0, -1):
             parent, child = self._levels[h], self._levels[h - 1]
             pairs = child.off.size // 2
             cells = (child.width + 1) * parent.width * pairs
-            if h in self._tables or m < _TABLE_REUSE * parent.width \
-                    or held + cells > _TABLE_CELLS:
+            if held + cells > _BLOCK_CELLS:
                 continue
             t = parent.off[:pairs] + np.arange(parent.width)[:, None]
             tab = np.empty((child.width + 1, parent.width * pairs))
             cdfs = tab[:-1].reshape(child.width, parent.width, pairs)
-            for lo, hi in _blocks(pairs, parent.width * child.width):
-                cdf = np.cumsum(self._split_weights(h, t[:, lo:hi], lo), axis=2)
-                cdfs[:, :, lo:hi] = cdf.transpose(2, 0, 1)
+            cdfs[:] = np.cumsum(self._split_weights(h, t), axis=2).transpose(2, 0, 1)
             tab[-1] = np.nextafter(tab[-2], 0.0)
             self._tables[h] = tab
             held += cells
@@ -560,7 +552,6 @@ class CanonicalSampler:
         level, and that sets how many replicas a block takes."""
         if self._degenerate is not None:
             return np.tile(self._degenerate, (m, 1))
-        self._tabulate(m)
         cells = max([self.ell] + [self._levels[h - 1].width
                                   for h in range(1, len(self._levels))
                                   if h not in self._tables])

@@ -39,6 +39,7 @@ def test_cosine_dispersion_shape():
     np.testing.assert_allclose(disp.base_energy(y), [0.0, 1.0, 2.0, 1.0, 0.0],
                                atol=1e-15)
     assert disp.min_base_energy == 0.0
+    assert disp.base_energy(disp.argmin_base_energy) == disp.min_base_energy
     assert disp.mean_base_energy == 1.0
 
 
@@ -47,6 +48,11 @@ def test_tabulated_grid_interpolates_linearly():
     assert grid.base_energy(np.array([0.25]))[0] == pytest.approx(1.0)
     assert grid.base_energy(np.array([0.75]))[0] == pytest.approx(1.5)
     assert grid.min_base_energy == 0.0
+    assert grid.argmin_base_energy == 0.0
+    # the first minimising node, here off any power-of-two grid
+    low = TabulatedGrid((0.5, 0.2, 0.9, 0.2))
+    assert low.argmin_base_energy == 1 / 3
+    assert low.base_energy(low.argmin_base_energy) == low.min_base_energy
     # trapezoid mean of the piecewise-linear profile
     assert grid.mean_base_energy == pytest.approx((1.0 + 1.5) / 2.0)
 

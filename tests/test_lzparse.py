@@ -11,6 +11,7 @@ from gibbslz import (
     EnsembleSpec,
     LzParse,
     Statistics,
+    TabulatedGrid,
     TypicalParams,
     classify_words,
     code_rate,
@@ -18,6 +19,7 @@ from gibbslz import (
     lz_rate,
     lz_rate_from_count,
     marginal_entropy,
+    marginal_mean,
     site_entropies,
     site_means,
 )
@@ -234,6 +236,18 @@ def test_typical_params_from_ensemble():
     for bad in [0.0, 1.0, -0.2, 1.5]:
         with pytest.raises(DomainError):
             TypicalParams.from_ensemble(FERMI, bad)
+
+
+def test_typical_params_peak_at_an_off_grid_node():
+    # The band minimum of this grid sits at y = 1/3, which no dyadic grid
+    # contains; the supremum must be read there, not near it.
+    disp = TabulatedGrid((0.5, 0.2, 0.9, 0.4))
+    spec = EnsembleSpec(Statistics.BOSE, 1.0, 0.19, disp)
+    params = TypicalParams.from_ensemble(spec, 0.3)
+    assert params.sup_mean == marginal_mean(spec, 1 / 3)
+    assert params.entropy_at_sup == marginal_entropy(spec, 1 / 3)
+    ys = np.linspace(0.0, 1.0, 1 << 12)
+    assert params.sup_mean >= float(np.max(marginal_mean(spec, ys)))
 
 
 def test_typical_membership_thresholds():

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -142,25 +143,37 @@ def test_canonical_rejects_impossible_totals():
         CanonicalSampler(bose_spec(), 4, 10_000)
 
 
+def build_under(monkeypatch, budget, spec, ell, n):
+    # The block budget in force at construction bounds the split tables:
+    # 0 cells leaves every level untabulated.
+    with monkeypatch.context() as m:
+        m.setattr(sampler, "_BLOCK_CELLS", budget)
+        return CanonicalSampler(spec, ell, n)
+
+
 def test_draws_identical_across_replica_chunks(monkeypatch):
     # Replicas, and the merges of an untabulated level, are drawn in blocks
     # sized by a cell budget; a string must not depend on the block it lands
-    # in, nor on the rest of its batch.  With tables on, the first batch
-    # leaves split tables that the later ones reuse.  sample_batch and
-    # sample_from_uniforms share the block loop and agree bit for bit.
+    # in, nor on the rest of its batch.  The budget a sampler is built under
+    # also bounds its split tables: 0 cells leaves every level untabulated,
+    # 2^30 tabulates every level.  sample_batch and sample_from_uniforms
+    # share the block loop and agree bit for bit.
     reps = [0, 1, 2, 3, 4]
     u = np.stack([make_rng(9, 300, r).random(300) for r in reps])
     block_cells = sampler._BLOCK_CELLS
     for spec in (bose_spec(), fermi_spec()):
-        for tabulate in (False, True):
-            monkeypatch.setattr(sampler, "_TABLE_REUSE", 0 if tabulate else 10**12)
+        built = {}
+        for budget in (0, 1 << 30):
+            cs = built[budget] = build_under(monkeypatch, budget, spec, 300, 150)
             monkeypatch.setattr(sampler, "_BLOCK_CELLS", block_cells)
-            cs = CanonicalSampler(spec, 300, 150)
             # One block holds the whole batch and every merge of a level.
             widest = max((lv.off.size // 2) * lv.width for lv in cs._levels[:-1])
             assert sampler._BLOCK_CELLS // widest >= len(reps)
             whole = cs.sample_batch(seed=9, replicas=reps)
-            assert bool(cs._tables) == tabulate
+            if budget:
+                assert sorted(cs._tables) == list(range(1, len(cs._levels)))
+            else:
+                assert not cs._tables
             np.testing.assert_array_equal(cs.sample_from_uniforms(u), whole)
             # One replica, and one merge of an untabulated level, per block.
             monkeypatch.setattr(sampler, "_BLOCK_CELLS", 1)
@@ -169,15 +182,14 @@ def test_draws_identical_across_replica_chunks(monkeypatch):
             np.testing.assert_array_equal(whole, chunked)
             np.testing.assert_array_equal(mixed, whole[[4, 1]])
             np.testing.assert_array_equal(cs.sample_from_uniforms(u), whole)
-        # Nor may the build depend on its blocks: here it merges one pair at
-        # a time, and tabulates one merge at a time.
-        one = CanonicalSampler(spec, 300, 150)
+        # Nor may the build depend on its blocks: one sampler merged one pair
+        # at a time, the other all pairs of a level in one batch.
+        one, cs = built[0], built[1 << 30]
         assert len(one._levels) == len(cs._levels)
         for mine, theirs in zip(one._levels, cs._levels):
             np.testing.assert_array_equal(mine.law, theirs.law)
         assert one.conditional_entropy() == cs.conditional_entropy()
         np.testing.assert_array_equal(one.sample_batch(seed=9, replicas=reps), whole)
-        assert sorted(one._tables) == sorted(cs._tables)
         # The window cuts are summed directly, so only the order of the sum
         # depends on the blocks.
         assert one.truncation_tail == pytest.approx(cs.truncation_tail, rel=1e-12,
@@ -190,16 +202,39 @@ def test_draws_identical_across_replica_chunks(monkeypatch):
 ], ids=["fermi", "bose"])
 def test_draw_working_set_stays_within_blocks(spec, ell, n):
     # Beyond its output, a draw allocates a few blocks of transient arrays,
-    # however long the strings and wide the windows.
+    # however long the strings and wide the windows, and leaves the tables
+    # the build made as they were.
     cs = CanonicalSampler(spec, ell, n)
+    tables = {h: t.copy() for h, t in cs._tables.items()}
     tracemalloc.start()
     try:
         out = cs.sample_batch(seed=5, replicas=range(20))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert not cs._tables
+    assert cs._tables.keys() == tables.keys()
+    for h, t in tables.items():
+        np.testing.assert_array_equal(cs._tables[h], t)
     assert peak <= out.nbytes + 12 * 8 * sampler._BLOCK_CELLS
+
+
+@pytest.mark.parametrize("spec, ell, n", [
+    (fermi_spec(), 300, 150),
+    (bose_spec(), 64, choose_n(particle_density(bose_spec()), 64).n),
+], ids=["fermi", "bose"])
+def test_draws_leave_the_sampler_unchanged(spec, ell, n):
+    # Everything a draw reads is built with the tree, so drawing changes no
+    # byte of the sampler, and a pickled copy (what a pool worker gets)
+    # draws the same strings.
+    cs = CanonicalSampler(spec, ell, n)
+    before = pickle.dumps(cs)
+    drawn = cs.sample_batch(seed=4, replicas=range(3))
+    u = np.random.default_rng(5).random((400, ell))
+    from_u = cs.sample_from_uniforms(u)
+    assert pickle.dumps(cs) == before
+    clone = pickle.loads(before)
+    np.testing.assert_array_equal(clone.sample_batch(seed=4, replicas=range(3)), drawn)
+    np.testing.assert_array_equal(clone.sample_from_uniforms(u), from_u)
 
 
 @pytest.mark.parametrize("spec, ell, n, digest", [
@@ -236,26 +271,23 @@ def assert_tables_hold_every_cell(cs):
     (bose_spec(), 64, choose_n(particle_density(bose_spec()), 64).n),
 ])
 def test_tabulated_draws_equal_untabulated(monkeypatch, spec, ell, n):
+    # Trees this small are tabulated whole within the default budget.
     u = np.random.default_rng(7).random((400, ell))
-    monkeypatch.setattr(sampler, "_TABLE_REUSE", 10**12)
-    plain = CanonicalSampler(spec, ell, n)
+    plain = build_under(monkeypatch, 0, spec, ell, n)
     expect = plain.sample_from_uniforms(u)
     assert not plain._tables
-    monkeypatch.setattr(sampler, "_TABLE_REUSE", 1)
     cs = CanonicalSampler(spec, ell, n)
     np.testing.assert_array_equal(cs.sample_from_uniforms(u), expect)
     assert sorted(cs._tables) == list(range(1, len(cs._levels)))
     assert_tables_hold_every_cell(cs)
-    assert sum(t.size for t in cs._tables.values()) <= sampler._TABLE_CELLS
+    assert sum(t.size for t in cs._tables.values()) <= sampler._BLOCK_CELLS
     # Later calls reuse the tables, however few strings they draw.
     np.testing.assert_array_equal(cs.sample_from_uniforms(u[:3]), expect[:3])
 
 
 def test_split_tables_stay_within_the_table_budget(monkeypatch):
     # All levels of this tree would need about 2.9M table cells; only the
-    # levels that fit the budget together are tabulated, across calls too.
-    monkeypatch.setattr(sampler, "_TABLE_REUSE", 0)
-    monkeypatch.setattr(sampler, "_TABLE_CELLS", 1 << 17)
+    # levels that fit the budget together are tabulated.
     spec = bose_spec()
     u = np.random.default_rng(3).random((12, 301))
     cs = CanonicalSampler(spec, 301, 150)
@@ -263,23 +295,39 @@ def test_split_tables_stay_within_the_table_budget(monkeypatch):
     again = cs.sample_from_uniforms(u)
     assert_tables_hold_every_cell(cs)
     held = sum(t.size for t in cs._tables.values())
-    assert 0 < held <= sampler._TABLE_CELLS
+    assert 0 < held <= sampler._BLOCK_CELLS
     assert len(cs._tables) < len(cs._levels) - 1
-    monkeypatch.setattr(sampler, "_TABLE_REUSE", 10**12)
-    plain = CanonicalSampler(spec, 301, 150).sample_from_uniforms(u)
+    untabulated = build_under(monkeypatch, 0, spec, 301, 150)
+    assert not untabulated._tables
+    plain = untabulated.sample_from_uniforms(u)
     np.testing.assert_array_equal(first, plain)
     np.testing.assert_array_equal(again, plain)
 
 
 def test_tabulated_draw_refuses_a_total_outside_its_window(monkeypatch):
     # A parent total outside its window must raise, never be clipped into it.
-    monkeypatch.setattr(sampler, "_TABLE_REUSE", 1)
     cs = CanonicalSampler(fermi_spec(), 6, 4)
-    cs.sample_from_uniforms(np.full((64, 6), 0.5))
     assert len(cs._levels) - 1 in cs._tables
     monkeypatch.setattr(cs, "n", cs.n + cs._levels[-1].width)
     with pytest.raises(NumericError, match="outside its window"):
         cs._draw(np.full((2, 6), 0.5))
+
+
+def test_saddle_tilt_holds_one_leaf_matrix():
+    # Each Newton step rebuilds the (ell, K) tilted-law matrix; the old one
+    # must be gone before the new one is made.
+    spec = bose_spec()
+    ell = 1 << 12
+    n = choose_n(particle_density(spec), ell).n
+    a, top, _ = sampler._site_laws(spec, ell, 1e-12)
+    top = np.minimum(top, n).astype(np.int64)
+    tracemalloc.start()
+    try:
+        _, laws, _, _ = sampler._saddle_tilt(a, top, n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * laws.nbytes
 
 
 def test_draws_independent_of_batch_composition():
