@@ -48,7 +48,6 @@ from .lzparse import (
     code_rate,
     lz78_parse,
     lz_rate,
-    lz_rate_from_count,
 )
 from .sampler import (
     CanonicalSampler,
@@ -70,7 +69,7 @@ __all__ = [
     "build_suffix_dp", "choose_n", "classify_words", "code_rate",
     "conditional_entropy_exact", "conditional_site_marginals", "convolve",
     "entropy_gap", "entropy_rate", "eval_dispersion",
-    "lz78_parse", "lz_rate", "lz_rate_from_count", "make_rng",
+    "lz78_parse", "lz_rate", "make_rng",
     "marginal_entropy", "marginal_mean", "marginal_tables",
     "particle_density", "sample_grand", "site_entropies", "site_means",
     "solve_mu", "summary",

@@ -4,12 +4,8 @@ Each battery exercises one provable property of independent occupancy laws
 or one pair of independent computation routes, and returns a CheckResult
 with a measured margin.  The batteries are deliberately redundant with the
 unit tests: they run at larger trial counts, under one command, against the
-configured ensemble.  Each battery computes its own inequality; disttab
-supplies the table algebra and the suffix-DP oracle.  score-ratio and
-local-clt fold their sums of independent laws in the probability domain
-with np.convolve, and the tests hold both folds to disttab.convolve;
-lc-closure convolves DistTables, so the log-domain algebra that stays the
-oracle is exercised by the batteries too.
+configured ensemble.  Each battery computes its own inequality, and its
+docstring names the package route it exercises, or says it exercises none.
 
 Fault injection deliberately corrupts one battery's input or tolerance so a
 harness run can demonstrate that violations are detected and reported, not
@@ -24,8 +20,6 @@ import numpy as np
 from . import disttab, ensemble, sampler
 from .disttab import DistTable
 from .errors import ConfigError, DomainError, NumericError
-
-LN2 = math.log(2.0)
 
 
 @dataclass(frozen=True)
@@ -93,7 +87,8 @@ def _atoms(tables, configs: np.ndarray | None = None) -> tuple[np.ndarray, np.nd
 
 
 def check_lc_closure(seed: int, trials: int, fault: bool = False) -> CheckResult:
-    """Convolution of independent log-concave laws stays log-concave."""
+    """Convolution of independent log-concave laws stays log-concave.
+    Route: disttab.convolve, the oracle's log-domain algebra."""
     rng = np.random.default_rng(seed)
     worst = math.inf
     for t in range(trials):
@@ -135,7 +130,8 @@ def _score_ratio(ps: np.ndarray, n: int) -> tuple[float, float]:
 
 
 def check_score_ratio(seed: int, trials: int, fault: bool = False) -> CheckResult:
-    """Downward score bound for Bernoulli sums, with exchangeable equality."""
+    """Downward score bound for Bernoulli sums, with exchangeable equality.
+    Route: none; random laws, folded with np.convolve."""
     rng = np.random.default_rng(seed)
     ok = True
     worst_slack = math.inf
@@ -176,7 +172,8 @@ def _efron_instances() -> list[list[DistTable]]:
 
 
 def check_efron(fault: bool = False) -> CheckResult:
-    """E[phi | total] is nondecreasing for coordinatewise nondecreasing phi."""
+    """E[phi | total] is nondecreasing for coordinatewise nondecreasing phi.
+    Route: none; fixed laws enumerated by brute force."""
     # Each phi maps the (A, ell) configuration matrix to one value per atom.
     phis = [
         ("sum", lambda k: k.sum(axis=1)),
@@ -216,7 +213,8 @@ _WINDOW_FUNCS = [
 
 def check_na_exhaustive(fault: bool = False) -> CheckResult:
     """Conditioned occupancies are negatively associated: every pair of
-    nondecreasing functions on disjoint site sets has covariance <= 0."""
+    nondecreasing functions on disjoint site sets has covariance <= 0.
+    Route: none; fixed laws enumerated by brute force."""
     geom = DistTable.from_probs(np.array([1.0, 0.5, 0.25]) / 1.75)
     systems = [
         ([DistTable.bernoulli(p) for p in (0.2, 0.5, 0.7, 0.9)], (1, 2, 3)),
@@ -256,7 +254,8 @@ def check_na_exhaustive(fault: bool = False) -> CheckResult:
 def check_na_empirical(spec: ensemble.EnsembleSpec, seed: int, draws: int,
                        fault: bool = False) -> CheckResult:
     """Sample covariances of disjoint-window sums under conditioning stay
-    within three standard errors of nonpositive."""
+    within three standard errors of nonpositive.  Route: the canonical
+    tree's bulk draws (sample_from_uniforms) at ell=64."""
     ell = 64
     r_eff = ensemble.particle_density(spec)
     n = sampler.choose_n(r_eff, ell).n
@@ -297,7 +296,7 @@ def check_na_empirical(spec: ensemble.EnsembleSpec, seed: int, draws: int,
 
 def check_chebyshev(seed: int, trials: int, fault: bool = False) -> CheckResult:
     """For any law, an increasing and a decreasing function of the same
-    occupancy have nonpositive covariance."""
+    occupancy have nonpositive covariance.  Route: none; random laws."""
     rng = np.random.default_rng(seed)
     worst = -math.inf
     ok = True
@@ -319,7 +318,8 @@ def check_chebyshev(seed: int, trials: int, fault: bool = False) -> CheckResult:
 def check_moment_constants(spec: ensemble.EnsembleSpec,
                            fault: bool = False) -> CheckResult:
     """Third absolute central moments of the site laws obey the statistics-
-    specific variance bounds: 2 Var (Fermi), 28 max(1, mean) Var (Bose)."""
+    specific variance bounds: 2 Var (Fermi), 28 max(1, mean) Var (Bose).
+    Route: marginal_tables + disttab.summary at ell=16 and 256."""
     scale = 0.001 if fault else 1.0
     worst = 0.0
     count = 0
@@ -341,7 +341,8 @@ def check_moment_constants(spec: ensemble.EnsembleSpec,
 
 
 def check_bottomley(seed: int, trials: int, fault: bool = False) -> CheckResult:
-    """Mode and mean of a log-concave law differ by at most sqrt(3 Var)."""
+    """Mode and mean of a log-concave law differ by at most sqrt(3 Var).
+    Route: disttab.summary of random and geometric laws."""
     rng = np.random.default_rng(seed)
     worst = 0.0
     ok = True
@@ -401,7 +402,8 @@ def _local_clt(tables) -> tuple[float, float]:
 def check_local_clt(spec: ensemble.EnsembleSpec, sizes: tuple[int, ...],
                     fault: bool = False) -> CheckResult:
     """Gaussian local approximation of the total: the sup error is controlled
-    by the Lyapunov third-moment ratio and shrinks along IID ladders."""
+    by the Lyapunov third-moment ratio and shrinks along IID ladders.
+    Route: marginal_tables at ell=64, folded with np.convolve."""
     bound = _CLT_RATIO_BOUND * (1e-4 if fault else 1.0)
     ok = True
     worst_ratio = 0.0
@@ -427,14 +429,11 @@ def check_local_clt(spec: ensemble.EnsembleSpec, sizes: tuple[int, ...],
                        + "; ".join(details))
 
 
-# Rows of uniforms sampler-tv draws at a time.
-_TV_BLOCK = 1 << 16
-
-
 def check_sampler_tv(spec: ensemble.EnsembleSpec, seed: int, draws: int,
                      fault: bool = False) -> CheckResult:
     """Total variation between fixed-total draws at ell=6 and the exact
-    conditional law, computed atom by atom over the observed support."""
+    conditional law, computed atom by atom over the observed support.
+    Route: the canonical tree's tabulated bulk draws against build_suffix_dp."""
     ell = 6
     r_eff = ensemble.particle_density(spec)
     n = sampler.choose_n(r_eff, ell).n
@@ -446,14 +445,13 @@ def check_sampler_tv(spec: ensemble.EnsembleSpec, seed: int, draws: int,
     cs = sampler.CanonicalSampler(spec, ell, n)
     # A 1-D integer unique is far faster than axis=0 or rows viewed as bytes.
     place = (n + 1)**np.arange(ell - 1, -1, -1, dtype=np.int64)
-    # Uniforms come in blocks of rows from one stream, which fills rows in
-    # order, so the draws equal those of one (draws, ell) matrix; only the
-    # codes are kept.
+    # Uniforms come in the sampler's blocks of rows from one stream, which
+    # fills rows in order, so the draws equal those of one (draws, ell)
+    # matrix; only the codes are kept.
     rng = np.random.default_rng(seed)
     codes = np.empty(draws, dtype=np.int64)
-    for lo in range(0, draws, _TV_BLOCK):
-        block = rng.random((min(_TV_BLOCK, draws - lo), ell))
-        codes[lo:lo + block.shape[0]] = cs.sample_from_uniforms(block) @ place
+    for lo, hi in sampler._blocks(draws, ell):
+        codes[lo:hi] = cs.sample_from_uniforms(rng.random((hi - lo, ell))) @ place
     keys, counts = np.unique(codes, return_counts=True)
     atoms, weights = _atoms(tables, keys[:, None] // place % (n + 1))
     exact = weights / math.exp(dp.logT[0, n])
@@ -470,7 +468,8 @@ def check_sampler_tv(spec: ensemble.EnsembleSpec, seed: int, draws: int,
 def check_conditional_entropy_enum(seed: int, instances: int,
                                    fault: bool = False) -> CheckResult:
     """Suffix-recursion conditional entropies and marginals match brute-force
-    enumeration on random small systems."""
+    enumeration on random small systems.  Route: build_suffix_dp,
+    conditional_entropy_exact and conditional_site_marginals."""
     rng = np.random.default_rng(seed)
     tol = 1e-18 if fault else 1e-10
     worst = 0.0
@@ -515,7 +514,8 @@ def check_ensemble_identities(spec: ensemble.EnsembleSpec, riemann_points: int,
                               fault: bool = False) -> CheckResult:
     """Cross-route identities: closed-form profiles vs exact tables, adaptive
     quadrature vs a midpoint Riemann sum, the density-solve round trip, and
-    density monotone in mu."""
+    density monotone in mu.  Route: site_means/site_entropies against
+    marginal_tables + disttab.summary; ensemble quadrature and solve_mu."""
     # The fault's negative tolerance fails every error, even an exact zero.
     tol_entropy = -1.0 if fault else 1e-10
     msgs = []
@@ -561,29 +561,29 @@ def check_ensemble_identities(spec: ensemble.EnsembleSpec, riemann_points: int,
     return CheckResult("ensemble-identities", ok, "; ".join(msgs))
 
 
-def run_batteries(spec: ensemble.EnsembleSpec, seed: int,
-                  scale: BatteryScale | None = None,
+def run_batteries(spec: ensemble.EnsembleSpec, seed: int, scale: BatteryScale,
                   inject_fault: str | None = None) -> list[CheckResult]:
     """Run every battery against one ensemble; see each battery's docstring."""
-    s = scale or BatteryScale.full()
     batteries = {
-        "lc-closure": lambda fault: check_lc_closure(seed, s.lc_trials, fault),
-        "score-ratio": lambda fault: check_score_ratio(seed + 1, s.score_trials, fault),
+        "lc-closure": lambda fault: check_lc_closure(seed, scale.lc_trials, fault),
+        "score-ratio": lambda fault: check_score_ratio(
+            seed + 1, scale.score_trials, fault),
         "efron-monotonicity": check_efron,
         "na-exhaustive": check_na_exhaustive,
-        "na-empirical": lambda fault: check_na_empirical(spec, seed + 2, s.na_draws,
-                                                         fault),
+        "na-empirical": lambda fault: check_na_empirical(
+            spec, seed + 2, scale.na_draws, fault),
         "chebyshev-rearrangement": lambda fault: check_chebyshev(
-            seed + 3, s.chebyshev_trials, fault),
+            seed + 3, scale.chebyshev_trials, fault),
         "moment-constants": lambda fault: check_moment_constants(spec, fault),
         "bottomley-mode-mean": lambda fault: check_bottomley(
-            seed + 4, s.bottomley_trials, fault),
-        "local-clt": lambda fault: check_local_clt(spec, s.clt_sizes, fault),
-        "sampler-tv": lambda fault: check_sampler_tv(spec, seed + 5, s.tv_draws, fault),
+            seed + 4, scale.bottomley_trials, fault),
+        "local-clt": lambda fault: check_local_clt(spec, scale.clt_sizes, fault),
+        "sampler-tv": lambda fault: check_sampler_tv(
+            spec, seed + 5, scale.tv_draws, fault),
         "conditional-entropy-enum": lambda fault: check_conditional_entropy_enum(
-            seed + 6, s.enum_instances, fault),
+            seed + 6, scale.enum_instances, fault),
         "ensemble-identities": lambda fault: check_ensemble_identities(
-            spec, s.riemann_points, fault),
+            spec, scale.riemann_points, fault),
     }
     if inject_fault is not None and inject_fault not in batteries:
         raise ConfigError(f"unknown fault target {inject_fault!r}")

@@ -21,7 +21,6 @@ import argparse
 import hashlib
 import json
 import math
-import os
 import sys
 import time
 from dataclasses import dataclass
@@ -162,8 +161,7 @@ def _hash_mapping(mapping: dict[str, str]) -> str:
     return hashlib.sha256(canon.encode()).hexdigest()[:12]
 
 
-def load_config(path: str | Path, seed_override: int | None = None,
-                format_override: str | None = None) -> ExperimentConfig:
+def load_config(path: str | Path, seed_override: int | None = None) -> ExperimentConfig:
     m = read_config_mapping(path)
 
     def need(key: str) -> str:
@@ -221,8 +219,6 @@ def load_config(path: str | Path, seed_override: int | None = None,
         raise ConfigError("analysis.check_scale must be full or quick")
 
     out_format = m.get("output.format", "both").lower()
-    if format_override is not None:
-        out_format = format_override
     if out_format not in ("csv", "jsonl", "both"):
         raise ConfigError("output.format must be csv, jsonl or both")
 
@@ -285,22 +281,19 @@ def _emit(out_dir: Path, stem: str, columns: tuple[str, ...], rows: list[dict],
 
 
 def _length_sampler(cfg: ExperimentConfig, spec: EnsembleSpec, r_target: float,
-                    ell: int, kind: str) -> CanonicalSampler | None:
-    """The canonical sampler of one length at its total n = round(r ell), or
-    None for the grand kind.  A total the sampler cannot reach or hold
-    raises, and the command exits 3."""
-    if kind == "grand":
-        return None
+                    ell: int) -> CanonicalSampler:
+    """The canonical sampler of one length at its total n = round(r ell).
+    A total it cannot reach or hold raises, and the command exits 3."""
     return CanonicalSampler(spec, ell, choose_n(r_target, ell).n, tail_tol=cfg.tail_tol)
 
 
 def _draw_strings(cfg: ExperimentConfig, spec: EnsembleSpec, ell: int,
                   sampler: CanonicalSampler | None,
                   replicas: list[int]) -> list[np.ndarray]:
-    """The strings of one length for the given replicas, canonical or grand."""
-    if cfg.kind == "canonical":
-        return list(sampler.sample_batch(cfg.seed, replicas))
-    return [sample_grand(spec, ell, cfg.seed, rep) for rep in replicas]
+    """The replicas' strings of one length: canonical, or grand without a sampler."""
+    if sampler is None:
+        return [sample_grand(spec, ell, cfg.seed, rep) for rep in replicas]
+    return list(sampler.sample_batch(cfg.seed, replicas))
 
 
 def _replica_rows(cfg: ExperimentConfig, spec: EnsembleSpec, typical: TypicalParams,
@@ -347,7 +340,7 @@ def _chunks(items: list[int], parts: int) -> list[list[int]]:
 def _run_length(cfg: ExperimentConfig, spec: EnsembleSpec, typical: TypicalParams,
                 r_target: float, h_target: float, ell: int, workers: int,
                 ) -> tuple[list[dict], list[dict]]:
-    sampler = _length_sampler(cfg, spec, r_target, ell, cfg.kind)
+    sampler = None if cfg.kind == "grand" else _length_sampler(cfg, spec, r_target, ell)
     gap_per_site = None if sampler is None else sampler.entropy_gap() / ell
 
     # Workers are forked and receive the sampler pickled with each chunk.
@@ -432,7 +425,8 @@ def cmd_sample(cfg: ExperimentConfig, out_dir: Path) -> int:
     samples_dir.mkdir(parents=True, exist_ok=True)
     manifest: list[dict] = []
     for ell in cfg.lengths:
-        sampler = _length_sampler(cfg, spec, r_target, ell, cfg.kind)
+        sampler = None if cfg.kind == "grand" else \
+            _length_sampler(cfg, spec, r_target, ell)
         n, tail = (None, 0.0) if sampler is None else (sampler.n, sampler.truncation_tail)
         replicas = list(range(cfg.replicas))
         for rep, s in zip(replicas, _draw_strings(cfg, spec, ell, sampler, replicas)):
@@ -460,7 +454,7 @@ def cmd_parse(cfg: ExperimentConfig, out_dir: Path, inputs: list[str]) -> int:
             raise ConfigError(f"cannot read occupancy file {path}: {exc}") from exc
         parse = lz78_parse(values)
         rows.append({
-            "file": os.path.basename(path),
+            "file": Path(path).name,
             "ell": parse.ell,
             "word_count": parse.word_count,
             "lz_rate": lz_rate(parse) if parse.ell >= 2 else None,
@@ -477,7 +471,7 @@ def cmd_entropy_gap(cfg: ExperimentConfig, out_dir: Path) -> int:
     rows = []
     for ell in cfg.lengths:
         # The gap is a canonical quantity whatever run.kind says.
-        sampler = _length_sampler(cfg, spec, r_target, ell, "canonical")
+        sampler = _length_sampler(cfg, spec, r_target, ell)
         gap = sampler.entropy_gap()
         # skipped stays as a column, always False, for readers of the file.
         rows.append({"config_hash": cfg.config_hash, "ell": ell, "n": sampler.n,
@@ -527,31 +521,14 @@ def _scalar_command(cfg: ExperimentConfig, which: str) -> int:
     return 0
 
 
-def _resolve_workers(args) -> int:
-    if args.workers is not None:
-        value = args.workers
-    else:
-        raw = os.environ.get("GIBBSLZ_WORKERS", "1")
-        try:
-            value = int(raw)
-        except ValueError as exc:
-            raise ConfigError(f"GIBBSLZ_WORKERS must be an integer, got {raw!r}") \
-                from exc
-    if value < 1:
-        raise ConfigError("worker count must be at least 1")
-    return value
-
-
 def build_arg_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", required=True, help="path to the config file")
     common.add_argument("--seed", type=int, default=None,
                         help="override run.seed from the config")
     common.add_argument("--out", default="out", help="output directory")
-    common.add_argument("--format", choices=("csv", "jsonl", "both"), default=None,
-                        help="override output.format from the config")
-    common.add_argument("--workers", type=int, default=None,
-                        help="process count (default: GIBBSLZ_WORKERS or 1)")
+    common.add_argument("--workers", type=int, default=1,
+                        help="process count (default 1)")
 
     parser = argparse.ArgumentParser(
         prog="gibbslz",
@@ -583,9 +560,9 @@ def build_arg_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_arg_parser().parse_args(argv)
     try:
-        workers = _resolve_workers(args)
-        cfg = load_config(args.config, seed_override=args.seed,
-                          format_override=args.format)
+        if args.workers < 1:
+            raise ConfigError("worker count must be at least 1")
+        cfg = load_config(args.config, seed_override=args.seed)
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
         if args.command in ("density", "rate", "solve-mu"):
@@ -595,12 +572,11 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "parse":
             return cmd_parse(cfg, out_dir, args.inputs)
         if args.command == "converge":
-            return cmd_converge(cfg, out_dir, workers)
+            return cmd_converge(cfg, out_dir, args.workers)
         if args.command == "entropy-gap":
             return cmd_entropy_gap(cfg, out_dir)
-        if args.command == "check":
-            return cmd_check(cfg, out_dir, args.inject_fault)
-        raise ConfigError(f"unknown command {args.command!r}")
+        # argparse admits no command but the ones above and check.
+        return cmd_check(cfg, out_dir, args.inject_fault)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

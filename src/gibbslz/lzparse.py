@@ -31,8 +31,6 @@ from .ensemble import EnsembleSpec, marginal_entropy, marginal_mean, \
     site_entropies, site_means
 from .errors import DomainError
 
-LN2 = math.log(2.0)
-
 
 def _as_values(string) -> np.ndarray:
     arr = np.asarray(string)
@@ -47,37 +45,31 @@ def _as_values(string) -> np.ndarray:
 class LzParse:
     """A tiling of a length-ell string into dictionary words.
 
-    starts/lengths describe consecutive windows: word w covers
+    Word w has lengths[w] sites and follows word w - 1, so it covers
     [starts[w], starts[w] + lengths[w]).  All words except possibly the last
     are distinct, and every proper prefix of a word occurs earlier as a word.
     """
 
     ell: int
-    starts: np.ndarray
     lengths: np.ndarray
 
     def __post_init__(self):
-        starts = np.ascontiguousarray(self.starts, dtype=np.int64)
         lengths = np.ascontiguousarray(self.lengths, dtype=np.int64)
-        if starts.shape != lengths.shape or starts.ndim != 1:
-            raise DomainError("starts and lengths must be matching vectors")
-        if starts.size:
-            if np.any(lengths < 1):
-                raise DomainError("words must be nonempty")
-            if starts[0] != 0 or np.any(starts[1:] != starts[:-1] + lengths[:-1]):
-                raise DomainError("words must tile the string contiguously")
-            if starts[-1] + lengths[-1] != self.ell:
-                raise DomainError("words must cover the whole string")
-        elif self.ell != 0:
-            raise DomainError("nonempty string needs at least one word")
-        starts.flags.writeable = False
+        # Positive lengths that sum to ell are exactly the tilings of the string.
+        if lengths.ndim != 1 or np.any(lengths < 1) or lengths.sum() != self.ell:
+            raise DomainError("word lengths must be positive and sum to ell")
         lengths.flags.writeable = False
-        object.__setattr__(self, "starts", starts)
         object.__setattr__(self, "lengths", lengths)
 
     @property
+    def starts(self) -> np.ndarray:
+        starts = np.cumsum(self.lengths) - self.lengths
+        starts.flags.writeable = False
+        return starts
+
+    @property
     def word_count(self) -> int:
-        return self.starts.size
+        return self.lengths.size
 
 
 def lz78_parse(string) -> LzParse:
@@ -88,7 +80,6 @@ def lz78_parse(string) -> LzParse:
     """
     arr = _as_values(string)
     root: dict[int, dict] = {}
-    starts: list[int] = []
     lengths: list[int] = []
     node = root
     start = 0
@@ -96,30 +87,21 @@ def lz78_parse(string) -> LzParse:
         child = node.get(sym)
         if child is None:
             node[sym] = {}
-            starts.append(start)
             lengths.append(i - start + 1)
             node = root
             start = i + 1
         else:
             node = child
     if start < arr.size:
-        starts.append(start)
         lengths.append(arr.size - start)
-    return LzParse(int(arr.size), np.asarray(starts, dtype=np.int64),
-                   np.asarray(lengths, dtype=np.int64))
-
-
-def lz_rate_from_count(word_count: int, ell: int) -> float:
-    """Pointer-code rate C log2(ell) / ell in bits per site; needs ell >= 2."""
-    if ell < 2:
-        raise DomainError("rate is defined for strings of length at least 2")
-    if word_count < 0:
-        raise DomainError("word count must be nonnegative")
-    return word_count * math.log2(ell) / ell
+    return LzParse(int(arr.size), np.asarray(lengths, dtype=np.int64))
 
 
 def lz_rate(parse: LzParse) -> float:
-    return lz_rate_from_count(parse.word_count, parse.ell)
+    """Pointer-code rate C log2(ell) / ell in bits per site; needs ell >= 2."""
+    if parse.ell < 2:
+        raise DomainError("rate is defined for strings of length at least 2")
+    return parse.word_count * math.log2(parse.ell) / parse.ell
 
 
 def code_rate(parse: LzParse) -> float:
@@ -200,13 +182,14 @@ def classify_words(parse: LzParse, string, spec: EnsembleSpec,
         raise DomainError("classification needs a string of length at least 2")
     means, ent_prefix = _word_profile(spec, parse.ell)
     dev_prefix = np.concatenate([[0.0], np.cumsum(arr - means)])
-    ends = parse.starts + parse.lengths
-    devs = dev_prefix[ends] - dev_prefix[parse.starts]
+    starts = parse.starts
+    ends = starts + parse.lengths
+    devs = dev_prefix[ends] - dev_prefix[starts]
     if params.two_sided:
         typical = np.abs(devs) <= parse.lengths * params.eps_prime
     else:
         typical = devs <= parse.lengths * params.eps_prime
-    word_entropy = ent_prefix[ends] - ent_prefix[parse.starts]
+    word_entropy = ent_prefix[ends] - ent_prefix[starts]
     budget = (1.0 - params.eps**2) * math.log2(parse.ell)
     low = typical & (word_entropy <= budget)
     return WordClassCounts(

@@ -80,8 +80,8 @@ _DEFAULT_TAIL_TOL = 1e-12
 # Node windows reach this many tilted standard deviations, plus one leaf
 # width, to each side of the node's tilted mean.
 _WINDOW_SIGMAS = 12.0
-# Float cells one sampler or one marginal_tables call may hold; larger
-# instances fail fast with NumericError instead of running unbounded.
+# Float cells one sampler, marginal_tables call or grand string may hold;
+# larger instances fail fast with NumericError instead of running unbounded.
 _MAX_CELLS = 1 << 25
 # Cells of one block: a draw's split weights for a block of replicas and
 # merges, the build's transforms for a batch of merges, and all of one
@@ -149,12 +149,14 @@ def marginal_tables(spec: EnsembleSpec, ell: int,
 def sample_grand(spec: EnsembleSpec, ell: int, seed: int,
                  replica: int = 0) -> np.ndarray:
     """Independent draw of every site from its marginal law, as a length-ell
-    int64 array."""
+    int64 array; a length over the cell budget is refused first."""
     if ell < 1:
         raise DomainError("ell must be at least 1")
+    if ell > _MAX_CELLS:
+        raise NumericError(f"grand length {ell} exceeds the cell budget ({_MAX_CELLS})")
     rng = make_rng(seed, ell, replica)
     u = rng.random(ell)
-    x = spec.beta * (spec.dispersion.base_energy(np.arange(ell) / ell) - spec.mu)
+    x = spec.beta * eval_dispersion(spec, np.arange(ell) / ell)
     if spec.stats is Statistics.FERMI:
         return (u < _fermi_mean(x)).astype(np.int64)
     # Geometric inverse transform: smallest k with 1 - q^{k+1} > u.

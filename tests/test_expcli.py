@@ -1,7 +1,9 @@
 """Config parsing, output schemas, determinism, and exit codes of the CLI."""
 
+import argparse
 import json
 import math
+import re
 import subprocess
 import sys
 import time
@@ -15,10 +17,12 @@ import gibbslz as g
 from gibbslz.disttab import entropy_gap
 from gibbslz.errors import ConfigError
 from gibbslz.expcli import (
+    _KNOWN_KEYS,
     RESULT_COLUMNS,
     SUMMARY_COLUMNS,
     _chunks,
     _fmt_cell,
+    build_arg_parser,
     load_config,
     main,
     read_config_mapping,
@@ -46,6 +50,31 @@ def test_cli_start_up_defers_batteries_and_process_pool():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True).stdout
     assert out.strip() == "[]"
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def readme_section(heading: str) -> str:
+    """README text from the heading line to the next heading."""
+    text = README.read_text()
+    start = text.index(f"\n{heading}\n") + len(heading) + 2
+    end = re.search(r"^#", text[start:], flags=re.M)
+    return text[start:start + end.start()] if end else text[start:]
+
+
+def test_readme_matches_parser_and_config_keys():
+    # The "Command line" section (synopsis and command table) names exactly
+    # the long options the parser accepts, and the "Config keys" table
+    # names exactly the keys a config may set.
+    parser = build_arg_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    options = {opt for p in sub.choices.values() for a in p._actions
+               for opt in a.option_strings if opt.startswith("--") and opt != "--help"}
+    listed = set(re.findall(r"(?<!-)--[a-z][a-z-]*", readme_section("## Command line")))
+    assert listed == options
+    first_cells = re.findall(r"^\|[^|]*", readme_section("### Config keys"), flags=re.M)
+    assert set(re.findall(r"`([a-z_]+\.[a-z_]+)`", "".join(first_cells))) == _KNOWN_KEYS
 
 
 def write_cfg(tmp_path: Path, text: str, name: str = "run.cfg") -> str:
@@ -91,9 +120,8 @@ def test_load_config_defaults_and_overrides(tmp_path):
         load_config(write_cfg(tmp_path, BASE + "analysis.gap_budget = 8388608\n",
                               "retired.cfg"))
 
-    over = load_config(write_cfg(tmp_path, BASE), seed_override=99,
-                       format_override="csv")
-    assert (over.seed, over.out_format) == (99, "csv")
+    over = load_config(write_cfg(tmp_path, BASE), seed_override=99)
+    assert (over.seed, over.out_format) == (99, "both")
     # The hash names the config file contents, not the command line.
     assert over.config_hash == cfg.config_hash
     assert len(cfg.config_hash) == 12
@@ -454,6 +482,16 @@ def test_exit_codes(tmp_path, capsys):
     assert time.perf_counter() - t0 < 20.0
     assert "cells" in capsys.readouterr().err
 
+    # Grand strings have the same budget: 2^45 sites would need 256 TiB.
+    # They are refused before anything is allocated, and main returns 3
+    # with the message instead of letting a MemoryError escape.
+    huge = write_cfg(tmp_path, BASE.replace("run.kind = canonical", "run.kind = grand")
+                     .replace("run.lengths = 16,32", "run.lengths = 35184372088832"),
+                     "huge.cfg")
+    for command in ("sample", "converge"):
+        assert main([command, "--config", huge, "--out", str(tmp_path)]) == 3
+        assert "cell budget" in capsys.readouterr().err
+
 
 def test_converge_low_temperature_fermi(tmp_path, capsys):
     # At beta = 200 the sup of the mean profile rounds to 1.0; the typical
@@ -515,15 +553,18 @@ def test_check_command_and_fault_injection(tmp_path, capsys):
     assert not (tmp_path / "bogus" / "check_report.jsonl").exists()
 
 
-def test_workers_env_fallback(tmp_path, monkeypatch, capsys):
+def test_worker_count_validation(tmp_path, capsys):
+    # --workers is the only source of the worker count.  A count below 1
+    # is a config error; a non-integer one is refused by argparse itself.
     cfg_path = write_cfg(tmp_path, BASE)
     out = tmp_path / "out"
-    monkeypatch.setenv("GIBBSLZ_WORKERS", "2")
-    assert main(["converge", "--config", cfg_path, "--out", str(out)]) == 0
-    monkeypatch.setenv("GIBBSLZ_WORKERS", "many")
-    assert main(["converge", "--config", cfg_path, "--out", str(out)]) == 1
-    monkeypatch.setenv("GIBBSLZ_WORKERS", "0")
-    assert main(["converge", "--config", cfg_path, "--out", str(out)]) == 1
+    assert main(["converge", "--config", cfg_path, "--out", str(out),
+                 "--workers", "0"]) == 1
+    assert "worker count" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main(["converge", "--config", cfg_path, "--out", str(out),
+              "--workers", "many"])
+    assert exc.value.code == 2
     capsys.readouterr()
 
 

@@ -17,7 +17,6 @@ from gibbslz import (
     code_rate,
     lz78_parse,
     lz_rate,
-    lz_rate_from_count,
     marginal_entropy,
     marginal_mean,
     site_entropies,
@@ -177,31 +176,40 @@ def test_max_word_count_validation_and_growth():
 
 
 def test_rate_formulas():
-    assert lz_rate_from_count(5, 7) == pytest.approx(5 * math.log2(7) / 7)
+    assert lz_rate(LzParse(7, np.array([1, 1, 2, 2, 1]))) == \
+        pytest.approx(5 * math.log2(7) / 7)
     parse = lz78_parse(np.array([1, 0, 1, 1, 0, 1, 0]))
     assert lz_rate(parse) == pytest.approx(5 * math.log2(7) / 7)
     assert code_rate(parse) == pytest.approx(5 * math.log2(5) / 7)
     with pytest.raises(DomainError):
-        lz_rate_from_count(3, 1)
-    with pytest.raises(DomainError):
-        lz_rate_from_count(-1, 8)
+        lz_rate(LzParse(1, np.array([1])))
     with pytest.raises(DomainError):
         code_rate(lz78_parse(np.array([0])))
 
 
 def test_parse_tiling_validation():
-    LzParse(0, np.array([], dtype=np.int64), np.array([], dtype=np.int64))
+    # Words are stored by length only, so gaps and overlaps cannot be
+    # represented; what is left to refuse is a zero length and lengths
+    # that miss ell.
+    empty = LzParse(0, np.array([], dtype=np.int64))
+    assert empty.word_count == 0 and empty.starts.size == 0
+    parse = LzParse(5, np.array([2, 1, 2]))
+    assert parse.starts.tolist() == [0, 2, 3]
     with pytest.raises(DomainError):
-        LzParse(3, np.array([0, 2]), np.array([1, 1]))
+        LzParse(3, np.array([1, 1]))
     with pytest.raises(DomainError):
-        LzParse(3, np.array([0, 1]), np.array([1, 1]))
+        LzParse(3, np.array([1, 1, 1, 1]))
     with pytest.raises(DomainError):
-        LzParse(2, np.array([0]), np.array([0]))
+        LzParse(2, np.array([0, 2]))
     with pytest.raises(DomainError):
-        LzParse(2, np.array([], dtype=np.int64), np.array([], dtype=np.int64))
+        LzParse(2, np.array([], dtype=np.int64))
+    with pytest.raises(DomainError):
+        LzParse(2, np.array([[1, 1]]))
     parse = lz78_parse(np.array([1, 0]))
     with pytest.raises(ValueError):
         parse.starts[0] = 5
+    with pytest.raises(ValueError):
+        parse.lengths[0] = 5
 
 
 def test_parse_rejects_bad_inputs():

@@ -107,6 +107,17 @@ def test_grand_rejects_int64_overflow_before_the_cast():
         sample_grand(EnsembleSpec(BOSE, 1.0, -1e-300), 16, 0)
 
 
+def test_grand_refuses_lengths_over_the_cell_budget(monkeypatch):
+    # The refusal comes before the first ell-sized array: with the random
+    # stream made unreachable, only the budget check can end the call.
+    def unreachable(*args):
+        raise AssertionError("grand stream opened before the budget check")
+
+    monkeypatch.setattr(sampler, "make_rng", unreachable)
+    with pytest.raises(NumericError, match="budget"):
+        sample_grand(fermi_spec(), sampler._MAX_CELLS + 1, 0)
+
+
 def test_sampler_tv_refuses_codes_that_overflow():
     # Bose at beta = 0.001 has n = 5364 at ell = 6, so base-(n+1) atom codes
     # would need more than 63 bits; the battery refuses before building.
@@ -237,17 +248,29 @@ def test_draws_leave_the_sampler_unchanged(spec, ell, n):
     np.testing.assert_array_equal(clone.sample_from_uniforms(u), from_u)
 
 
-@pytest.mark.parametrize("spec, ell, n, digest", [
-    (fermi_spec(), 1024, choose_n(0.5, 1024).n,
+def canonical_draws(spec, ell, n):
+    return lambda: CanonicalSampler(spec, ell, n).sample_batch(seed=11, replicas=range(8))
+
+
+def grand_draws(spec, ell):
+    return lambda: np.stack([sample_grand(spec, ell, 11, r) for r in range(8)])
+
+
+@pytest.mark.parametrize("draw, digest", [
+    (canonical_draws(fermi_spec(), 1024, choose_n(0.5, 1024).n),
      "4583e899c92a8e8dc07aa2cecfcdbb4e86ec79b94385c5b49ad86eeef4a05d5d"),
-    (bose_spec(), 512, choose_n(particle_density(bose_spec()), 512).n,
+    (canonical_draws(bose_spec(), 512, choose_n(particle_density(bose_spec()), 512).n),
      "e50e1d725728c89842bae537eb3bf19d16545b04a804fe5c3c73ad05f1e94974"),
-], ids=["fermi", "bose"])
-def test_golden_draws(spec, ell, n, digest):
-    # Pinned bytes of a small batch: a change to the canonical law, the tree
-    # or the random streams that moves any string must update these hashes.
-    out = CanonicalSampler(spec, ell, n).sample_batch(seed=11, replicas=range(8))
-    raw = np.ascontiguousarray(out, dtype="<i8").tobytes()
+    (grand_draws(fermi_spec(), 1024),
+     "6af0a334f9156920272db4cf0947f46207e4dc2b8f0a48165d6c48ad2e436a23"),
+    (grand_draws(bose_spec(), 512),
+     "45220abd522e708beff5f68cbc401d4d674b220b7d95e6d313cb3e8c226a573f"),
+], ids=["fermi", "bose", "grand-fermi", "grand-bose"])
+def test_golden_draws(draw, digest):
+    # Pinned bytes of a small batch of 8 replicas at seed 11: a change to the
+    # canonical law, the tree, the grand site energies or the random streams
+    # that moves any string must update these hashes.
+    raw = np.ascontiguousarray(draw(), dtype="<i8").tobytes()
     assert hashlib.sha256(raw).hexdigest() == digest
 
 
