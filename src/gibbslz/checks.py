@@ -252,14 +252,16 @@ def check_na_exhaustive(fault: bool = False) -> CheckResult:
 
 
 def check_na_empirical(spec: ensemble.EnsembleSpec, seed: int, draws: int,
-                       fault: bool = False) -> CheckResult:
+                       fault: bool = False,
+                       tail_tol: float = sampler._DEFAULT_TAIL_TOL,
+                       quad_tol: float = 1e-9) -> CheckResult:
     """Sample covariances of disjoint-window sums under conditioning stay
     within three standard errors of nonpositive.  Route: the canonical
     tree's bulk draws (sample_from_uniforms) at ell=64."""
     ell = 64
-    r_eff = ensemble.particle_density(spec)
+    r_eff = ensemble.particle_density(spec, quad_tol)
     n = sampler.choose_n(r_eff, ell).n
-    cs = sampler.CanonicalSampler(spec, ell, n)
+    cs = sampler.CanonicalSampler(spec, ell, n, tail_tol)
     u = np.random.default_rng(seed).random((draws, ell))
     vals = cs.sample_from_uniforms(u).astype(float)
     windows = [(0, 8), (8, 16), (16, 32), (32, 48), (48, 64), (0, 32), (32, 64)]
@@ -315,8 +317,8 @@ def check_chebyshev(seed: int, trials: int, fault: bool = False) -> CheckResult:
                        f"{trials} laws, max covariance {worst:.3e}")
 
 
-def check_moment_constants(spec: ensemble.EnsembleSpec,
-                           fault: bool = False) -> CheckResult:
+def check_moment_constants(spec: ensemble.EnsembleSpec, fault: bool = False,
+                           tail_tol: float = sampler._DEFAULT_TAIL_TOL) -> CheckResult:
     """Third absolute central moments of the site laws obey the statistics-
     specific variance bounds: 2 Var (Fermi), 28 max(1, mean) Var (Bose).
     Route: marginal_tables + disttab.summary at ell=16 and 256."""
@@ -325,7 +327,7 @@ def check_moment_constants(spec: ensemble.EnsembleSpec,
     count = 0
     ok = True
     for ell in (16, 256):
-        for t in sampler.marginal_tables(spec, ell):
+        for t in sampler.marginal_tables(spec, ell, tail_tol):
             s = disttab.summary(t)
             if spec.stats is ensemble.Statistics.FERMI:
                 bound = 2.0 * s.variance
@@ -400,7 +402,8 @@ def _local_clt(tables) -> tuple[float, float]:
 
 
 def check_local_clt(spec: ensemble.EnsembleSpec, sizes: tuple[int, ...],
-                    fault: bool = False) -> CheckResult:
+                    fault: bool = False,
+                    tail_tol: float = sampler._DEFAULT_TAIL_TOL) -> CheckResult:
     """Gaussian local approximation of the total: the sup error is controlled
     by the Lyapunov third-moment ratio and shrinks along IID ladders.
     Route: marginal_tables at ell=64, folded with np.convolve."""
@@ -419,7 +422,7 @@ def check_local_clt(spec: ensemble.EnsembleSpec, sizes: tuple[int, ...],
         if not all(a > b for a, b in zip(sups, sups[1:])):
             ok = False
         details.append(f"p={p}: sup {sups[0]:.2e}->{sups[-1]:.2e}")
-    sup, lyap = _local_clt(sampler.marginal_tables(spec, 64))
+    sup, lyap = _local_clt(sampler.marginal_tables(spec, 64, tail_tol))
     worst_ratio = max(worst_ratio, sup / lyap)
     if sup > bound * lyap:
         ok = False
@@ -430,19 +433,21 @@ def check_local_clt(spec: ensemble.EnsembleSpec, sizes: tuple[int, ...],
 
 
 def check_sampler_tv(spec: ensemble.EnsembleSpec, seed: int, draws: int,
-                     fault: bool = False) -> CheckResult:
+                     fault: bool = False,
+                     tail_tol: float = sampler._DEFAULT_TAIL_TOL,
+                     quad_tol: float = 1e-9) -> CheckResult:
     """Total variation between fixed-total draws at ell=6 and the exact
     conditional law, computed atom by atom over the observed support.
     Route: the canonical tree's tabulated bulk draws against build_suffix_dp."""
     ell = 6
-    r_eff = ensemble.particle_density(spec)
+    r_eff = ensemble.particle_density(spec, quad_tol)
     n = sampler.choose_n(r_eff, ell).n
     # Atoms are counted by their base-(n+1) code, which must fit in int64.
     if (n + 1)**ell >= 2**63:
         raise NumericError(f"base-{n + 1} codes of {ell} sites overflow int64")
-    tables = sampler.marginal_tables(spec, ell)
+    tables = sampler.marginal_tables(spec, ell, tail_tol)
     dp = disttab.build_suffix_dp(tables, n)
-    cs = sampler.CanonicalSampler(spec, ell, n)
+    cs = sampler.CanonicalSampler(spec, ell, n, tail_tol)
     # A 1-D integer unique is far faster than axis=0 or rows viewed as bytes.
     place = (n + 1)**np.arange(ell - 1, -1, -1, dtype=np.int64)
     # Uniforms come in the sampler's blocks of rows from one stream, which
@@ -511,7 +516,9 @@ def check_conditional_entropy_enum(seed: int, instances: int,
 
 
 def check_ensemble_identities(spec: ensemble.EnsembleSpec, riemann_points: int,
-                              fault: bool = False) -> CheckResult:
+                              fault: bool = False,
+                              tail_tol: float = sampler._DEFAULT_TAIL_TOL,
+                              quad_tol: float = 1e-9) -> CheckResult:
     """Cross-route identities: closed-form profiles vs exact tables, adaptive
     quadrature vs a midpoint Riemann sum, the density-solve round trip, and
     density monotone in mu.  Route: site_means/site_entropies against
@@ -521,7 +528,7 @@ def check_ensemble_identities(spec: ensemble.EnsembleSpec, riemann_points: int,
     msgs = []
     ok = True
 
-    tables = sampler.marginal_tables(spec, 64)
+    tables = sampler.marginal_tables(spec, 64, tail_tol)
     ents = ensemble.site_entropies(spec, 64)
     means = ensemble.site_means(spec, 64)
     worst_e = max(abs(disttab.summary(t).entropy_bits - e)
@@ -534,16 +541,17 @@ def check_ensemble_identities(spec: ensemble.EnsembleSpec, riemann_points: int,
     mids = (np.arange(riemann_points) + 0.5) / riemann_points
     r_mid = float(np.mean(np.asarray(ensemble.marginal_mean(spec, mids))))
     h_mid = float(np.mean(np.asarray(ensemble.marginal_entropy(spec, mids))))
-    dens = ensemble.particle_density(spec)
-    hrate = ensemble.entropy_rate(spec)
+    dens = ensemble.particle_density(spec, quad_tol)
+    hrate = ensemble.entropy_rate(spec, quad_tol)
     gap_q = max(abs(dens - r_mid), abs(hrate - h_mid))
     if gap_q > 1e-7:
         ok = False
     msgs.append(f"quadrature vs Riemann ({riemann_points} pts): {gap_q:.1e}")
 
-    mu_back = ensemble.solve_mu(spec.stats, spec.dispersion, spec.beta, dens)
+    mu_back = ensemble.solve_mu(spec.stats, spec.dispersion, spec.beta, dens,
+                                quad_tol=quad_tol)
     spec_back = ensemble.EnsembleSpec(spec.stats, spec.beta, mu_back, spec.dispersion)
-    gap_rt = abs(ensemble.particle_density(spec_back) - dens)
+    gap_rt = abs(ensemble.particle_density(spec_back, quad_tol) - dens)
     if gap_rt > 1e-8:
         ok = False
     msgs.append(f"density round trip: {gap_rt:.1e}")
@@ -552,8 +560,8 @@ def check_ensemble_identities(spec: ensemble.EnsembleSpec, riemann_points: int,
         if spec.stats is ensemble.Statistics.FERMI else \
         np.linspace(spec.mu - 1.0, spec.mu, 21, endpoint=False)
     densities = [ensemble.particle_density(
-        ensemble.EnsembleSpec(spec.stats, spec.beta, float(m), spec.dispersion))
-        for m in mus]
+        ensemble.EnsembleSpec(spec.stats, spec.beta, float(m), spec.dispersion),
+        quad_tol) for m in mus]
     if not all(a < b for a, b in zip(densities, densities[1:])):
         ok = False
     msgs.append("density monotone over 21 mu values")
@@ -562,8 +570,13 @@ def check_ensemble_identities(spec: ensemble.EnsembleSpec, riemann_points: int,
 
 
 def run_batteries(spec: ensemble.EnsembleSpec, seed: int, scale: BatteryScale,
-                  inject_fault: str | None = None) -> list[CheckResult]:
-    """Run every battery against one ensemble; see each battery's docstring."""
+                  inject_fault: str | None = None,
+                  tail_tol: float = sampler._DEFAULT_TAIL_TOL,
+                  quad_tol: float = 1e-9) -> list[CheckResult]:
+    """Run every battery against one ensemble; see each battery's docstring.
+    Batteries that build site laws or samplers, or integrate profiles, do
+    so at tail_tol and quad_tol."""
+    tols = {"tail_tol": tail_tol, "quad_tol": quad_tol}
     batteries = {
         "lc-closure": lambda fault: check_lc_closure(seed, scale.lc_trials, fault),
         "score-ratio": lambda fault: check_score_ratio(
@@ -571,19 +584,21 @@ def run_batteries(spec: ensemble.EnsembleSpec, seed: int, scale: BatteryScale,
         "efron-monotonicity": check_efron,
         "na-exhaustive": check_na_exhaustive,
         "na-empirical": lambda fault: check_na_empirical(
-            spec, seed + 2, scale.na_draws, fault),
+            spec, seed + 2, scale.na_draws, fault, **tols),
         "chebyshev-rearrangement": lambda fault: check_chebyshev(
             seed + 3, scale.chebyshev_trials, fault),
-        "moment-constants": lambda fault: check_moment_constants(spec, fault),
+        "moment-constants": lambda fault: check_moment_constants(
+            spec, fault, tail_tol=tail_tol),
         "bottomley-mode-mean": lambda fault: check_bottomley(
             seed + 4, scale.bottomley_trials, fault),
-        "local-clt": lambda fault: check_local_clt(spec, scale.clt_sizes, fault),
+        "local-clt": lambda fault: check_local_clt(
+            spec, scale.clt_sizes, fault, tail_tol=tail_tol),
         "sampler-tv": lambda fault: check_sampler_tv(
-            spec, seed + 5, scale.tv_draws, fault),
+            spec, seed + 5, scale.tv_draws, fault, **tols),
         "conditional-entropy-enum": lambda fault: check_conditional_entropy_enum(
             seed + 6, scale.enum_instances, fault),
         "ensemble-identities": lambda fault: check_ensemble_identities(
-            spec, scale.riemann_points, fault),
+            spec, scale.riemann_points, fault, **tols),
     }
     if inject_fault is not None and inject_fault not in batteries:
         raise ConfigError(f"unknown fault target {inject_fault!r}")

@@ -23,6 +23,7 @@ import json
 import math
 import sys
 import time
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
@@ -45,7 +46,8 @@ from .errors import (
     GibbsLzError,
     TargetRangeError,
 )
-from .lzparse import TypicalParams, classify_words, code_rate, lz78_parse, lz_rate
+from .lzparse import TypicalParams, _word_profile, classify_words, code_rate, \
+    lz78_parse, lz_rate
 from .sampler import (
     CanonicalSampler,
     choose_n,
@@ -289,11 +291,14 @@ def _length_sampler(cfg: ExperimentConfig, spec: EnsembleSpec, r_target: float,
 
 def _draw_strings(cfg: ExperimentConfig, spec: EnsembleSpec, ell: int,
                   sampler: CanonicalSampler | None,
-                  replicas: list[int]) -> list[np.ndarray]:
-    """The replicas' strings of one length: canonical, or grand without a sampler."""
+                  replicas: list[int]) -> Iterator[np.ndarray]:
+    """The replicas' strings of one length, in order: canonical ones from
+    one batched draw made here, or, without a sampler, grand ones drawn one
+    at a time as the iterator advances, so a caller that drops each string
+    before taking the next holds one."""
     if sampler is None:
-        return [sample_grand(spec, ell, cfg.seed, rep) for rep in replicas]
-    return list(sampler.sample_batch(cfg.seed, replicas))
+        return (sample_grand(spec, ell, cfg.seed, rep) for rep in replicas)
+    return iter(sampler.sample_batch(cfg.seed, replicas))
 
 
 def _replica_rows(cfg: ExperimentConfig, spec: EnsembleSpec, typical: TypicalParams,
@@ -303,13 +308,17 @@ def _replica_rows(cfg: ExperimentConfig, spec: EnsembleSpec, typical: TypicalPar
     rows: list[dict] = []
     times: list[dict] = []
     n = None if sampler is None else sampler.n
+    # A canonical batch is drawn here and its time shared equally; a grand
+    # string is drawn inside its own row's time.
     t0 = time.perf_counter()
     strings = _draw_strings(cfg, spec, ell, sampler, replicas)
     sample_share = (time.perf_counter() - t0) / len(replicas)
-    for rep, s in zip(replicas, strings):
+    for rep in replicas:
         t1 = time.perf_counter()
+        s = next(strings)
         parse = lz78_parse(s)
         counts = classify_words(parse, s, spec, typical)
+        del s  # hold one string: drop it before the next is drawn
         elapsed = time.perf_counter() - t1 + sample_share
         rows.append({
             "config_hash": cfg.config_hash,
@@ -355,6 +364,9 @@ def _run_length(cfg: ExperimentConfig, spec: EnsembleSpec, typical: TypicalParam
         from multiprocessing import get_context
 
         chunks = _chunks(replicas, workers)
+        # Built once here, the length's word profile is inherited by every
+        # forked worker instead of rebuilt in each.
+        _word_profile(spec, ell)
         ctx = get_context("fork")
         with ProcessPoolExecutor(max_workers=len(chunks), mp_context=ctx) as pool:
             outputs = list(pool.map(work, chunks))
@@ -491,7 +503,8 @@ def cmd_check(cfg: ExperimentConfig, out_dir: Path,
     spec, _, _ = resolve_spec(cfg)
     scale = checks.BatteryScale.full() if cfg.check_scale == "full" \
         else checks.BatteryScale.quick()
-    results = checks.run_batteries(spec, cfg.seed, scale, inject_fault=inject_fault)
+    results = checks.run_batteries(spec, cfg.seed, scale, inject_fault=inject_fault,
+                                   tail_tol=cfg.tail_tol, quad_tol=cfg.quad_tol)
     _write_jsonl(out_dir / "check_report.jsonl",
                  [{"name": r.name, "passed": r.passed, "detail": r.detail}
                   for r in results])

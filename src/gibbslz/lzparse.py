@@ -27,9 +27,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ensemble import EnsembleSpec, marginal_entropy, marginal_mean, \
-    site_entropies, site_means
+from .ensemble import EnsembleSpec, marginal_entropy, marginal_mean
 from .errors import DomainError
+from .sampler import _blocks
 
 
 def _as_values(string) -> np.ndarray:
@@ -83,7 +83,8 @@ def lz78_parse(string) -> LzParse:
     lengths: list[int] = []
     node = root
     start = 0
-    for i, sym in enumerate(arr.tolist()):
+    # A memoryview yields Python ints like tolist(), without a list of ell.
+    for i, sym in enumerate(memoryview(arr)):
         child = node.get(sym)
         if child is None:
             node[sym] = {}
@@ -162,10 +163,17 @@ def _word_profile(spec: EnsembleSpec, ell: int) -> tuple[np.ndarray, np.ndarray]
 
     A run classifies every string of a length before moving to the next, so
     one cached length serves all its replicas while holding a single
-    length's arrays per process.
+    length's arrays per process.  Both profiles are filled in blocks of
+    sites and summed in place, so nothing else of length ell is allocated.
     """
-    means = site_means(spec, ell)
-    ent_prefix = np.concatenate([[0.0], np.cumsum(site_entropies(spec, ell))])
+    means = np.empty(ell)
+    ent_prefix = np.empty(ell + 1)
+    ent_prefix[0] = 0.0
+    for lo, hi in _blocks(ell, 1):
+        y = np.arange(lo, hi) / ell
+        means[lo:hi] = marginal_mean(spec, y)
+        ent_prefix[lo + 1:hi + 1] = marginal_entropy(spec, y)
+    np.cumsum(ent_prefix[1:], out=ent_prefix[1:])
     means.flags.writeable = False
     ent_prefix.flags.writeable = False
     return means, ent_prefix
@@ -181,7 +189,10 @@ def classify_words(parse: LzParse, string, spec: EnsembleSpec,
     if parse.ell < 2:
         raise DomainError("classification needs a string of length at least 2")
     means, ent_prefix = _word_profile(spec, parse.ell)
-    dev_prefix = np.concatenate([[0.0], np.cumsum(arr - means)])
+    dev_prefix = np.empty(parse.ell + 1)
+    dev_prefix[0] = 0.0
+    np.subtract(arr, means, out=dev_prefix[1:])
+    np.cumsum(dev_prefix[1:], out=dev_prefix[1:])
     starts = parse.starts
     ends = starts + parse.lengths
     devs = dev_prefix[ends] - dev_prefix[starts]

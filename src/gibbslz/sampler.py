@@ -84,8 +84,9 @@ _WINDOW_SIGMAS = 12.0
 # larger instances fail fast with NumericError instead of running unbounded.
 _MAX_CELLS = 1 << 25
 # Cells of one block: a draw's split weights for a block of replicas and
-# merges, the build's transforms for a batch of merges, and all of one
-# sampler's split tables.  2^17 float cells (1 MiB) fit a core's L2 cache.
+# merges, the build's transforms for a batch of merges, all of one
+# sampler's split tables, and a run of sites of a grand string or of
+# lzparse's word profile.  2^17 float cells (1 MiB) fit a core's L2 cache.
 _BLOCK_CELLS = 1 << 17
 # Newton steps allowed for the saddle-point tilt.
 _TILT_STEPS = 100
@@ -149,22 +150,30 @@ def marginal_tables(spec: EnsembleSpec, ell: int,
 def sample_grand(spec: EnsembleSpec, ell: int, seed: int,
                  replica: int = 0) -> np.ndarray:
     """Independent draw of every site from its marginal law, as a length-ell
-    int64 array; a length over the cell budget is refused first."""
+    int64 array; a length over the cell budget is refused first.
+
+    Sites are drawn in blocks of _BLOCK_CELLS, each from the next uniforms
+    of the replica's stream, so the string does not depend on the block
+    size and only the output is ell cells long."""
     if ell < 1:
         raise DomainError("ell must be at least 1")
     if ell > _MAX_CELLS:
         raise NumericError(f"grand length {ell} exceeds the cell budget ({_MAX_CELLS})")
     rng = make_rng(seed, ell, replica)
-    u = rng.random(ell)
-    x = spec.beta * eval_dispersion(spec, np.arange(ell) / ell)
-    if spec.stats is Statistics.FERMI:
-        return (u < _fermi_mean(x)).astype(np.int64)
-    # Geometric inverse transform: smallest k with 1 - q^{k+1} > u.
-    k = np.floor(np.log1p(-u) / -x)
-    if not np.all(k < 2.0**63):
-        raise DomainError("a Bose occupancy overflows int64; the ensemble is "
-                          "too close to condensation")
-    return k.astype(np.int64)
+    out = np.empty(ell, dtype=np.int64)
+    for lo, hi in _blocks(ell, 1):
+        u = rng.random(hi - lo)
+        x = spec.beta * eval_dispersion(spec, np.arange(lo, hi) / ell)
+        if spec.stats is Statistics.FERMI:
+            out[lo:hi] = u < _fermi_mean(x)
+        else:
+            # Geometric inverse transform: smallest k with 1 - q^{k+1} > u.
+            k = np.floor(np.log1p(-u) / -x)
+            if not np.all(k < 2.0**63):
+                raise DomainError("a Bose occupancy overflows int64; the "
+                                  "ensemble is too close to condensation")
+            out[lo:hi] = k
+    return out
 
 
 def _site_laws(spec: EnsembleSpec, ell: int,

@@ -1,19 +1,23 @@
 """Config parsing, output schemas, determinism, and exit codes of the CLI."""
 
 import argparse
+import inspect
 import json
 import math
 import re
 import subprocess
 import sys
 import time
+import tracemalloc
 import warnings
+import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import gibbslz as g
+from gibbslz import ensemble, expcli, lzparse, sampler
 from gibbslz.disttab import entropy_gap
 from gibbslz.errors import ConfigError
 from gibbslz.expcli import (
@@ -276,8 +280,9 @@ def test_converge_deterministic_across_workers_and_runs(tmp_path):
 
 
 def test_converge_grand_deterministic_across_workers_and_runs(tmp_path):
-    # Each worker process builds and caches its own word-classification
-    # profile per length; the bytes must not depend on which one did.
+    # With more than one worker the parent builds each length's word-
+    # classification profile and the forked workers inherit it; with one,
+    # the worker builds it.  The bytes must not depend on which one did.
     assert_deterministic_across_workers_and_runs(
         tmp_path, BASE.replace("canonical", "grand"))
 
@@ -292,6 +297,65 @@ def test_converge_grand_kind(tmp_path):
         assert cells["kind"] == "grand"
         assert cells["n"] == ""
         assert cells["entropy_gap_per_site"] == ""
+
+
+def grand_rows_setup(tmp_path: Path, stats: str = "bose", ell: int = 1024):
+    """(cfg, spec, typical params, h) of a grand run at one length."""
+    mu = "ensemble.mu = -0.5" if stats == "bose" else "ensemble.mu = 1.0"
+    cfg = load_config(write_cfg(tmp_path, BASE.replace("canonical", "grand")
+                                .replace("fermi", stats)
+                                .replace("ensemble.r = 0.5", mu)
+                                .replace("16,32", str(ell))))
+    spec, _, h = resolve_spec(cfg)
+    return cfg, spec, g.TypicalParams.from_ensemble(spec, cfg.epsilon), h
+
+
+def test_grand_replicas_hold_one_string_at_a_time(tmp_path, monkeypatch):
+    # Each grand string is drawn, parsed, classified and dropped before the
+    # next is drawn: at every draw no earlier string is still alive.
+    cfg, spec, typical, h = grand_rows_setup(tmp_path)
+    drawn: list[weakref.ref] = []
+    alive_at_draw: list[int] = []
+    real = expcli.sample_grand
+
+    def spy(*args):
+        alive_at_draw.append(sum(ref() is not None for ref in drawn))
+        string = real(*args)
+        drawn.append(weakref.ref(string))
+        return string
+
+    monkeypatch.setattr(expcli, "sample_grand", spy)
+    rows, times = expcli._replica_rows(cfg, spec, typical, h, 1024, None, None,
+                                       [0, 1, 2, 3])
+    assert alive_at_draw == [0, 0, 0, 0]
+    assert [t["replica"] for t in times] == [0, 1, 2, 3]
+    # The lazy draws are the strings the library draws for each replica.
+    for rep, row in enumerate(rows):
+        assert row["replica"] == rep
+        assert row["word_count"] == \
+            g.lz78_parse(real(spec, 1024, cfg.seed, rep)).word_count
+
+
+@pytest.mark.parametrize("stats", ["bose", "fermi"])
+def test_grand_replica_working_set(tmp_path, monkeypatch, stats):
+    # One grand replica at 2^18 (2 MiB of int64), profile warmed: its draw,
+    # parse and classification hold the string, the parser's trie and one
+    # prefix sum, and no other array of the string's length.  Blocks of
+    # 2^10 cells keep the draw's transients small, so any such array shows.
+    # Measured 5.8 MiB (Bose) and 5.5 MiB (Fermi); the bound leaves 12%.
+    # Drawing and summing whole strings peaked at 8.0 MiB.
+    ell = 1 << 18
+    cfg, spec, typical, h = grand_rows_setup(tmp_path, stats, ell)
+    monkeypatch.setattr(sampler, "_BLOCK_CELLS", 1 << 10)
+    lzparse._word_profile(spec, ell)
+    tracemalloc.start()
+    try:
+        expcli._replica_rows(cfg, spec, typical, h, ell, None, None, [0])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        lzparse._word_profile.cache_clear()
+    assert peak <= 6.5 * 2**20
 
 
 def converge_rows(cfg_path: str, out: Path) -> list[dict]:
@@ -551,6 +615,35 @@ def test_check_command_and_fault_injection(tmp_path, capsys):
                  "--inject-fault", "bogus"]) == 1
     assert "unknown fault target" in capsys.readouterr().err
     assert not (tmp_path / "bogus" / "check_report.jsonl").exists()
+
+
+def test_check_builds_batteries_at_the_config_tolerances(tmp_path, monkeypatch):
+    # analysis.tail_tol and analysis.quad_tol reach every site-law table,
+    # sampler and profile integral the batteries make, not the library
+    # defaults.
+    seen: dict[str, set] = {}
+
+    def spy(owner, name: str, param: str) -> None:
+        real = getattr(owner, name)
+        sig = inspect.signature(real)
+
+        def wrapped(*args, **kwargs):
+            bound = sig.bind(*args, **kwargs)
+            bound.apply_defaults()
+            seen.setdefault(name, set()).add(bound.arguments[param])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, wrapped)
+
+    spy(sampler, "CanonicalSampler", "tail_tol")
+    spy(sampler, "marginal_tables", "tail_tol")
+    spy(ensemble, "particle_density", "quad_tol")
+    spy(ensemble, "entropy_rate", "quad_tol")
+    cfg_path = write_cfg(tmp_path, BASE + "analysis.check_scale = quick\n"
+                         "analysis.tail_tol = 1e-10\nanalysis.quad_tol = 1e-10\n")
+    assert main(["check", "--config", cfg_path, "--out", str(tmp_path / "out")]) == 0
+    assert seen == {"CanonicalSampler": {1e-10}, "marginal_tables": {1e-10},
+                    "particle_density": {1e-10}, "entropy_rate": {1e-10}}
 
 
 def test_worker_count_validation(tmp_path, capsys):

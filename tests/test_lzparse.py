@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import gibbslz as g
+from gibbslz import sampler
 from gibbslz import (
     CosineLattice,
     EnsembleSpec,
@@ -333,6 +334,23 @@ def test_classify_words_profile_cache_is_keyed_on_spec_and_length():
             with pytest.raises(ValueError):
                 arr[0] = 1.0
     assert _word_profile.cache_info().maxsize == 1
+
+
+@pytest.mark.parametrize("block", [1, 7, 1000, sampler._BLOCK_CELLS])
+@pytest.mark.parametrize("stats", list(Statistics), ids=lambda s: s.value)
+def test_word_profile_does_not_depend_on_the_block_size(monkeypatch, stats, block):
+    # Three whole blocks and a ragged fourth, against the profiles computed
+    # whole and summed by one cumsum, bit for bit.
+    spec = EnsembleSpec(stats, 1.0, 1.0 if stats is Statistics.FERMI else -0.5,
+                        CosineLattice())
+    ell = 3 * block + 5
+    monkeypatch.setattr(sampler, "_BLOCK_CELLS", block)
+    _word_profile.cache_clear()
+    means, ent_prefix = _word_profile(spec, ell)
+    _word_profile.cache_clear()
+    whole = np.concatenate([[0.0], np.cumsum(site_entropies(spec, ell))])
+    for got, want in ((means, site_means(spec, ell)), (ent_prefix, whole)):
+        np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
 
 
 def test_classify_words_validation():

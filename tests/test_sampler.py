@@ -31,6 +31,7 @@ from gibbslz import (
     summary,
 )
 from gibbslz.checks import check_sampler_tv
+from gibbslz.ensemble import eval_dispersion
 
 FERMI = Statistics.FERMI
 BOSE = Statistics.BOSE
@@ -116,6 +117,28 @@ def test_grand_refuses_lengths_over_the_cell_budget(monkeypatch):
     monkeypatch.setattr(sampler, "make_rng", unreachable)
     with pytest.raises(NumericError, match="budget"):
         sample_grand(fermi_spec(), sampler._MAX_CELLS + 1, 0)
+
+
+def whole_grand_draw(spec, ell, seed, replica):
+    """sample_grand's inverse transforms applied to the whole string at once."""
+    u = make_rng(seed, ell, replica).random(ell)
+    x = spec.beta * eval_dispersion(spec, np.arange(ell) / ell)
+    if spec.stats is FERMI:
+        with np.errstate(over="ignore"):
+            return (u < 1.0 / (1.0 + np.exp(x))).astype(np.int64)
+    return np.floor(np.log1p(-u) / -x).astype(np.int64)
+
+
+@pytest.mark.parametrize("block", [1, 7, 1000, sampler._BLOCK_CELLS])
+@pytest.mark.parametrize("spec", [fermi_spec(), bose_spec()], ids=["fermi", "bose"])
+def test_grand_strings_do_not_depend_on_the_block_size(monkeypatch, spec, block):
+    # Three whole blocks and a ragged fourth.  Each block reads the next
+    # uniforms of the replica's stream, so the blocked draw is the
+    # whole-string draw bit for bit.
+    ell = 3 * block + 5
+    monkeypatch.setattr(sampler, "_BLOCK_CELLS", block)
+    np.testing.assert_array_equal(sample_grand(spec, ell, 9, 2),
+                                  whole_grand_draw(spec, ell, 9, 2))
 
 
 def test_sampler_tv_refuses_codes_that_overflow():
