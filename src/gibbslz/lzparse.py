@@ -1,7 +1,7 @@
 """Incremental dictionary parsing of occupancy strings and word statistics.
 
 The parser scans left to right and cuts the shortest word not seen before,
-growing a dictionary trie over the (unbounded) integer alphabet; the trailing
+growing a dictionary over the (unbounded) integer alphabet; the trailing
 remainder, which may duplicate an earlier word, is kept as a final word so
 the words tile the string exactly.  The headline statistic is
 
@@ -10,6 +10,16 @@ the words tile the string exactly.  The headline statistic is
 with C the word count: the compressed size per site when each word is coded
 by a fixed-width pointer.  code_rate = C * log2(C) / ell is the matching
 self-referential pointer cost.
+
+Strings keep the integer dtype they come in, which the samplers make the
+narrowest that holds the string (one byte per site for Fermi strings and
+most Bose ones).  The dictionary is one set of words as byte strings of
+the string's raw bytes, itemsize bytes per symbol, so a word costs a short
+bytes object instead of a chain of trie nodes.  Every proper prefix of a
+word is itself a word, so whether s[i:i+k] is in the dictionary is true up
+to some k and false beyond it; the parse finds that edge by galloping from
+the previous word's length, a few set probes per word instead of one trie
+step per symbol.
 
 Word-level diagnostics weigh each parsed word against the mode profiles of
 the generating ensemble: a word's ensemble entropy is the per-site entropy
@@ -38,7 +48,7 @@ def _as_values(string) -> np.ndarray:
         raise DomainError("occupancy string must be one-dimensional")
     if arr.size and not np.issubdtype(arr.dtype, np.integer):
         raise DomainError("occupancies must be integers")
-    return arr.astype(np.int64, copy=False)
+    return arr
 
 
 @dataclass(frozen=True)
@@ -73,29 +83,63 @@ class LzParse:
 
 
 def lz78_parse(string) -> LzParse:
-    """Shortest-new-word incremental parse with a dictionary trie.
+    """Shortest-new-word incremental parse with a dictionary of byte strings.
 
-    The trailing remainder is emitted as a final word even when it repeats an
-    earlier one, so the word count matches the pointer count of the coder.
+    A word starting at byte i is data[i:j] for the shortest j whose slice is
+    not yet a word.  Membership of data[i:i+k] is monotone in k, so the
+    search gallops from the previous word's length: up in doubling steps
+    while slices are words, or down while they are not, then bisects the
+    bracket.  The trailing remainder is emitted as a final word even when
+    it repeats an earlier one, so the word count matches the pointer count
+    of the coder.
     """
     arr = _as_values(string)
-    root: dict[int, dict] = {}
+    data = arr.tobytes()
+    w = arr.itemsize
+    end = len(data)
+    words: set[bytes] = set()
     lengths: list[int] = []
-    node = root
-    start = 0
-    # A memoryview yields Python ints like tolist(), without a list of ell.
-    for i, sym in enumerate(memoryview(arr)):
-        child = node.get(sym)
-        if child is None:
-            node[sym] = {}
-            lengths.append(i - start + 1)
-            node = root
-            start = i + 1
+    # Bound methods and plain comparisons instead of min/max: this loop
+    # runs once per word.
+    add, push = words.add, lengths.append
+    i = 0
+    guess = w
+    while i < end:
+        # Bracket the word's end: data[i:lo] is a word (or empty), and
+        # data[i:hi] is not, or hi is the end of the string, where the
+        # remainder is the last word whether or not it is new.
+        j = i + guess
+        if j > end:
+            j = end
+        if data[i:j] in words:
+            lo, step = j, w
+            hi = j + w
+            while hi < end and data[i:hi] in words:
+                lo = hi
+                step += step
+                hi += step
+            if hi > end:
+                hi = end
         else:
-            node = child
-    if start < arr.size:
-        lengths.append(arr.size - start)
-    return LzParse(int(arr.size), np.asarray(lengths, dtype=np.int64))
+            hi, step = j, w
+            lo = j - w
+            while lo > i and data[i:lo] not in words:
+                hi = lo
+                step += step
+                lo -= step
+            if lo < i:
+                lo = i
+        while hi - lo > w:
+            mid = lo + (hi - lo) // w // 2 * w
+            if data[i:mid] in words:
+                lo = mid
+            else:
+                hi = mid
+        add(data[i:hi])
+        push(hi - i)
+        guess = hi - i
+        i = hi
+    return LzParse(int(arr.size), np.asarray(lengths, dtype=np.int64) // w)
 
 
 def lz_rate(parse: LzParse) -> float:
@@ -182,25 +226,40 @@ def _word_profile(spec: EnsembleSpec, ell: int) -> tuple[np.ndarray, np.ndarray]
 def classify_words(parse: LzParse, string, spec: EnsembleSpec,
                    params: TypicalParams) -> WordClassCounts:
     """Split the parse words into low-entropy typical, other typical, and
-    non-typical, with entropy budget (1 - eps^2) log2(ell) bits per word."""
+    non-typical, with entropy budget (1 - eps^2) log2(ell) bits per word.
+
+    A word's deviation is a difference of the prefix sums of arr - means at
+    its two ends.  The prefix sum runs one block of sites at a time, each
+    block's first element carrying the sum so far, and only its values at
+    word ends are kept: the same additions in the same order as one cumsum
+    over the string, without an ell-long float array."""
     arr = _as_values(string)
     if arr.size != parse.ell:
         raise DomainError("parse and string lengths disagree")
     if parse.ell < 2:
         raise DomainError("classification needs a string of length at least 2")
     means, ent_prefix = _word_profile(spec, parse.ell)
-    dev_prefix = np.empty(parse.ell + 1)
-    dev_prefix[0] = 0.0
-    np.subtract(arr, means, out=dev_prefix[1:])
-    np.cumsum(dev_prefix[1:], out=dev_prefix[1:])
-    starts = parse.starts
-    ends = starts + parse.lengths
-    devs = dev_prefix[ends] - dev_prefix[starts]
+    ends = np.cumsum(parse.lengths)
+    at_ends = np.empty(ends.size)
+    blocks = _blocks(parse.ell, 1)
+    buf = np.empty(blocks[0][1])
+    carry, done = 0.0, 0
+    for lo, hi in blocks:
+        dev = buf[:hi - lo]
+        np.subtract(arr[lo:hi], means[lo:hi], out=dev)
+        dev[0] += carry
+        np.cumsum(dev, out=dev)
+        carry = dev[-1]
+        # Word ends in (lo, hi] read the prefix sum through site end - 1.
+        upto = int(np.searchsorted(ends, hi, side="right"))
+        at_ends[done:upto] = dev[ends[done:upto] - 1 - lo]
+        done = upto
+    devs = at_ends - np.concatenate(([0.0], at_ends[:-1]))
     if params.two_sided:
         typical = np.abs(devs) <= parse.lengths * params.eps_prime
     else:
         typical = devs <= parse.lengths * params.eps_prime
-    word_entropy = ent_prefix[ends] - ent_prefix[starts]
+    word_entropy = ent_prefix[ends] - ent_prefix[ends - parse.lengths]
     budget = (1.0 - params.eps**2) * math.log2(parse.ell)
     low = typical & (word_entropy <= budget)
     return WordClassCounts(

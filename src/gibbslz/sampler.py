@@ -150,17 +150,19 @@ def marginal_tables(spec: EnsembleSpec, ell: int,
 def sample_grand(spec: EnsembleSpec, ell: int, seed: int,
                  replica: int = 0) -> np.ndarray:
     """Independent draw of every site from its marginal law, as a length-ell
-    int64 array; a length over the cell budget is refused first.
+    array of the narrowest unsigned dtype that holds it (uint8 unless a Bose
+    occupancy passes 255); a length over the cell budget is refused first.
 
     Sites are drawn in blocks of _BLOCK_CELLS, each from the next uniforms
     of the replica's stream, so the string does not depend on the block
-    size and only the output is ell cells long."""
+    size and only the output is ell cells long.  A Bose block whose maximum
+    does not fit widens the array once, to the dtype of that maximum."""
     if ell < 1:
         raise DomainError("ell must be at least 1")
     if ell > _MAX_CELLS:
         raise NumericError(f"grand length {ell} exceeds the cell budget ({_MAX_CELLS})")
     rng = make_rng(seed, ell, replica)
-    out = np.empty(ell, dtype=np.int64)
+    out = np.empty(ell, dtype=np.uint8)
     for lo, hi in _blocks(ell, 1):
         u = rng.random(hi - lo)
         x = spec.beta * eval_dispersion(spec, np.arange(lo, hi) / ell)
@@ -169,9 +171,12 @@ def sample_grand(spec: EnsembleSpec, ell: int, seed: int,
         else:
             # Geometric inverse transform: smallest k with 1 - q^{k+1} > u.
             k = np.floor(np.log1p(-u) / -x)
-            if not np.all(k < 2.0**63):
+            peak = float(k.max())
+            if not peak < 2.0**63:
                 raise DomainError("a Bose occupancy overflows int64; the "
                                   "ensemble is too close to condensation")
+            if peak > np.iinfo(out.dtype).max:
+                out = out.astype(np.min_scalar_type(int(peak)))
             out[lo:hi] = k
     return out
 
@@ -373,11 +378,15 @@ class CanonicalSampler:
         # Split CDFs of the tabulated levels, keyed by the parent level h.
         self._tables: dict[int, np.ndarray] = {}
 
+        # No leaf exceeds the widest support, so strings are stored in the
+        # narrowest dtype that holds it.
+        self._peak = int(top.max())
+        self._dtype = np.min_scalar_type(self._peak)
         if self.n == 0:
-            self._degenerate = np.zeros(ell, dtype=np.int64)
+            self._degenerate = np.zeros(ell, dtype=self._dtype)
             return
         if full:
-            self._degenerate = np.ones(ell, dtype=np.int64)
+            self._degenerate = np.ones(ell, dtype=self._dtype)
             return
         self._degenerate = None
 
@@ -534,8 +543,8 @@ class CanonicalSampler:
         """Draw one string per row of uniforms; uniforms has shape (m, ell).
 
         Column c feeds the c-th merge node (root first, level by level);
-        the last column is unused.  Every drawn string is checked to be
-        nonnegative and to sum to n.
+        the last column is unused.  Every drawn string is checked to sum
+        to n with each site between 0 and the widest site support.
         """
         U = np.asarray(uniforms, dtype=float)
         if U.ndim != 2 or U.shape[1] != self.ell:
@@ -543,9 +552,10 @@ class CanonicalSampler:
         return self._sample(U.shape[0], lambda lo, hi: U[lo:hi])
 
     def sample_batch(self, seed: int, replicas) -> np.ndarray:
-        """Deterministic per-replica draws as a (len(replicas), ell) int64
-        matrix; row i depends only on (ensemble, ell, n, seed, replicas[i]),
-        never on the batch composition."""
+        """Deterministic per-replica draws as a (len(replicas), ell) matrix
+        of the narrowest unsigned dtype that holds the largest leaf; row i
+        depends only on (ensemble, ell, n, seed, replicas[i]), never on the
+        batch composition."""
         streams = [make_rng(seed, self.ell, int(r)) for r in replicas]
 
         def uniforms(lo: int, hi: int) -> np.ndarray:
@@ -566,11 +576,13 @@ class CanonicalSampler:
         cells = max([self.ell] + [self._levels[h - 1].width
                                   for h in range(1, len(self._levels))
                                   if h not in self._tables])
-        out = np.empty((m, self.ell), dtype=np.int64)
+        out = np.empty((m, self.ell), dtype=self._dtype)
         for lo, hi in _blocks(m, cells):
             block = self._draw(uniforms(lo, hi))
-            if not (np.all(block.sum(axis=1) == self.n) and np.all(block >= 0)):
+            if not (np.all(block.sum(axis=1) == self.n)
+                    and np.all((block >= 0) & (block <= self._peak))):
                 raise NumericError("draws failed to consume the target total "
-                                   "exactly with nonnegative occupancies")
+                                   "exactly with occupancies inside the site "
+                                   "supports")
             out[lo:hi] = block
         return out

@@ -23,7 +23,7 @@ def test_bench_hooks_resolve_and_trace_a_parse(monkeypatch):
         g.CanonicalSampler(spec, 64, 32)
         string = tracer.last_sampler.sample_batch(0, [0])[0]
         parse = expcli.lz78_parse(string)
-    assert string.shape == (64,) and string.dtype == np.int64
+    assert string.shape == (64,) and string.dtype == np.uint8
     assert parse.ell == 64
     assert {rec["name"] for rec in tracer.spans} == {
         "sampler.build", "sampler.draw", "lzparse.parse"}

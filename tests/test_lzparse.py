@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import gibbslz as g
 from gibbslz import sampler
@@ -29,8 +31,31 @@ from gibbslz.lzparse import _as_values, _word_profile
 FERMI = EnsembleSpec(Statistics.FERMI, 1.0, 1.0, CosineLattice())
 
 
-# Reference routes: word by word, the quantities classify_words computes in
-# bulk from prefix sums, plus the greatest word count of a parse.
+# Reference routes: a symbol-by-symbol trie parse, word by word the
+# quantities classify_words computes in bulk from prefix sums, plus the
+# greatest word count of a parse.
+
+def trie_lengths(string) -> list[int]:
+    """Word lengths of the shortest-new-word parse, one trie step per
+    symbol: each word is a node of nested dicts keyed by the symbol's int."""
+    root: dict[int, dict] = {}
+    lengths: list[int] = []
+    node = root
+    start = 0
+    vals = np.asarray(string).tolist()
+    for i, sym in enumerate(vals):
+        child = node.get(sym)
+        if child is None:
+            node[sym] = {}
+            lengths.append(i - start + 1)
+            node = root
+            start = i + 1
+        else:
+            node = child
+    if start < len(vals):
+        lengths.append(len(vals) - start)
+    return lengths
+
 
 def word_windows(parse: LzParse) -> list[tuple[int, int]]:
     """(start, length) of every word of the parse."""
@@ -153,6 +178,60 @@ def test_relabel_invariance():
         parse = lz78_parse(relabeled)
         assert parse.starts.tolist() == base.starts.tolist()
         assert parse.lengths.tolist() == base.lengths.tolist()
+
+
+@st.composite
+def occupancy_strings(draw) -> np.ndarray:
+    """Strings over a few symbols of one integer dtype, the full range of
+    the dtype included, as contiguous arrays or as views with a stride."""
+    dtype = np.dtype(draw(st.sampled_from([np.uint8, np.uint16, np.int64])))
+    info = np.iinfo(dtype)
+    alphabet = draw(st.lists(st.integers(int(info.min), int(info.max)),
+                             min_size=1, max_size=4, unique=True))
+    values = draw(st.lists(st.sampled_from(alphabet), max_size=300))
+    step = draw(st.sampled_from([1, 3, -2]))
+    # The gaps of a strided view hold a symbol of the alphabet, so a parse
+    # that read them would cut different words.
+    base = np.full(max(1, len(values) * abs(step)), alphabet[0], dtype=dtype)
+    view = base[::step][:len(values)]
+    view[:] = values
+    return view
+
+
+@settings(max_examples=300, deadline=None)
+@given(occupancy_strings())
+@example(np.array([], dtype=np.uint8))
+@example(np.array([7], dtype=np.uint16))
+@example(np.array([-3], dtype=np.int64))
+@example(np.full(50, 4, dtype=np.uint8))
+@example(np.full(50, 2**40, dtype=np.int64))
+@example(np.array([256, 1, 256, 256, 1, 0, 256, 1, 1, 256], dtype=np.uint16))
+@example(np.array([-1, 2**63 - 1, -1, -1, -2**63, 0, -1, 2**63 - 1], dtype=np.int64))
+@example(np.arange(40, dtype=np.int64)[::-3])
+@example(np.array([0] * 10 + [1] + [0] * 7, dtype=np.uint16))
+def test_parse_matches_the_trie(string):
+    # The byte-string dictionary with its galloping search cuts exactly
+    # the words of the trie, whatever the dtype, values, length or strides.
+    # In the last example the final gallop runs past the end of the string
+    # and bisects a bracket of three two-byte symbols.
+    parse = lz78_parse(string)
+    assert parse.ell == string.size
+    assert parse.lengths.tolist() == trie_lengths(string)
+
+
+CANONICAL = [g.CanonicalSampler(FERMI, 512, 256),
+             g.CanonicalSampler(EnsembleSpec(Statistics.BOSE, 1.0, -0.5,
+                                             CosineLattice()), 256, 130)]
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32))
+def test_parse_matches_the_trie_on_sampled_rows(seed):
+    # Rows of a canonical batch are views into one matrix of the sampler's
+    # narrow dtype.
+    for cs in CANONICAL:
+        for row in cs.sample_batch(seed, [0, 1, 2]):
+            assert lz78_parse(row).lengths.tolist() == trie_lengths(row)
 
 
 def test_max_word_count_is_tight_for_short_binary_strings():
@@ -351,6 +430,49 @@ def test_word_profile_does_not_depend_on_the_block_size(monkeypatch, stats, bloc
     whole = np.concatenate([[0.0], np.cumsum(site_entropies(spec, ell))])
     for got, want in ((means, site_means(spec, ell)), (ent_prefix, whole)):
         np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def whole_string_counts(parse, string, spec: EnsembleSpec,
+                        params: TypicalParams) -> tuple[int, int, int]:
+    """(low typical, other typical, non-typical) from one cumsum of
+    arr - means over the whole string, read at the word ends."""
+    dev_prefix = np.concatenate(
+        [[0.0], np.cumsum(np.asarray(string, dtype=np.int64) - site_means(spec, parse.ell))])
+    ent_prefix = np.concatenate([[0.0], np.cumsum(site_entropies(spec, parse.ell))])
+    starts = parse.starts
+    ends = starts + parse.lengths
+    devs = dev_prefix[ends] - dev_prefix[starts]
+    allowance = parse.lengths * params.eps_prime
+    typical = np.abs(devs) <= allowance if params.two_sided else devs <= allowance
+    low = typical & (ent_prefix[ends] - ent_prefix[starts]
+                     <= (1.0 - params.eps**2) * math.log2(parse.ell))
+    return (int(np.count_nonzero(low)), int(np.count_nonzero(typical & ~low)),
+            int(np.count_nonzero(~typical)))
+
+
+@pytest.mark.parametrize("block", [1, 7, 1000, sampler._BLOCK_CELLS])
+@pytest.mark.parametrize("stats", list(Statistics), ids=lambda s: s.value)
+def test_classify_words_does_not_depend_on_the_block_size(monkeypatch, stats, block):
+    # Three whole blocks and a ragged fourth: the blocked prefix sum, read
+    # at word ends, counts the words that one whole-string cumsum counts,
+    # and the uint8 string and its int64 copy are counted alike.
+    spec = EnsembleSpec(stats, 1.0, 1.0 if stats is Statistics.FERMI else -0.5,
+                        CosineLattice())
+    ell = 3 * block + 5
+    monkeypatch.setattr(sampler, "_BLOCK_CELLS", block)
+    _word_profile.cache_clear()
+    narrow = g.sample_grand(spec, ell, seed=8)
+    assert narrow.dtype == np.uint8
+    wide = narrow.astype(np.int64)
+    parse = lz78_parse(narrow)
+    for two_sided in (False, True):
+        params = TypicalParams.from_ensemble(spec, 0.3, two_sided=two_sided)
+        want = whole_string_counts(parse, wide, spec, params)
+        for string in (narrow, wide):
+            counts = classify_words(parse, string, spec, params)
+            assert (counts.low_typical, counts.other_typical,
+                    counts.non_typical) == want
+    _word_profile.cache_clear()
 
 
 def test_classify_words_validation():

@@ -82,7 +82,7 @@ def test_grand_sampling_reproducible_and_in_range():
     spec = fermi_spec()
     s1 = sample_grand(spec, 512, seed=9, replica=3)
     s2 = sample_grand(spec, 512, seed=9, replica=3)
-    assert s1.shape == (512,) and s1.dtype == np.int64
+    assert s1.shape == (512,) and s1.dtype == np.uint8
     np.testing.assert_array_equal(s1, s2)
     assert set(np.unique(s1)) <= {0, 1}
     s3 = sample_grand(spec, 512, seed=9, replica=4)
@@ -141,6 +141,33 @@ def test_grand_strings_do_not_depend_on_the_block_size(monkeypatch, spec, block)
                                   whole_grand_draw(spec, ell, 9, 2))
 
 
+@pytest.mark.parametrize("block", [1, 7, sampler._BLOCK_CELLS])
+def test_grand_strings_widen_past_255(monkeypatch, block):
+    # The band minimum sits mid-string and mu a hair below it, so the
+    # middle site draws about 10^6 particles while the sites of the first
+    # block stay under 256: the uint8 string is widened once the middle
+    # block is drawn, and the sites drawn before keep their values.
+    spec = EnsembleSpec(BOSE, 1.0, -1e-6, TabulatedGrid((1.0, 0.0, 1.0)))
+    ell = 3 * block + 5
+    monkeypatch.setattr(sampler, "_BLOCK_CELLS", block)
+    want = whole_grand_draw(spec, ell, 9, 2)
+    assert want.max() > 255 and want[:min(block, ell // 2)].max() <= 255
+    got = sample_grand(spec, ell, 9, 2)
+    assert got.dtype == np.min_scalar_type(want.max()) == np.uint32
+    np.testing.assert_array_equal(got, want)
+
+
+def test_canonical_strings_take_the_narrowest_dtype_of_their_supports():
+    # Near condensation the Bose supports are cut at n, so a total of 300
+    # needs uint16 however few particles most sites hold.
+    spec = EnsembleSpec(BOSE, 1.0, -1e-6, TabulatedGrid((1.0, 0.0, 1.0)))
+    cs = CanonicalSampler(spec, 8, 300)
+    batch = cs.sample_batch(seed=3, replicas=[0, 1])
+    assert batch.dtype == np.uint16
+    np.testing.assert_array_equal(batch.sum(axis=1), 300)
+    assert CanonicalSampler(spec, 8, 200).sample_batch(3, [0]).dtype == np.uint8
+
+
 def test_sampler_tv_refuses_codes_that_overflow():
     # Bose at beta = 0.001 has n = 5364 at ell = 6, so base-(n+1) atom codes
     # would need more than 63 bits; the battery refuses before building.
@@ -153,7 +180,7 @@ def test_canonical_hits_target_exactly():
         cs = CanonicalSampler(spec, 128, n)
         assert cs.n == n
         batch = cs.sample_batch(seed=5, replicas=[0, 1, 2])
-        assert batch.shape == (3, 128) and batch.dtype == np.int64
+        assert batch.shape == (3, 128) and batch.dtype == np.uint8
         np.testing.assert_array_equal(batch.sum(axis=1), n)
         if spec.stats is FERMI:
             assert set(np.unique(batch)) <= {0, 1}
@@ -162,10 +189,10 @@ def test_canonical_hits_target_exactly():
 def test_canonical_degenerate_targets():
     spec = fermi_spec()
     zeros = CanonicalSampler(spec, 32, 0).sample_batch(1, [0, 1])
-    assert zeros.shape == (2, 32) and zeros.dtype == np.int64
+    assert zeros.shape == (2, 32) and zeros.dtype == np.uint8
     np.testing.assert_array_equal(zeros, 0)
     ones = CanonicalSampler(spec, 32, 32).sample_batch(1, [0])
-    assert ones.shape == (1, 32) and ones.dtype == np.int64
+    assert ones.shape == (1, 32) and ones.dtype == np.uint8
     np.testing.assert_array_equal(ones, 1)
 
 
@@ -632,6 +659,17 @@ def test_negative_occupancies_raise_numeric_error(monkeypatch):
     monkeypatch.setattr(cs, "_draw", lambda u: np.tile(bad, (u.shape[0], 1)))
     with pytest.raises(NumericError):
         cs.sample_batch(seed=1, replicas=[0, 1])
+
+
+def test_occupancies_past_the_widest_support_raise_numeric_error(monkeypatch):
+    # A string with the right total but a site above every support could
+    # not be stored in the sampler's narrow dtype; it is refused too.
+    cs = CanonicalSampler(fermi_spec(), 16, 8)
+    bad = np.zeros(16, dtype=np.int64)
+    bad[0] = 8
+    monkeypatch.setattr(cs, "_draw", lambda u: np.tile(bad, (u.shape[0], 1)))
+    with pytest.raises(NumericError):
+        cs.sample_batch(seed=1, replicas=[0])
 
 
 def test_cell_budget_checked_before_site_laws(monkeypatch):
