@@ -14,8 +14,8 @@ is the independent route that checks it, in the batteries and the tests:
     marginal entropies (nonpositive; the per-site cost of pinning the total).
 
 The structural inequalities these laws obey (log-concavity closure, Efron
-monotonicity, the score-ratio bound, the local CLT) are computed by their
-batteries in checks.py.  All entropies are in bits.
+monotonicity, the score-ratio bound, negative association) are checked by
+tests/test_disttab.py.  All entropies are in bits.
 """
 
 import math

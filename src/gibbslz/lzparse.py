@@ -55,8 +55,8 @@ def _as_values(string) -> np.ndarray:
 class LzParse:
     """A tiling of a length-ell string into dictionary words.
 
-    Word w has lengths[w] sites and follows word w - 1, so it covers
-    [starts[w], starts[w] + lengths[w]).  All words except possibly the last
+    Word w has lengths[w] sites and follows word w - 1, so the words end at
+    cumsum(lengths), exclusive.  All words except possibly the last
     are distinct, and every proper prefix of a word occurs earlier as a word.
     """
 
@@ -70,12 +70,6 @@ class LzParse:
             raise DomainError("word lengths must be positive and sum to ell")
         lengths.flags.writeable = False
         object.__setattr__(self, "lengths", lengths)
-
-    @property
-    def starts(self) -> np.ndarray:
-        starts = np.cumsum(self.lengths) - self.lengths
-        starts.flags.writeable = False
-        return starts
 
     @property
     def word_count(self) -> int:

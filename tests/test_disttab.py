@@ -48,6 +48,35 @@ def enumerate_conditional(tables, n):
     return {c: w / z for c, w in atoms.items()}, z
 
 
+def product_atoms(tables) -> tuple[np.ndarray, np.ndarray]:
+    """(configs, weights): every configuration of the product support as a
+    row of an int matrix, in lexicographic order, and its product-law weight."""
+    configs = np.indices([t.logp.size for t in tables]).reshape(len(tables), -1).T
+    weights = np.ones(configs.shape[0])
+    for j, t in enumerate(tables):
+        weights *= t.probs[configs[:, j]]
+    return configs, weights
+
+
+def covariance(w: np.ndarray, x: np.ndarray, y: np.ndarray) -> float:
+    """Covariance of x and y under the probability weights w."""
+    return float(w @ (x * y) - (w @ x) * (w @ y))
+
+
+def random_lc_table(rng: np.random.Generator) -> DistTable:
+    """Random log-concave law: concave log-pmf from sorted increments."""
+    k = int(rng.integers(1, 7))
+    d = np.sort(rng.uniform(-1.5, 1.5, size=k))[::-1]
+    logp = np.concatenate([[0.0], np.cumsum(d)])
+    return DistTable(logp - np.logaddexp.reduce(logp))
+
+
+def log_concave(table: DistTable) -> bool:
+    """p(k)^2 >= p(k-1) p(k+1) on the whole support, up to float rounding
+    in long convolution chains; genuine violations are far larger."""
+    return bool(np.all(np.diff(table.logp, 2) <= 1e-12))
+
+
 def test_table_validation():
     with pytest.raises(DomainError):
         DistTable(np.array([0.1, -1.0]))  # positive log-prob
@@ -148,13 +177,21 @@ def test_convolution_preserves_log_concavity():
     for _ in range(6):
         other = DistTable.geometric(float(rng.uniform(0.2, 2.0)))
         t = convolve(t, other)
-        # p(k)^2 >= p(k-1) p(k+1), up to float rounding
-        assert np.all(np.diff(t.logp, 2) <= 1e-12)
+        assert log_concave(t)
+    # 1000 random log-concave pairs, every third with a Bernoulli law.
+    rng = np.random.default_rng(0)
+    for trial in range(1000):
+        a = random_lc_table(rng)
+        b = DistTable.bernoulli(float(rng.uniform(0.05, 0.95))) if trial % 3 == 0 \
+            else random_lc_table(rng)
+        assert log_concave(convolve(a, b))
 
 
 def test_is_log_concave_detects_violation():
-    bad = DistTable.from_probs([0.5, 0.01, 0.49])
-    assert np.diff(bad.logp, 2)[0] > 0.0  # p(1)^2 < p(0) p(2)
+    for probs in ([0.5, 0.01, 0.49], [0.5, 0.1, 0.4]):
+        bad = DistTable.from_probs(probs)
+        assert np.diff(bad.logp, 2)[0] > 0.0  # p(1)^2 < p(0) p(2)
+        assert not log_concave(bad)
 
 
 def test_conditional_law_matches_enumeration():
@@ -186,6 +223,12 @@ def test_conditional_law_matches_enumeration():
             assert float(exact[got.size:].sum()) == 0.0
         h_enum = -sum(w * math.log2(w) for w in law.values() if w > 0)
         assert conditional_entropy_exact(dp) == pytest.approx(h_enum, abs=1e-10)
+    # Negative control: the comparison tells neighbouring totals apart.
+    tables = [DistTable.bernoulli(p) for p in (0.2, 0.5, 0.7, 0.9)]
+    law, _ = enumerate_conditional(tables, 2)
+    h_enum = -sum(w * math.log2(w) for w in law.values() if w > 0)
+    h_off = conditional_entropy_exact(build_suffix_dp(tables, 3))
+    assert abs(h_off - h_enum) > 1e-10
 
 
 def test_uniform_conditional_anchor():
@@ -255,19 +298,57 @@ def test_local_clt_error_shrinks_with_size():
         checks._local_clt([delta(2)] * 4)
 
 
+def score_ratio(ps: np.ndarray, n: int) -> tuple[float, float]:
+    """(lhs, rhs) of the downward score bound for a sum S of independent
+    Bernoulli(p_i) occupancies,
+
+        P(S = n-1) / P(S = n)  >=  n / ((M - n + 1) k*),
+
+    with M the number of sites and k* the mean odds p_i/(1-p_i).  Equality
+    holds in the exchangeable (all p_i equal) case; n = 0 gives (0, 0).
+    The law of S is folded in the probability domain, one site at a time.
+    """
+    if n == 0:
+        return 0.0, 0.0
+    law = np.ones(1)
+    for p in ps:
+        law = np.convolve(law, (1.0 - p, p))
+    kstar = float(np.mean(ps / (1.0 - ps)))
+    return float(law[n - 1] / law[n]), n / ((len(ps) - n + 1) * kstar)
+
+
+def score_bound_holds(lhs: float, rhs: float) -> bool:
+    return lhs >= rhs * (1.0 - 1e-12) - 1e-15
+
+
 def test_score_ratio_iid_equality_and_bounds():
     ps = np.full(12, 0.3)
     for n in range(1, 13):
-        lhs, rhs = checks._score_ratio(ps, n)
+        lhs, rhs = score_ratio(ps, n)
         # exchangeable sites make the bound an identity
         assert lhs == pytest.approx(rhs, rel=1e-12)
-    rng = np.random.default_rng(3)
-    for _ in range(20):
-        het = rng.uniform(0.05, 0.95, size=int(rng.integers(2, 10)))
-        n = int(rng.integers(1, het.size + 1))
-        lhs, rhs = checks._score_ratio(het, n)
-        assert lhs >= rhs - 1e-12
-    assert checks._score_ratio(ps, 0) == (0.0, 0.0)
+    assert score_ratio(ps, 0) == (0.0, 0.0)
+    # 500 random sums of up to 32 sites, every fourth exchangeable.
+    rng = np.random.default_rng(1)
+    strict = 0
+    for trial in range(500):
+        m = int(rng.integers(2, 33))
+        if trial % 4 == 0:
+            ps = np.full(m, float(rng.uniform(0.1, 0.9)))
+        else:
+            ps = rng.uniform(0.05, 0.95, size=m)
+        n = int(rng.integers(0, m + 1))
+        lhs, rhs = score_ratio(ps, n)
+        assert score_bound_holds(lhs, rhs), (trial, lhs, rhs)
+        if trial % 4 == 0:
+            assert lhs == pytest.approx(rhs, rel=1e-12)
+        elif n > 1:
+            # Negative control: past n = 1, where both sides are 1/sum of the
+            # odds, heterogeneous sites meet the bound strictly, so the
+            # reversed inequality is flagged.
+            assert not score_bound_holds(rhs, lhs), (trial, lhs, rhs)
+            strict += 1
+    assert strict > 300
 
 
 def log_domain_clt(tables):
@@ -296,7 +377,7 @@ def test_probability_folds_match_log_domain_convolve():
         ps = rng.uniform(0.05, 0.95, size=int(rng.integers(2, 33)))
         n = int(rng.integers(1, ps.size + 1))
         law = convolve(*[DistTable.bernoulli(float(p)) for p in ps])
-        lhs, _ = checks._score_ratio(ps, n)
+        lhs, _ = score_ratio(ps, n)
         ref = math.exp(law.logp[n - 1] - law.logp[n])
         assert lhs == pytest.approx(ref, rel=1e-12, abs=0.0)
     systems = [[DistTable.bernoulli(p)] * m for p in (0.5, 0.35)
@@ -310,14 +391,120 @@ def test_probability_folds_match_log_domain_convolve():
         assert lyap == pytest.approx(ref_lyap, rel=1e-12, abs=0.0)
 
 
-def test_efron_monotonicity_increasing_vs_decreasing(monkeypatch):
-    # The battery's own phis on one mixed Bernoulli/geometric system; its
-    # fault swaps the increasing sum for the decreasing -sum.
-    tables = [DistTable.bernoulli(0.3), DistTable.bernoulli(0.6),
-              DistTable.geometric(0.8, tail_tol=1e-4)]
-    monkeypatch.setattr(checks, "_efron_instances", lambda: [tables])
-    assert checks.check_efron().passed
-    assert not checks.check_efron(fault=True).passed
+EFRON_PHIS = [
+    lambda k: k.sum(axis=1),
+    lambda k: k.max(axis=1),
+    lambda k: k.min(axis=1),
+    lambda k: k[:, 0],
+    lambda k: k @ np.arange(1, k.shape[1] + 1),
+    lambda k: k.sum(axis=1) >= 2,
+    lambda k: np.minimum(k, 2).sum(axis=1),
+]
+
+
+def efron_monotone(tables, phi) -> bool:
+    """E[phi | total] is nondecreasing in the total, by enumeration; every
+    total up to the summed supports must occur."""
+    configs, weights = product_atoms(tables)
+    totals = configs.sum(axis=1)
+    vals = np.bincount(totals, weights * phi(configs)) / np.bincount(totals, weights)
+    tol = 1e-9 * max(1.0, float(np.max(np.abs(vals))))
+    return not np.any(np.diff(vals) < -tol)
+
+
+def test_efron_monotonicity_increasing_vs_decreasing():
+    # Coordinatewise nondecreasing phis on mixed Bernoulli/geometric systems
+    # with full support; the decreasing -sum is the negative control.
+    geom3 = DistTable.from_probs(np.array([1.0, 0.55, 0.55**2, 0.55**3])
+                                 / sum(0.55**k for k in range(4)))
+    binom2 = convolve(DistTable.bernoulli(0.4), DistTable.bernoulli(0.7))
+    systems = [
+        [DistTable.bernoulli(0.3), DistTable.bernoulli(0.6), DistTable.bernoulli(0.9)],
+        [DistTable.bernoulli(0.5)] * 5,
+        [geom3, geom3, DistTable.bernoulli(0.25)],
+        [binom2, DistTable.bernoulli(0.5), geom3],
+        [DistTable.bernoulli(0.3), DistTable.bernoulli(0.6),
+         DistTable.geometric(0.8, tail_tol=1e-4)],
+    ]
+    for tables in systems:
+        for phi in EFRON_PHIS:
+            assert efron_monotone(tables, phi)
+        assert not efron_monotone(tables, lambda k: -k.sum(axis=1))
+
+
+WINDOW_FUNCS = [
+    lambda v: v.sum(axis=-1),
+    lambda v: v.max(axis=-1),
+    lambda v: v.min(axis=-1),
+    lambda v: (v.sum(axis=-1) >= 1).astype(float),
+    lambda v: (v**2).sum(axis=-1),
+]
+
+
+def test_negative_association_exhaustive():
+    # Conditioned on their total, occupancies are negatively associated:
+    # nondecreasing functions of disjoint site sets have covariance <= 0.
+    # Negating one function makes it decreasing, the negative control.
+    geom = DistTable.from_probs(np.array([1.0, 0.5, 0.25]) / 1.75)
+    systems = [
+        ([DistTable.bernoulli(p) for p in (0.2, 0.5, 0.7, 0.9)], (1, 2, 3)),
+        ([geom, geom, DistTable.bernoulli(0.4)], (1, 2, 3)),
+        ([geom, DistTable.bernoulli(0.3), DistTable.bernoulli(0.8), geom], (2, 4)),
+    ]
+    splits = [((0,), (1,)), ((0,), (1, 2)), ((0, 1), (2,)), ((1,), (2,))]
+    pairs = flagged = 0
+    for tables, totals in systems:
+        configs, weights = product_atoms(tables)
+        for n in totals:
+            on = configs.sum(axis=1) == n
+            k = configs[on].astype(float)
+            w = weights[on] / weights[on].sum()
+            for a_sites, b_sites in splits:
+                for f, g in itertools.product(WINDOW_FUNCS, repeat=2):
+                    fv, gv = f(k[:, a_sites]), g(k[:, b_sites])
+                    assert covariance(w, fv, gv) <= 1e-12
+                    flagged += covariance(w, fv, -gv) > 1e-12
+                    pairs += 1
+    assert pairs == 800
+    # Most pairs are strictly negatively correlated, so most flip.
+    assert flagged > pairs // 2
+
+
+def test_chebyshev_rearrangement():
+    # An increasing and a decreasing function of one occupancy have
+    # nonpositive covariance under any law; a comonotone pair, whose
+    # covariance is a variance, is the negative control.
+    rng = np.random.default_rng(3)
+    for _ in range(200):
+        support = int(rng.integers(1, 10))
+        p = rng.uniform(0.05, 1.0, size=support + 1)
+        p /= p.sum()
+        up = np.cumsum(rng.uniform(0.0, 1.0, size=p.size))
+        down = -np.cumsum(rng.uniform(0.0, 1.0, size=p.size))
+        assert covariance(p, up, down) <= 1e-12
+        assert covariance(p, up, up) > 1e-12
+
+
+def mode_mean_within_bound(table: DistTable) -> bool:
+    s = summary(table)
+    return abs(s.mode - s.mean) <= math.sqrt(3.0 * s.variance) + 1e-12
+
+
+def test_bottomley_mode_mean():
+    # The mode and mean of a log-concave law differ by at most sqrt(3 Var).
+    rng = np.random.default_rng(4)
+    for trial in range(300):
+        if trial % 5 == 0:
+            table = DistTable.geometric(float(rng.uniform(0.2, 3.0)))
+        else:
+            table = random_lc_table(rng)
+        assert mode_mean_within_bound(table)
+    # Negative control: a law that is not log-concave, its mode at 0 just
+    # above each of eight atoms far out, has mean - mode > sqrt(3 Var).
+    probs = np.zeros(28)
+    probs[0] = 0.12
+    probs[20:] = 0.11
+    assert not mode_mean_within_bound(DistTable.from_probs(probs))
 
 
 @pytest.mark.parametrize("n", [0, 1, 3, 7])

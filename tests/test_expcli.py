@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 import gibbslz as g
-from gibbslz import ensemble, expcli, lzparse, sampler
+from gibbslz import checks, ensemble, expcli, lzparse, sampler
 from gibbslz.disttab import entropy_gap
 from gibbslz.errors import ConfigError
 from gibbslz.expcli import (
@@ -44,6 +44,8 @@ run.replicas = 3
 run.seed = 11
 run.kind = canonical
 """
+BATTERY_NAMES = ("na-empirical", "moment-constants", "local-clt", "sampler-tv",
+                 "ensemble-identities")
 
 
 def test_cli_start_up_defers_batteries_and_process_pool():
@@ -79,6 +81,13 @@ def test_readme_matches_parser_and_config_keys():
     assert listed == options
     first_cells = re.findall(r"^\|[^|]*", readme_section("### Config keys"), flags=re.M)
     assert set(re.findall(r"`([a-z_]+\.[a-z_]+)`", "".join(first_cells))) == _KNOWN_KEYS
+    # The check row lists, in order, the batteries run_batteries runs.
+    row = re.search(r"^\| `check .*$", readme_section("## Command line"), flags=re.M)
+    tiny = checks.BatteryScale(na_draws=100, tv_draws=1000, clt_sizes=(25,),
+                               riemann_points=1000)
+    spec = g.EnsembleSpec(g.Statistics.FERMI, 1.0, 1.0, g.CosineLattice())
+    ran = [r.name for r in checks.run_batteries(spec, 0, tiny)]
+    assert re.findall(r"`([a-z]+(?:-[a-z]+)+)`", row.group()) == ran
 
 
 def write_cfg(tmp_path: Path, text: str, name: str = "run.cfg") -> str:
@@ -593,29 +602,48 @@ def test_converge_grand_low_temperature_fermi_is_warning_free(tmp_path):
         assert dict(zip(RESULT_COLUMNS, line.split(",")))["error"] == ""
 
 
+def check_report(out: Path) -> list[dict]:
+    return [json.loads(ln) for ln in (out / "check_report.jsonl").read_text().splitlines()]
+
+
 def test_check_command_and_fault_injection(tmp_path, capsys):
     cfg_path = write_cfg(tmp_path, BASE + "analysis.check_scale = quick\n")
     out = tmp_path / "out"
     assert main(["check", "--config", cfg_path, "--out", str(out)]) == 0
-    report = [json.loads(ln)
-              for ln in (out / "check_report.jsonl").read_text().splitlines()]
-    assert len(report) >= 10
+    report = check_report(out)
+    assert [r["name"] for r in report] == list(BATTERY_NAMES)
     assert all(r["passed"] for r in report)
     capsys.readouterr()
 
     assert main(["check", "--config", cfg_path, "--out", str(out),
-                 "--inject-fault", "score-ratio"]) == 2
-    report = [json.loads(ln)
-              for ln in (out / "check_report.jsonl").read_text().splitlines()]
-    failed = [r["name"] for r in report if not r["passed"]]
-    assert failed == ["score-ratio"]
+                 "--inject-fault", "moment-constants"]) == 2
+    failed = [r["name"] for r in check_report(out) if not r["passed"]]
+    assert failed == ["moment-constants"]
     capsys.readouterr()
 
-    # An unknown target is a config error, refused before any battery runs.
-    assert main(["check", "--config", cfg_path, "--out", str(tmp_path / "bogus"),
-                 "--inject-fault", "bogus"]) == 1
-    assert "unknown fault target" in capsys.readouterr().err
-    assert not (tmp_path / "bogus" / "check_report.jsonl").exists()
+    # An unknown target is a config error, refused before any battery runs;
+    # the lemmas that read no config are tests, not batteries.
+    for target in ("bogus", "score-ratio"):
+        bad = tmp_path / target
+        assert main(["check", "--config", cfg_path, "--out", str(bad),
+                     "--inject-fault", target]) == 1
+        assert "unknown fault target" in capsys.readouterr().err
+        assert not (bad / "check_report.jsonl").exists()
+
+
+def test_check_bose_profiles_count_the_dropped_tail(tmp_path, capsys):
+    # Bose tables cut at a loose tail_tol drop a geometric tail that the
+    # closed-form profiles include; ensemble-identities adds its share back.
+    cfg_path = write_cfg(tmp_path, "ensemble.stats = bose\nensemble.beta = 1.0\n"
+                         "ensemble.mu = -0.5\nrun.lengths = 16\n"
+                         "analysis.check_scale = quick\nanalysis.tail_tol = 1e-7\n")
+    out = tmp_path / "out"
+    assert main(["check", "--config", cfg_path, "--out", str(out)]) == 0
+    assert main(["check", "--config", cfg_path, "--out", str(out),
+                 "--inject-fault", "ensemble-identities"]) == 2
+    failed = [r["name"] for r in check_report(out) if not r["passed"]]
+    assert failed == ["ensemble-identities"]
+    capsys.readouterr()
 
 
 def test_check_builds_batteries_at_the_config_tolerances(tmp_path, monkeypatch):
