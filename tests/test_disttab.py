@@ -412,13 +412,12 @@ def efron_monotone(tables, phi) -> bool:
     return not np.any(np.diff(vals) < -tol)
 
 
-def test_efron_monotonicity_increasing_vs_decreasing():
-    # Coordinatewise nondecreasing phis on mixed Bernoulli/geometric systems
-    # with full support; the decreasing -sum is the negative control.
+def efron_systems() -> list[list[DistTable]]:
+    """Mixed Bernoulli/geometric systems with full support."""
     geom3 = DistTable.from_probs(np.array([1.0, 0.55, 0.55**2, 0.55**3])
                                  / sum(0.55**k for k in range(4)))
     binom2 = convolve(DistTable.bernoulli(0.4), DistTable.bernoulli(0.7))
-    systems = [
+    return [
         [DistTable.bernoulli(0.3), DistTable.bernoulli(0.6), DistTable.bernoulli(0.9)],
         [DistTable.bernoulli(0.5)] * 5,
         [geom3, geom3, DistTable.bernoulli(0.25)],
@@ -426,7 +425,12 @@ def test_efron_monotonicity_increasing_vs_decreasing():
         [DistTable.bernoulli(0.3), DistTable.bernoulli(0.6),
          DistTable.geometric(0.8, tail_tol=1e-4)],
     ]
-    for tables in systems:
+
+
+def test_efron_monotonicity_increasing_vs_decreasing():
+    # Coordinatewise nondecreasing phis; the decreasing -sum is the negative
+    # control.
+    for tables in efron_systems():
         for phi in EFRON_PHIS:
             assert efron_monotone(tables, phi)
         assert not efron_monotone(tables, lambda k: -k.sum(axis=1))
