@@ -287,13 +287,33 @@ def test_dp_cell_budget(monkeypatch):
         build_suffix_dp(tables, 32)
 
 
+def clt_ladder(site: DistTable, sizes=(25, 100, 400, 1600)) -> tuple[list, bool]:
+    """Sup errors of the totals of m IID sites along the ladder, and whether
+    each stays within the Lyapunov ratio times checks._CLT_RATIO_BOUND."""
+    sups, within = [], True
+    for m in sizes:
+        sup, lyap = checks._local_clt([site] * m)
+        sups.append(sup)
+        within = within and sup <= checks._CLT_RATIO_BOUND * lyap
+    return sups, within
+
+
 def test_local_clt_error_shrinks_with_size():
-    small_sup, small_lyap = checks._local_clt([DistTable.bernoulli(0.5)] * 25)
-    big_sup, big_lyap = checks._local_clt([DistTable.bernoulli(0.5)] * 400)
-    assert big_sup < small_sup
-    assert small_lyap <= 1.0
+    # Bernoulli ladders: the sup error stays within the Lyapunov ratio and
+    # strictly shrinks as sites are added.
+    for p in (0.5, 0.35):
+        sups, within = clt_ladder(DistTable.bernoulli(p))
+        assert within, (p, sups)
+        assert all(a > b for a, b in zip(sups, sups[1:])), (p, sups)
+    _, lyap = checks._local_clt([DistTable.bernoulli(0.5)] * 400)
     # Fair Bernoulli sites: E|K - 1/2|^3 = 1/8 and sigma^3 = (m/4)^{3/2}.
-    assert big_lyap == pytest.approx(400 * 0.125 / 10.0**3, rel=1e-12)
+    assert lyap == pytest.approx(400 * 0.125 / 10.0**3, rel=1e-12)
+    # Negative control: sites on {0, 2} put the total on even integers, so
+    # sigma P(S = q) stays near 2 phi at even q and 0 at odd q.  The sup
+    # error does not shrink, and the Lyapunov ratio, which does, falls below it.
+    sups, within = clt_ladder(DistTable.from_probs((0.5, 0.0, 0.5)))
+    assert not within
+    assert not all(a > b for a, b in zip(sups, sups[1:])), sups
     with pytest.raises(DomainError):
         checks._local_clt([delta(2)] * 4)
 
