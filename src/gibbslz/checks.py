@@ -10,9 +10,10 @@ the mode-mean bound) read no config; tests/test_disttab.py checks them,
 as it checks the local CLT along Bernoulli ladders.
 
 The batteries that draw or integrate at scale (na-empirical, sampler-tv and
-ensemble-identities) walk their draws or points in the sampler's blocks of
-_BLOCK_CELLS cells.  Beyond one block they keep only seven window sums per
-draw (na-empirical) and one count per observed atom (sampler-tv).
+ensemble-identities) walk their draws in the sampler's draw_blocks and their
+points in blocks of _BLOCK_CELLS.  Beyond one block they keep only seven
+window sums per draw (na-empirical) and one count per observed atom
+(sampler-tv).
 
 Fault injection deliberately corrupts one battery's input or tolerance so a
 harness run can demonstrate that violations are detected and reported, not
@@ -50,13 +51,6 @@ class BatteryScale:
         return cls(na_draws=4000, tv_draws=60_000, riemann_points=100_000)
 
 
-def _draw_blocks(draws: int, ell: int) -> list[tuple[int, int]]:
-    """The sampler's blocks of bulk draws at ell sites.  A draw holds its ell
-    uniforms and the totals of its merge tree's 2 ell - 1 nodes, so it
-    counts 3 ell cells."""
-    return sampler._blocks(draws, 3 * ell)
-
-
 def check_na_empirical(spec: ensemble.EnsembleSpec, seed: int, draws: int,
                        fault: bool = False,
                        tail_tol: float = sampler._DEFAULT_TAIL_TOL,
@@ -74,7 +68,7 @@ def check_na_empirical(spec: ensemble.EnsembleSpec, seed: int, draws: int,
     # matrix; only each draw's window sums are kept.
     rng = np.random.default_rng(seed)
     sums = np.empty((len(windows), draws))
-    for lo, hi in _draw_blocks(draws, ell):
+    for lo, hi in cs.draw_blocks(draws):
         vals = cs.sample_from_uniforms(rng.random((hi - lo, ell))).astype(float)
         for row, (a0, a1) in zip(sums, windows):
             row[lo:hi] = vals[:, a0:a1].sum(axis=1)
@@ -208,7 +202,7 @@ def check_sampler_tv(spec: ensemble.EnsembleSpec, seed: int, draws: int,
     rng = np.random.default_rng(seed)
     keys = np.empty(0, dtype=np.int64)
     counts = np.empty(0, dtype=np.int64)
-    for lo, hi in _draw_blocks(draws, ell):
+    for lo, hi in cs.draw_blocks(draws):
         codes = cs.sample_from_uniforms(rng.random((hi - lo, ell))) @ place
         new_keys, new_counts = np.unique(codes, return_counts=True)
         merged = np.union1d(keys, new_keys)

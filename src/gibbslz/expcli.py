@@ -30,7 +30,6 @@ from pathlib import Path
 
 import numpy as np
 
-from . import sampler as _sampler
 from .ensemble import (
     CosineLattice,
     Dispersion,
@@ -432,45 +431,6 @@ def cmd_converge(cfg: ExperimentConfig, out_dir: Path, workers: int) -> int:
     return 0
 
 
-def _write_occupancies(path: Path, string: np.ndarray) -> None:
-    """One occupancy per line, formatted a block of sites at a time."""
-    with open(path, "w") as f:
-        for lo, hi in _sampler._blocks(string.size, 1):
-            f.write("\n".join(map(str, string[lo:hi].tolist())) + "\n")
-
-
-def _read_occupancies(path: str) -> np.ndarray:
-    """The whitespace-separated integers of a text file, in the narrowest
-    dtype that holds them (int64 at most).
-
-    The text is read _BLOCK_CELLS characters at a time, a token cut at a
-    block's end carried into the next; each block's values are narrowed to
-    their own range before the blocks are joined."""
-    parts: list[np.ndarray] = []
-    carry = ""
-    with open(path) as f:
-        while chunk := f.read(_sampler._BLOCK_CELLS):
-            tokens = (carry + chunk).split()
-            carry = "" if chunk[-1].isspace() else tokens.pop()
-            parts.append(_narrowed([int(t) for t in tokens]))
-    parts.append(_narrowed([int(carry)] if carry else []))
-    out = np.empty(sum(p.size for p in parts), dtype=_narrowest(parts))
-    return np.concatenate(parts, out=out, casting="unsafe")
-
-
-def _narrowest(parts: list[np.ndarray]) -> np.dtype:
-    """The narrowest integer dtype that holds every value of the arrays:
-    unsigned when none is negative, else signed."""
-    lo = min((int(p.min()) for p in parts if p.size), default=0)
-    hi = max((int(p.max()) for p in parts if p.size), default=0)
-    return np.min_scalar_type(hi if lo >= 0 else min(lo, -hi - 1))
-
-
-def _narrowed(values: list[int]) -> np.ndarray:
-    arr = np.array(values, dtype=np.int64)
-    return arr.astype(_narrowest([arr]))
-
-
 def cmd_sample(cfg: ExperimentConfig, out_dir: Path) -> int:
     spec, r_target, _ = resolve_spec(cfg)
     samples_dir = out_dir / "samples"
@@ -483,7 +443,8 @@ def cmd_sample(cfg: ExperimentConfig, out_dir: Path) -> int:
         replicas = list(range(cfg.replicas))
         for rep, s in zip(replicas, _draw_strings(cfg, spec, ell, sampler, replicas)):
             name = f"sample_{cfg.kind}_ell{ell}_rep{rep}.txt"
-            _write_occupancies(samples_dir / name, s)
+            (samples_dir / name).write_text(
+                "\n".join(str(v) for v in s.tolist()) + "\n")
             manifest.append({
                 "kind": cfg.kind, "ell": ell, "n": n, "replica": rep,
                 "file": name, "sum": int(s.sum()),
@@ -499,7 +460,8 @@ def cmd_parse(cfg: ExperimentConfig, out_dir: Path, inputs: list[str]) -> int:
     rows = []
     for path in inputs:
         try:
-            values = _read_occupancies(path)
+            tokens = Path(path).read_text().split()
+            values = np.array([int(tok) for tok in tokens], dtype=np.int64)
         except (OSError, ValueError, OverflowError) as exc:
             raise ConfigError(f"cannot read occupancy file {path}: {exc}") from exc
         parse = lz78_parse(values)

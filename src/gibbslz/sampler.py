@@ -50,11 +50,12 @@ Determinism: each (seed, ell, replica) triple owns a counter-based random
 stream.  A replica reads ell uniforms from it and uses one per merge node of
 the tree (ell - 1 of them; the last uniform is unused).  Every transient
 array is cut to a block of _BLOCK_CELLS cells: a draw runs over blocks of
-replicas, an untabulated level draws its merges in blocks, and a block's
-uniforms are read from its replicas' streams just before it is drawn.  Each
-merge's arithmetic is confined to its own row and merge, so a string is a
-pure function of (ensemble, ell, n, seed, replica), independent of blocking,
-tabulation, batching and process count.
+replicas (CanonicalSampler.draw_blocks), an untabulated level draws its
+merges in blocks, and a block's uniforms are read from its replicas'
+streams just before it is drawn.  Each merge's arithmetic is confined to
+its own row and merge, so a string is a pure function of (ensemble, ell, n,
+seed, replica), independent of blocking, tabulation, batching and process
+count.
 
 Site laws have one source, _site_laws: site j's law is proportional to
 e^{a_j k}, a_j = -beta omega(j/ell), on k = 0..top_j, where Fermi supports
@@ -566,18 +567,34 @@ class CanonicalSampler:
 
         return self._sample(len(streams), uniforms)
 
+    def draw_blocks(self, m: int) -> list[tuple[int, int]]:
+        """The blocks of replicas that m draws take.
+
+        A replica's draw holds about 6 ell cells at once: its uniforms, and
+        by tracemalloc 5.5 to 5.75 ell more for the node totals, indices,
+        thresholds and picks of its widest level and the checks of its
+        string.  A block also costs about 0.08 ms a tabulated level and 0.2
+        to 0.35 ms a level without tables.  On a fully tabulated tree the
+        strings are short and hundreds fit in a block, so a block holds one
+        block of those cells, and the heap is not trimmed and refaulted
+        after every block (na-empirical and sampler-tv of both bench specs
+        took 17k minor faults so, 143k in blocks of ell cells a replica).
+        A tree with a level without tables draws long strings, and its
+        fixed cost dominates (the ladder-fermi bench ran 12% slower in
+        blocks of 6 ell cells a replica), so a block takes as many replicas
+        as keep each array within one block: ell cells a replica, or one
+        merge of an untabulated level if wider."""
+        widths = [self._levels[h - 1].width for h in range(1, len(self._levels))
+                  if h not in self._tables]
+        return _blocks(m, max([self.ell] + widths) if widths else 6 * self.ell)
+
     def _sample(self, m: int, uniforms) -> np.ndarray:
-        """Draw m strings in blocks of replicas; uniforms(lo, hi) gives the
-        uniform rows of replicas lo..hi - 1.  A replica's draw holds its
-        leaf totals (ell cells) or, if wider, one merge of an untabulated
-        level, and that sets how many replicas a block takes."""
+        """Draw m strings in the blocks of draw_blocks; uniforms(lo, hi)
+        gives the uniform rows of replicas lo..hi - 1."""
         if self._degenerate is not None:
             return np.tile(self._degenerate, (m, 1))
-        cells = max([self.ell] + [self._levels[h - 1].width
-                                  for h in range(1, len(self._levels))
-                                  if h not in self._tables])
         out = np.empty((m, self.ell), dtype=self._dtype)
-        for lo, hi in _blocks(m, cells):
+        for lo, hi in self.draw_blocks(m):
             block = self._draw(uniforms(lo, hi))
             if not (np.all(block.sum(axis=1) == self.n)
                     and np.all((block >= 0) & (block <= self._peak))):

@@ -126,23 +126,26 @@ def test_batteries_do_not_depend_on_the_block_size(monkeypatch, spec):
 # at ell=6 and 2^18 midpoints.  The whole-array code held all the uniforms
 # of na-empirical (2 MiB) and their float copy, a code per sampler-tv draw
 # and its sorted copy (0.5 MiB each), and 2 MiB float arrays of the
-# midpoints.  Measured peaks: 0.39, 0.09 and 0.20 MiB, against 4.2, 1.0 and
+# midpoints.  Measured peaks: 0.39, 0.08 and 0.20 MiB, against 4.2, 1.0 and
 # 10 MiB for the whole-array code; the bounds leave 12%.
 WORKING_SETS = {
-    "na-empirical": (lambda: checks.check_na_empirical(FERMI, 2, 4000), 0.44),
-    "sampler-tv": (lambda: checks.check_sampler_tv(FERMI, 5, 60_000), 0.10),
+    "na-empirical": (lambda size: checks.check_na_empirical(FERMI, 2, size), 4000, 0.44),
+    "sampler-tv": (lambda size: checks.check_sampler_tv(FERMI, 5, size), 60_000, 0.09),
     "ensemble-identities": (
-        lambda: checks.check_ensemble_identities(FERMI, 1 << 18), 0.22),
+        lambda size: checks.check_ensemble_identities(FERMI, size), 1 << 18, 0.22),
 }
 
 
 @pytest.mark.parametrize("name", sorted(WORKING_SETS))
 def test_battery_working_set(monkeypatch, name):
-    run, bound_mib = WORKING_SETS[name]
+    run, size, bound_mib = WORKING_SETS[name]
     monkeypatch.setattr(sampler, "_BLOCK_CELLS", 1 << 12)
+    # numpy imports some of its modules on first use; a small untraced run
+    # keeps them out of the peak when this test runs alone.
+    run(100)
     tracemalloc.start()
     try:
-        res = run()
+        res = run(size)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -408,39 +408,6 @@ def test_sample_manifest_and_parse_round_trip(tmp_path):
     assert rows[0]["lz_rate"] == pytest.approx(g.lz_rate(direct))
 
 
-def test_sample_writer_working_set(tmp_path, monkeypatch):
-    # A 2^18-site string written in blocks of 2^10 sites holds one block's
-    # ints and strings at a time, where one str per site of the whole string
-    # peaks at 16.7 MiB.  Measured 0.094 MiB; the bound leaves 12%.
-    string = np.random.default_rng(4).integers(0, 3, size=1 << 18, dtype=np.uint8)
-    path = tmp_path / "sample.txt"
-    monkeypatch.setattr(sampler, "_BLOCK_CELLS", 1 << 10)
-    tracemalloc.start()
-    try:
-        expcli._write_occupancies(path, string)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert path.read_text() == "\n".join(str(v) for v in string.tolist()) + "\n"
-    assert peak <= 0.105 * 2**20, peak / 2**20
-
-
-@pytest.mark.parametrize("block", [1, 3, 7, 1 << 17])
-def test_read_occupancies_does_not_depend_on_the_block_size(tmp_path, monkeypatch, block):
-    # Blocks of a few characters cut tokens, which carry into the next block;
-    # the values come back in the narrowest dtype that holds all of them.
-    monkeypatch.setattr(sampler, "_BLOCK_CELLS", block)
-    cases = {"": np.uint8, " \n": np.uint8, "0\n1\n2\n": np.uint8, "1 300\t7": np.uint16,
-             "12\n70000 ": np.uint32, "-1 2\n-300": np.int16,
-             "9223372036854775807 -5": np.int64}
-    for text, dtype in cases.items():
-        path = tmp_path / "occ.txt"
-        path.write_text(text)
-        values = expcli._read_occupancies(str(path))
-        assert values.dtype == dtype, text
-        assert values.tolist() == [int(t) for t in text.split()]
-
-
 @pytest.mark.parametrize("text", ["1 x 2\n", "1 2.5\n", "99999999999999999999\n"])
 def test_parse_rejects_a_bad_token(tmp_path, capsys, text):
     cfg_path = write_cfg(tmp_path, BASE)
