@@ -118,7 +118,7 @@ def choose_n(r: float, ell: int) -> ParticleTarget:
     return ParticleTarget(ell, r, n)
 
 
-def make_rng(seed: int, ell: int, replica: int) -> np.random.Generator:
+def make_rng(seed: int, ell: int, replica: int) -> "np.random.Generator":
     """Counter-based stream owned by the (seed, ell, replica) triple."""
     if not (0 <= int(seed) < 2**63):
         raise DomainError("seed must be a nonnegative 63-bit integer")

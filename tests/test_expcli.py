@@ -1,9 +1,11 @@
 """Config parsing, output schemas, determinism, and exit codes of the CLI."""
 
 import argparse
+import importlib
 import inspect
 import json
 import math
+import os
 import re
 import subprocess
 import sys
@@ -52,10 +54,49 @@ def test_cli_start_up_defers_batteries_and_process_pool():
     # Every command pays for what expcli imports; the batteries load only in
     # check, the process pool only in a run with more than one worker.
     code = ("import sys, gibbslz.expcli; print(sorted(m for m in ('gibbslz.checks', "
-            "'concurrent.futures', 'multiprocessing') if m in sys.modules))")
+            "'concurrent.futures', 'multiprocessing', 'numpy.random') if m in sys.modules))")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True).stdout
     assert out.strip() == "[]"
+
+
+def test_package_import_loads_no_submodule_or_numpy():
+    code = ("import sys, gibbslz; print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] == 'numpy' or m.startswith('gibbslz.')))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "[]"
+
+
+def test_lazy_names_are_their_submodules_attributes():
+    assert g.__all__ == sorted(g._MODULE_OF)
+    for name in g.__all__:
+        module = importlib.import_module(f"gibbslz.{g._MODULE_OF[name]}")
+        assert getattr(g, name) is getattr(module, name)
+    with pytest.raises(AttributeError, match="no_such_name"):
+        g.no_such_name
+
+
+@pytest.mark.skipif(not Path("/proc/self/task").is_dir(), reason="needs /proc")
+@pytest.mark.parametrize("preset", [None, "2"])
+def test_cli_entry_runs_blas_on_one_thread_by_default(tmp_path, preset):
+    # The entry sets the default before numpy loads; a value the caller set
+    # wins.  After a one-worker `rate`, the process holds one thread.
+    cfg = write_cfg(tmp_path, BASE)
+    code = ("import os, sys; from gibbslz.__main__ import main; "
+            "rc = main(['rate', '--config', sys.argv[1], '--out', sys.argv[2]]); "
+            "print(rc, len(os.listdir('/proc/self/task')), os.environ['OPENBLAS_NUM_THREADS'])")
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    out = subprocess.run([sys.executable, "-c", code, cfg, str(tmp_path / "out")],
+                         capture_output=True, text=True, check=True, env=env).stdout
+    rc, threads, value = out.split("\n")[-2].split()
+    assert rc == "0"
+    if preset is None:
+        assert (threads, value) == ("1", "1")
+    else:
+        assert value == preset
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"
