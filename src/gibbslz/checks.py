@@ -135,24 +135,18 @@ def _local_clt(tables) -> tuple[float, float]:
     The sup error is sup_q |sigma P(S = q) - phi((q - mean)/sigma)| against
     the standard Gaussian density phi; the Lyapunov ratio
     L = sum E|K_i - E K_i|^3 / sigma^3 controls it.  The site moments come
-    from one padded (tables, K) probability matrix, and the law of S from a
-    probability-domain fold of the tables.
+    from disttab.summary, and the law of S from a probability-domain fold of
+    the tables.
     """
-    probs = [t.probs for t in tables]
-    pmat = np.zeros((len(probs), max(p.size for p in probs)))
-    for row, p in zip(pmat, probs):
-        row[:p.size] = p
-    ks = np.arange(pmat.shape[1], dtype=float)
-    means = pmat @ ks
-    dev = np.abs(ks - means[:, None])
-    mean = float(means.sum())
-    var = float((pmat * dev**2).sum())
+    moments = [disttab.summary(t) for t in tables]
+    mean = sum(m.mean for m in moments)
+    var = sum(m.variance for m in moments)
     if var <= 0.0:
         raise DomainError("degenerate total: zero variance")
     sigma = math.sqrt(var)
-    law = probs[0]
-    for p in probs[1:]:
-        law = np.convolve(law, p)
+    law = tables[0].probs
+    for t in tables[1:]:
+        law = np.convolve(law, t.probs)
     lo = min(0, math.floor(mean - 10.0 * sigma))
     hi = max(law.size - 1, math.ceil(mean + 10.0 * sigma))
     pmf = np.zeros(hi - lo + 1)
@@ -160,7 +154,7 @@ def _local_clt(tables) -> tuple[float, float]:
     qs = np.arange(lo, hi + 1, dtype=float)
     gauss = np.exp(-((qs - mean) ** 2) / (2.0 * var)) / math.sqrt(2.0 * math.pi)
     return (float(np.max(np.abs(sigma * pmf - gauss))),
-            float((pmat * dev**3).sum()) / sigma**3)
+            sum(m.abs_central_moment3 for m in moments) / sigma**3)
 
 
 def check_local_clt(spec: ensemble.EnsembleSpec, fault: bool = False,

@@ -33,6 +33,11 @@ import numpy as np
 from .errors import DomainError, EnsembleError, NumericError, TargetRangeError
 
 LN2 = math.log(2.0)
+# Halving rounds and live intervals the adaptive Simpson rule may use, and
+# the density residual at which solve_mu stops.
+_SIMPSON_ROUNDS = 60
+_SIMPSON_INTERVALS = 1 << 20
+_DENSITY_TOL = 1e-8
 
 
 class Statistics(enum.Enum):
@@ -202,15 +207,14 @@ def site_entropies(spec: EnsembleSpec, ell: int) -> np.ndarray:
     return np.asarray(marginal_entropy(spec, np.arange(ell) / ell))
 
 
-def _adaptive_simpson(f, tol: float, max_rounds: int = 60,
-                      max_intervals: int = 1 << 20) -> float:
+def _adaptive_simpson(f, tol: float) -> float:
     """Adaptive composite Simpson rule on [0, 1] for a vectorised integrand.
 
     Intervals whose Richardson error estimate exceeds their share of the
     tolerance are halved; accepted intervals contribute the extrapolated
     value.  The tolerance is allotted proportionally to interval width, so
-    the accumulated error estimate stays below tol.  The live interval count
-    is capped so a near-singular integrand fails loudly instead of paging.
+    the accumulated error estimate stays below tol.  Rounds are capped at 60
+    and live intervals at 2^20, so a near-singular integrand fails loudly.
     """
     if tol <= 0.0:
         raise DomainError("quadrature tolerance must be positive")
@@ -220,7 +224,7 @@ def _adaptive_simpson(f, tol: float, max_rounds: int = 60,
     fhi = np.asarray(f(hi), dtype=float)
     fmid = np.asarray(f(0.5 * (lo + hi)), dtype=float)
     total = 0.0
-    for _ in range(max_rounds):
+    for _ in range(_SIMPSON_ROUNDS):
         h = hi - lo
         mid = 0.5 * (lo + hi)
         lm = 0.5 * (lo + mid)
@@ -235,7 +239,7 @@ def _adaptive_simpson(f, tol: float, max_rounds: int = 60,
         if np.all(done):
             return total
         keep = ~done
-        if 2 * int(keep.sum()) > max_intervals:
+        if 2 * int(keep.sum()) > _SIMPSON_INTERVALS:
             raise NumericError(
                 "quadrature interval budget exceeded; integrand varies too "
                 "sharply for this tolerance"
@@ -268,10 +272,9 @@ def solve_mu(
     dispersion: Dispersion,
     beta: float,
     r: float,
-    tol: float = 1e-8,
-    quad_tol: float | None = None,
+    quad_tol: float = 1e-9,
 ) -> float:
-    """Chemical potential whose particle density equals r, to |density - r| < tol.
+    """Chemical potential whose particle density is r to within 1e-8.
 
     The density is strictly increasing in mu, so a sign-changing bracket is
     grown geometrically from a constant-dispersion starting guess and then
@@ -280,16 +283,12 @@ def solve_mu(
     """
     if not (math.isfinite(beta) and beta > 0.0):
         raise EnsembleError(f"beta must be positive and finite, got {beta}")
-    if not (math.isfinite(tol) and tol > 0.0):
-        raise DomainError("tol must be positive")
     if stats is Statistics.FERMI:
         if not (0.0 < r < 1.0):
             raise TargetRangeError(f"Fermi density must lie in (0, 1), got {r}")
     else:
         if not (math.isfinite(r) and r > 0.0):
             raise TargetRangeError(f"Bose density must be positive, got {r}")
-    if quad_tol is None:
-        quad_tol = min(1e-9, 0.1 * tol)
 
     def residual(mu: float) -> float:
         spec = EnsembleSpec(stats, beta, mu, dispersion)
@@ -334,7 +333,7 @@ def solve_mu(
     for _ in range(300):
         mid = 0.5 * (lo + hi)
         fmid = residual(mid)
-        if abs(fmid) < tol:
+        if abs(fmid) < _DENSITY_TOL:
             return mid
         if fmid < 0.0:
             lo = mid
@@ -342,6 +341,6 @@ def solve_mu(
             hi = mid
         if hi - lo < 4.0 * np.finfo(float).eps * max(1.0, abs(mid)):
             raise NumericError(
-                f"bisection bracket collapsed before reaching density tolerance {tol}"
+                f"bisection bracket collapsed before |density - r| < {_DENSITY_TOL}"
             )
     raise NumericError("bisection failed to converge")

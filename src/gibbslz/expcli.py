@@ -292,34 +292,35 @@ def _length_sampler(cfg: ExperimentConfig, spec: EnsembleSpec, r_target: float,
 def _draw_strings(cfg: ExperimentConfig, spec: EnsembleSpec, ell: int,
                   sampler: CanonicalSampler | None,
                   replicas: list[int]) -> Iterator[np.ndarray]:
-    """The replicas' strings of one length, in order: canonical ones from
-    one batched draw made here, or, without a sampler, grand ones drawn one
-    at a time as the iterator advances, so a caller that drops each string
-    before taking the next holds one."""
+    """The replicas' strings of one length, in order, drawn as the iterator
+    advances: grand ones one at a time when there is no sampler, canonical
+    ones one of the sampler's draw blocks at a time.  A caller that drops
+    each string before taking the next holds at most one block."""
     if sampler is None:
-        return (sample_grand(spec, ell, cfg.seed, rep) for rep in replicas)
-    return iter(sampler.sample_batch(cfg.seed, replicas))
+        yield from (sample_grand(spec, ell, cfg.seed, rep) for rep in replicas)
+        return
+    for lo, hi in sampler.draw_blocks(len(replicas)):
+        yield from sampler.sample_batch(cfg.seed, replicas[lo:hi])
 
 
 def _replica_rows(cfg: ExperimentConfig, spec: EnsembleSpec, typical: TypicalParams,
                   h_target: float, ell: int, sampler: CanonicalSampler | None,
                   gap_per_site: float | None,
                   replicas: list[int]) -> tuple[list[dict], list[dict]]:
+    """Result and timing rows of the replicas at one length.  A row's
+    seconds run from asking for its string to finishing the row, so the draw
+    of a canonical block counts on the block's first row."""
     rows: list[dict] = []
     times: list[dict] = []
     n = None if sampler is None else sampler.n
-    # A canonical batch is drawn here and its time shared equally; a grand
-    # string is drawn inside its own row's time.
-    t0 = time.perf_counter()
     strings = _draw_strings(cfg, spec, ell, sampler, replicas)
-    sample_share = (time.perf_counter() - t0) / len(replicas)
     for rep in replicas:
         t1 = time.perf_counter()
         s = next(strings)
         parse = lz78_parse(s)
         counts = classify_words(parse, s, spec, typical)
-        del s  # hold one string: drop it before the next is drawn
-        elapsed = time.perf_counter() - t1 + sample_share
+        del s  # drop the string before the next is drawn
+        elapsed = time.perf_counter() - t1
         rows.append({
             "config_hash": cfg.config_hash,
             "kind": cfg.kind,
@@ -441,15 +442,20 @@ def cmd_sample(cfg: ExperimentConfig, out_dir: Path) -> int:
             _length_sampler(cfg, spec, r_target, ell)
         n, tail = (None, 0.0) if sampler is None else (sampler.n, sampler.truncation_tail)
         replicas = list(range(cfg.replicas))
-        for rep, s in zip(replicas, _draw_strings(cfg, spec, ell, sampler, replicas)):
+        strings = _draw_strings(cfg, spec, ell, sampler, replicas)
+        for rep in replicas:
+            s = next(strings)
             name = f"sample_{cfg.kind}_ell{ell}_rep{rep}.txt"
-            (samples_dir / name).write_text(
-                "\n".join(str(v) for v in s.tolist()) + "\n")
+            # numpy's text writer, one value a line, builds no per-site str.
+            with (samples_dir / name).open("w") as fh:
+                s.tofile(fh, sep="\n")
+                fh.write("\n")
             manifest.append({
                 "kind": cfg.kind, "ell": ell, "n": n, "replica": rep,
                 "file": name, "sum": int(s.sum()),
                 "truncation_tail": tail, "error": None,
             })
+            del s  # drop the string before the next is drawn
     cols = ("kind", "ell", "n", "replica", "file", "sum", "truncation_tail", "error")
     _emit(samples_dir, "manifest", cols, manifest, cfg.out_format)
     print(f"wrote {len(manifest)} samples to {samples_dir}")

@@ -359,30 +359,80 @@ def grand_rows_setup(tmp_path: Path, stats: str = "bose", ell: int = 1024):
     return cfg, spec, g.TypicalParams.from_ensemble(spec, cfg.epsilon), h
 
 
-def test_grand_replicas_hold_one_string_at_a_time(tmp_path, monkeypatch):
-    # Each grand string is drawn, parsed, classified and dropped before the
-    # next is drawn: at every draw no earlier string is still alive.
-    cfg, spec, typical, h = grand_rows_setup(tmp_path)
+def canonical_rows_setup(tmp_path: Path):
+    """(cfg, spec, typical params, h, sampler) of a canonical Fermi run at
+    ell = 1024."""
+    cfg = load_config(write_cfg(tmp_path, BASE.replace("16,32", "1024")))
+    spec, r, h = resolve_spec(cfg)
+    return (cfg, spec, g.TypicalParams.from_ensemble(spec, cfg.epsilon), h,
+            expcli._length_sampler(cfg, spec, r, 1024))
+
+
+@pytest.mark.parametrize("kind", ["grand", "canonical"])
+def test_replicas_hold_one_draw_block_at_a_time(tmp_path, monkeypatch, kind):
+    # Strings are drawn, parsed, classified and dropped one draw block at a
+    # time: a grand block is one string, and a canonical block here is four
+    # of the eight replicas (blocks of 2^12 cells, 1024 cells a replica).
+    # At every draw no earlier block is still alive.
     drawn: list[weakref.ref] = []
     alive_at_draw: list[int] = []
-    real = expcli.sample_grand
+    asked: list[int] = []
 
-    def spy(*args):
-        alive_at_draw.append(sum(ref() is not None for ref in drawn))
-        string = real(*args)
-        drawn.append(weakref.ref(string))
-        return string
+    def spy(real):
+        def draw(*args):
+            alive_at_draw.append(sum(ref() is not None for ref in drawn))
+            block = real(*args)
+            drawn.append(weakref.ref(block))
+            return block
+        return draw
 
-    monkeypatch.setattr(expcli, "sample_grand", spy)
-    rows, times = expcli._replica_rows(cfg, spec, typical, h, 1024, None, None,
-                                       [0, 1, 2, 3])
-    assert alive_at_draw == [0, 0, 0, 0]
-    assert [t["replica"] for t in times] == [0, 1, 2, 3]
+    if kind == "grand":
+        cfg, spec, typical, h = grand_rows_setup(tmp_path)
+        cs, replicas = None, [0, 1, 2, 3]
+        real = expcli.sample_grand
+        monkeypatch.setattr(expcli, "sample_grand", spy(real))
+
+        def reference(rep):
+            return real(spec, 1024, cfg.seed, rep)
+    else:
+        cfg, spec, typical, h, cs = canonical_rows_setup(tmp_path)
+        monkeypatch.setattr(sampler, "_BLOCK_CELLS", 1 << 12)
+        replicas = list(range(8))
+        assert cs.draw_blocks(8) == [(0, 4), (4, 8)]
+        real = sampler.CanonicalSampler.sample_batch
+        draw = spy(real)
+
+        def batch(self, seed, reps):
+            asked.append(len(self.draw_blocks(len(reps))))
+            return draw(self, seed, reps)
+
+        monkeypatch.setattr(sampler.CanonicalSampler, "sample_batch", batch)
+
+        def reference(rep):
+            return real(cs, cfg.seed, [rep])[0]
+    rows, times = expcli._replica_rows(cfg, spec, typical, h, 1024, cs, None,
+                                       replicas)
+    assert alive_at_draw == [0] * len(drawn)
+    assert len(drawn) == (4 if kind == "grand" else 2)
+    assert asked == ([] if kind == "grand" else [1, 1])
+    assert [t["replica"] for t in times] == replicas
     # The lazy draws are the strings the library draws for each replica.
-    for rep, row in enumerate(rows):
+    for rep, row in zip(replicas, rows):
         assert row["replica"] == rep
-        assert row["word_count"] == \
-            g.lz78_parse(real(spec, 1024, cfg.seed, rep)).word_count
+        assert row["word_count"] == g.lz78_parse(reference(rep)).word_count
+
+
+def test_canonical_rows_do_not_depend_on_the_draw_blocks(tmp_path, monkeypatch):
+    # Every canonical string depends only on (seed, replica), so the rows of
+    # one block of 20 replicas equal those of twenty blocks of one.
+    cfg, spec, typical, h, cs = canonical_rows_setup(tmp_path)
+    replicas = list(range(20))
+    assert len(cs.draw_blocks(20)) == 1
+    rows, _ = expcli._replica_rows(cfg, spec, typical, h, 1024, cs, None, replicas)
+    monkeypatch.setattr(sampler, "_BLOCK_CELLS", 1 << 10)
+    assert len(cs.draw_blocks(20)) == 20
+    small, _ = expcli._replica_rows(cfg, spec, typical, h, 1024, cs, None, replicas)
+    assert small == rows
 
 
 @pytest.mark.parametrize("stats", ["bose", "fermi"])
@@ -447,6 +497,30 @@ def test_sample_manifest_and_parse_round_trip(tmp_path):
     direct = g.lz78_parse(vals)
     assert rows[0]["word_count"] == direct.word_count
     assert rows[0]["lz_rate"] == pytest.approx(g.lz_rate(direct))
+
+
+@pytest.mark.parametrize("stats, mu, kind, dtype", [
+    ("fermi", "1.0", "canonical", np.uint8),
+    # Sites of a grand Bose string near mu = 0 pass 255, so it widens.
+    ("bose", "-1e-3", "grand", np.uint16),
+])
+def test_sample_files_hold_one_decimal_value_a_line(tmp_path, stats, mu, kind, dtype):
+    cfg_path = write_cfg(tmp_path, BASE.replace("canonical", kind)
+                         .replace("fermi", stats)
+                         .replace("ensemble.r = 0.5", f"ensemble.mu = {mu}"))
+    assert main(["sample", "--config", cfg_path, "--out", str(tmp_path)]) == 0
+    cfg = load_config(cfg_path)
+    spec, r, _ = resolve_spec(cfg)
+    dtypes = set()
+    for ell in cfg.lengths:
+        strings = expcli._draw_strings(
+            cfg, spec, ell, None if kind == "grand" else
+            expcli._length_sampler(cfg, spec, r, ell), list(range(cfg.replicas)))
+        for rep, s in enumerate(strings):
+            dtypes.add(s.dtype)
+            text = (tmp_path / "samples" / f"sample_{kind}_ell{ell}_rep{rep}.txt").read_text()
+            assert text == "\n".join(map(str, s.tolist())) + "\n"
+    assert np.dtype(dtype) in dtypes
 
 
 @pytest.mark.parametrize("text", ["1 x 2\n", "1 2.5\n", "99999999999999999999\n"])
