@@ -16,8 +16,7 @@ __version__ = "0.1.0"
 # Public name -> the submodule that defines it.
 _MODULE_OF = {name: module for module, names in (
     ("disttab", "DistTable MomentSummary SuffixSumDP build_suffix_dp "
-                "conditional_entropy_exact conditional_site_marginals convolve "
-                "entropy_gap summary"),
+                "conditional_entropy_exact summary"),
     ("ensemble", "CosineLattice Dispersion EnsembleSpec Statistics TabulatedGrid "
                  "entropy_rate eval_dispersion marginal_entropy marginal_mean "
                  "particle_density site_entropies site_means solve_mu"),

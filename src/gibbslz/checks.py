@@ -54,7 +54,7 @@ class BatteryScale:
 def check_na_empirical(spec: ensemble.EnsembleSpec, seed: int, draws: int,
                        fault: bool = False,
                        tail_tol: float = sampler._DEFAULT_TAIL_TOL,
-                       quad_tol: float = 1e-9) -> CheckResult:
+                       quad_tol: float = ensemble._DEFAULT_QUAD_TOL) -> CheckResult:
     """Sample covariances of disjoint-window sums under conditioning stay
     within three standard errors of nonpositive.  Route: the canonical
     tree's bulk draws (sample_from_uniforms) at ell=64."""
@@ -174,7 +174,7 @@ def check_local_clt(spec: ensemble.EnsembleSpec, fault: bool = False,
 def check_sampler_tv(spec: ensemble.EnsembleSpec, seed: int, draws: int,
                      fault: bool = False,
                      tail_tol: float = sampler._DEFAULT_TAIL_TOL,
-                     quad_tol: float = 1e-9) -> CheckResult:
+                     quad_tol: float = ensemble._DEFAULT_QUAD_TOL) -> CheckResult:
     """Total variation between fixed-total draws at ell=6 and the exact
     conditional law, computed atom by atom over the observed support.
     Route: the canonical tree's tabulated bulk draws against build_suffix_dp."""
@@ -235,7 +235,7 @@ def _midpoint_means(spec: ensemble.EnsembleSpec, points: int) -> tuple[float, fl
 def check_ensemble_identities(spec: ensemble.EnsembleSpec, riemann_points: int,
                               fault: bool = False,
                               tail_tol: float = sampler._DEFAULT_TAIL_TOL,
-                              quad_tol: float = 1e-9) -> CheckResult:
+                              quad_tol: float = ensemble._DEFAULT_QUAD_TOL) -> CheckResult:
     """Cross-route identities: closed-form profiles vs exact tables, adaptive
     quadrature vs a midpoint Riemann sum, the density-solve round trip, and
     density monotone in mu.  Route: site_means/site_entropies against
@@ -298,7 +298,7 @@ def check_ensemble_identities(spec: ensemble.EnsembleSpec, riemann_points: int,
 def run_batteries(spec: ensemble.EnsembleSpec, seed: int, scale: BatteryScale,
                   inject_fault: str | None = None,
                   tail_tol: float = sampler._DEFAULT_TAIL_TOL,
-                  quad_tol: float = 1e-9) -> list[CheckResult]:
+                  quad_tol: float = ensemble._DEFAULT_QUAD_TOL) -> list[CheckResult]:
     """Run every battery against one ensemble; see each battery's docstring.
     Batteries that build site laws or samplers, or integrate profiles, do
     so at tail_tol and quad_tol."""

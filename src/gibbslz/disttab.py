@@ -1,21 +1,22 @@
 """Exact finite-support occupancy laws and the fixed-total conditioning oracle.
 
 A DistTable stores the law of one nonnegative integer occupancy in the log
-domain, so convolution and conditioning stay accurate far into the tails.
-On top of the tables sits the exact suffix-sum oracle.  The command line
-takes its entropy gap from the canonical sampler's tree; the suffix DP below
-is the independent route that checks it, in the batteries and the tests:
+domain, so conditioning stays accurate far into the tails.  On top of the
+tables sits the exact suffix-sum oracle.  The command line takes its entropy
+gap from the canonical sampler's tree; the suffix DP below is the
+independent route that checks it, in the batteries and the tests:
 
   * build_suffix_dp: table of suffix-sum laws T_j(s) = P(K_j + ... + K_{ell-1} = s),
-    the substrate for conditioning on a fixed total occupancy;
-  * conditional_site_marginals / conditional_entropy_exact: one-site laws and
-    the joint entropy of (K_0, ..., K_{ell-1}) given the total;
-  * entropy_gap: conditional joint entropy minus the sum of unconditioned
-    marginal entropies (nonpositive; the per-site cost of pinning the total).
+    the substrate for conditioning on a fixed total occupancy (and the
+    normaliser of the sampler-tv battery);
+  * conditional_entropy_exact: the joint entropy of (K_0, ..., K_{ell-1})
+    given the total.
 
-The structural inequalities these laws obey (log-concavity closure, Efron
-monotonicity, the score-ratio bound, negative association) are checked by
-tests/test_disttab.py.  All entropies are in bits.
+summary gives a table's moments and entropy; geometric_tops gives the
+sampler its Bose supports.  The table helpers the tests build laws with
+(convolutions, conditional site marginals, the entropy gap) live in
+tests/oracles.py, and tests/test_disttab.py checks the structural
+inequalities these laws obey.  All entropies are in bits.
 """
 
 import math
@@ -81,36 +82,6 @@ class DistTable:
         out.flags.writeable = False
         return out
 
-    @classmethod
-    def from_probs(cls, probs, truncation_tail: float = 0.0) -> "DistTable":
-        arr = np.asarray(probs, dtype=float)
-        if np.any(arr < 0.0):
-            raise DomainError("probabilities must be nonnegative")
-        with np.errstate(divide="ignore"):
-            return cls(np.log(arr), truncation_tail)
-
-    @classmethod
-    def bernoulli(cls, p: float) -> "DistTable":
-        if not (0.0 <= p <= 1.0):
-            raise DomainError(f"Bernoulli parameter must lie in [0, 1], got {p}")
-        with np.errstate(divide="ignore"):
-            return cls(np.array([math.log(1.0 - p) if p < 1.0 else NEG_INF,
-                                 math.log(p) if p > 0.0 else NEG_INF]))
-
-    @classmethod
-    def geometric(cls, mean: float, tail_tol: float = 1e-12) -> "DistTable":
-        """Geometric law with the given mean, truncated once the remaining
-        tail mass drops below tail_tol; the discarded mass is recorded."""
-        if not (mean > 0.0 and math.isfinite(mean)):
-            raise DomainError(f"geometric mean must be positive and finite, got {mean}")
-        # mean a gives success ratio q = a / (1 + a); P(K > m) = q^{m+1}.
-        logq = math.log(mean) - math.log1p(mean)
-        kmax = int(geometric_tops(np.array([logq]), tail_tol)[0])
-        ks = np.arange(kmax + 1)
-        log1mq = math.log1p(-mean / (1.0 + mean))
-        tail = math.exp((kmax + 1) * logq)
-        return cls(log1mq + ks * logq, truncation_tail=tail)
-
 
 def geometric_tops(logq: np.ndarray, tail_tol: float) -> np.ndarray:
     """Last kept k of geometric laws with log ratios logq < 0, truncated at
@@ -129,14 +100,10 @@ class MomentSummary:
     variance: float
     abs_central_moment3: float
     entropy_bits: float
-    mode: int
 
 
 def summary(table: DistTable) -> MomentSummary:
-    """Mean, variance, third absolute central moment, entropy (bits), mode.
-
-    The mode is the smallest maximiser of the probability.
-    """
+    """Mean, variance, third absolute central moment and entropy (bits)."""
     p = table.probs
     ks = np.arange(p.size, dtype=float)
     mean = float(p @ ks)
@@ -145,15 +112,14 @@ def summary(table: DistTable) -> MomentSummary:
     m3 = float(p @ np.abs(dev) ** 3)
     pos = p > 0.0
     entropy = float(-(p[pos] @ table.logp[pos]) / LN2)
-    mode = int(np.argmax(p))
-    return MomentSummary(mean, variance, m3, entropy, mode)
+    return MomentSummary(mean, variance, m3, entropy)
 
 
 def _log_convolve(la: np.ndarray, lb: np.ndarray, size: int) -> np.ndarray:
     """First size entries of the log-domain convolution of la and lb.
 
-    The one kernel behind convolve and the suffix-sum rows.  Loops over the
-    shorter operand in increasing k, skipping -inf terms.
+    The one kernel behind the suffix-sum rows (and the tests' convolutions).
+    Loops over the shorter operand in increasing k, skipping -inf terms.
     """
     if la.size > lb.size:
         la, lb = lb, la
@@ -166,28 +132,13 @@ def _log_convolve(la: np.ndarray, lb: np.ndarray, size: int) -> np.ndarray:
     return out
 
 
-def convolve(*tables: DistTable) -> DistTable:
-    """Law of the sum of independent occupancies, in the log domain.
-
-    Folds left to right over the raw log arrays and validates only the
-    result, whose truncation tail is the sum of the tables' tails.
-    """
-    if not tables:
-        raise DomainError("need at least one table to convolve")
-    out, tail = tables[0].logp, tables[0].truncation_tail
-    for t in tables[1:]:
-        out = _log_convolve(out, t.logp, out.size + t.logp.size - 1)
-        tail += t.truncation_tail
-    return DistTable(out, truncation_tail=tail)
-
-
 @dataclass(frozen=True)
 class SuffixSumDP:
     """Suffix-sum laws of independent occupancies, truncated at a target total.
 
     logT[j, s] = log P(K_j + ... + K_{ell-1} = s) for 0 <= s <= target.  The
-    final row j = ell is the point mass at zero.  The conditioning oracles
-    below condition on the string total being target.
+    final row j = ell is the point mass at zero.  conditional_entropy_exact
+    conditions on the string total being target.
     """
 
     marginals: tuple[DistTable, ...]
@@ -264,16 +215,6 @@ def _forward_conditionals(dp: SuffixSumDP):
         raise NumericError("conditioned chain failed to consume the target total")
 
 
-def conditional_site_marginals(dp: SuffixSumDP) -> list[DistTable]:
-    """Laws of each K_i given that the string total equals dp.target."""
-    out = []
-    for pi, states, q in _forward_conditionals(dp):
-        probs = q @ pi[states]
-        total = probs.sum()
-        out.append(DistTable.from_probs(probs / total))
-    return out
-
-
 def conditional_entropy_exact(dp: SuffixSumDP) -> float:
     """Joint entropy, in bits, of the string given that its total equals
     dp.target.
@@ -288,13 +229,3 @@ def conditional_entropy_exact(dp: SuffixSumDP) -> float:
         site_bits = -(plogp.sum(axis=0)) / LN2
         total_bits += float(site_bits @ pi[states])
     return total_bits
-
-
-def entropy_gap(marginals, n: int) -> float:
-    """Conditional joint entropy minus the summed marginal entropies, in bits.
-
-    Nonpositive: conditioning on the total can only lower the entropy.
-    """
-    dp = build_suffix_dp(marginals, n)
-    free = sum(summary(t).entropy_bits for t in dp.marginals)
-    return conditional_entropy_exact(dp) - free

@@ -33,10 +33,11 @@ import numpy as np
 from .errors import DomainError, EnsembleError, NumericError, TargetRangeError
 
 LN2 = math.log(2.0)
-# Halving rounds and live intervals the adaptive Simpson rule may use, and
-# the density residual at which solve_mu stops.
+# Halving rounds and live intervals the adaptive Simpson rule may use, its
+# default tolerance, and the density residual at which solve_mu stops.
 _SIMPSON_ROUNDS = 60
 _SIMPSON_INTERVALS = 1 << 20
+_DEFAULT_QUAD_TOL = 1e-9
 _DENSITY_TOL = 1e-8
 
 
@@ -252,12 +253,12 @@ def _adaptive_simpson(f, tol: float) -> float:
     raise NumericError(f"quadrature did not converge to tolerance {tol}")
 
 
-def particle_density(spec: EnsembleSpec, quad_tol: float = 1e-9) -> float:
+def particle_density(spec: EnsembleSpec, quad_tol: float = _DEFAULT_QUAD_TOL) -> float:
     """Integral over y of the mean occupancy profile."""
     return _adaptive_simpson(lambda y: marginal_mean(spec, y), quad_tol)
 
 
-def entropy_rate(spec: EnsembleSpec, quad_tol: float = 1e-9) -> float:
+def entropy_rate(spec: EnsembleSpec, quad_tol: float = _DEFAULT_QUAD_TOL) -> float:
     """Integral over y of the mode entropy profile, in bits per site."""
     return _adaptive_simpson(lambda y: marginal_entropy(spec, y), quad_tol)
 
@@ -272,7 +273,7 @@ def solve_mu(
     dispersion: Dispersion,
     beta: float,
     r: float,
-    quad_tol: float = 1e-9,
+    quad_tol: float = _DEFAULT_QUAD_TOL,
 ) -> float:
     """Chemical potential whose particle density is r to within 1e-8.
 

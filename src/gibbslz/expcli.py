@@ -31,6 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from .ensemble import (
+    _DEFAULT_QUAD_TOL,
     CosineLattice,
     Dispersion,
     EnsembleSpec,
@@ -49,6 +50,7 @@ from .errors import (
 from .lzparse import TypicalParams, _word_profile, classify_words, code_rate, \
     lz78_parse, lz_rate
 from .sampler import (
+    _DEFAULT_TAIL_TOL,
     CanonicalSampler,
     choose_n,
     marginal_tables,  # not called here; bench/tracing.py wraps this name
@@ -210,10 +212,12 @@ def load_config(path: str | Path, seed_override: int | None = None) -> Experimen
     if not (0.0 < epsilon < 1.0):
         raise ConfigError("analysis.epsilon must lie in (0, 1)")
     two_sided = _parse_bool("analysis.two_sided", m.get("analysis.two_sided", "false"))
-    quad_tol = _parse_float("analysis.quad_tol", m.get("analysis.quad_tol", "1e-9"))
+    quad_tol = _parse_float("analysis.quad_tol",
+                            m.get("analysis.quad_tol", repr(_DEFAULT_QUAD_TOL)))
     if not (0.0 < quad_tol < math.inf):
         raise ConfigError("analysis.quad_tol must be positive and finite")
-    tail_tol = _parse_float("analysis.tail_tol", m.get("analysis.tail_tol", "1e-12"))
+    tail_tol = _parse_float("analysis.tail_tol",
+                            m.get("analysis.tail_tol", repr(_DEFAULT_TAIL_TOL)))
     if not (0.0 < tail_tol < 1e-6):
         raise ConfigError("analysis.tail_tol must be a small positive mass")
     check_scale = m.get("analysis.check_scale", "full").lower()

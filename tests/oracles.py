@@ -1,0 +1,77 @@
+"""Table helpers the tests build their exact laws from.
+
+The package keeps only the table code its commands and batteries run
+(DistTable, the suffix-sum DP and its conditional entropy); these helpers
+stand beside it as test oracles.  They build on disttab's own kernels, so
+the laws they give are the ones the package's DP computes.  All entropies
+are in bits.
+"""
+
+import math
+
+import numpy as np
+
+from gibbslz import disttab
+from gibbslz.disttab import DistTable, geometric_tops
+from gibbslz.errors import DomainError
+
+
+def from_probs(probs, truncation_tail: float = 0.0) -> DistTable:
+    """Table of the nonnegative probabilities probs, summing to one."""
+    arr = np.asarray(probs, dtype=float)
+    if np.any(arr < 0.0):
+        raise DomainError("probabilities must be nonnegative")
+    with np.errstate(divide="ignore"):
+        return DistTable(np.log(arr), truncation_tail)
+
+
+def bernoulli(p: float) -> DistTable:
+    if not (0.0 <= p <= 1.0):
+        raise DomainError(f"Bernoulli parameter must lie in [0, 1], got {p}")
+    return DistTable(np.array([math.log(1.0 - p) if p < 1.0 else -math.inf,
+                               math.log(p) if p > 0.0 else -math.inf]))
+
+
+def geometric(mean: float, tail_tol: float = 1e-12) -> DistTable:
+    """Geometric law with the given mean, truncated once the remaining tail
+    mass drops below tail_tol; the discarded mass is recorded."""
+    if not (mean > 0.0 and math.isfinite(mean)):
+        raise DomainError(f"geometric mean must be positive and finite, got {mean}")
+    # mean a gives success ratio q = a / (1 + a); P(K > m) = q^{m+1}.
+    logq = math.log(mean) - math.log1p(mean)
+    kmax = int(geometric_tops(np.array([logq]), tail_tol)[0])
+    log1mq = math.log1p(-mean / (1.0 + mean))
+    tail = math.exp((kmax + 1) * logq)
+    return DistTable(log1mq + np.arange(kmax + 1) * logq, truncation_tail=tail)
+
+
+def convolve(*tables: DistTable) -> DistTable:
+    """Law of the sum of independent occupancies, in the log domain.
+
+    Folds left to right over the raw log arrays and validates only the
+    result, whose truncation tail is the sum of the tables' tails.
+    """
+    if not tables:
+        raise DomainError("need at least one table to convolve")
+    out, tail = tables[0].logp, tables[0].truncation_tail
+    for t in tables[1:]:
+        out = disttab._log_convolve(out, t.logp, out.size + t.logp.size - 1)
+        tail += t.truncation_tail
+    return DistTable(out, truncation_tail=tail)
+
+
+def conditional_site_marginals(dp: disttab.SuffixSumDP) -> list[DistTable]:
+    """Laws of each K_i given that the string total equals dp.target."""
+    out = []
+    for pi, states, q in disttab._forward_conditionals(dp):
+        probs = q @ pi[states]
+        out.append(from_probs(probs / probs.sum()))
+    return out
+
+
+def entropy_gap(tables, n: int) -> float:
+    """Conditional joint entropy minus the summed marginal entropies;
+    nonpositive, since conditioning on the total can only lower the entropy."""
+    dp = disttab.build_suffix_dp(tables, n)
+    free = sum(disttab.summary(t).entropy_bits for t in dp.marginals)
+    return disttab.conditional_entropy_exact(dp) - free

@@ -3,11 +3,13 @@
 Each test states one acceptance property of the package: closed-form
 anchors, oracle agreement, sampler fidelity, the shrinking conditioning
 cost, the word-count rate trend, the property batteries, word-class
-scaling, and byte determinism.  Two bounds are stated as required but are
-not met by LZ78 word counts at these string lengths (the rate sits roughly
-half above the entropy rate at ell = 2^16, and non-typical words make up
-roughly 12% of the dictionary at ell = 2^14); those tests are expected to
-fail and say so in their assertion messages.
+scaling, byte determinism, canonical word counts as grand ones conditioned
+on the total, and the exact mean word count at small ell.  Two bounds are
+stated as required but are not met by LZ78 word counts at these string
+lengths (the rate sits roughly half above the entropy rate at ell = 2^16,
+and non-typical words make up roughly 12% of the dictionary at
+ell = 2^14); those tests are expected to fail and say so in their
+assertion messages.
 """
 
 import itertools
@@ -20,8 +22,9 @@ import numpy as np
 import pytest
 
 import gibbslz as g
+from gibbslz import expcli
 from gibbslz.checks import BatteryScale, run_batteries
-from gibbslz.disttab import DistTable
+from oracles import bernoulli, conditional_site_marginals, entropy_gap, from_probs
 
 FERMI = g.EnsembleSpec(g.Statistics.FERMI, 1.0, 1.0, g.CosineLattice())
 BOSE = g.EnsembleSpec(g.Statistics.BOSE, 1.0, -0.5, g.CosineLattice())
@@ -89,7 +92,7 @@ def test_accept_3_sampler_fidelity():
     u = g.make_rng(32, ell, 0).random((m, cs.ell))
     emp = cs.sample_from_uniforms(u).mean(axis=0)
     dp = g.build_suffix_dp(g.marginal_tables(FERMI, ell), n)
-    for i, table in enumerate(g.conditional_site_marginals(dp)):
+    for i, table in enumerate(conditional_site_marginals(dp)):
         ks = np.arange(table.probs.size)
         mean = float(ks @ table.probs)
         var = float(ks ** 2 @ table.probs) - mean ** 2
@@ -101,7 +104,7 @@ def test_accept_3_sampler_fidelity():
 
 def test_accept_4_conditional_entropy_oracle():
     t0 = time.perf_counter()
-    tables = [DistTable.bernoulli(0.5) for _ in range(4)]
+    tables = [bernoulli(0.5) for _ in range(4)]
     dp = g.build_suffix_dp(tables, 2)
     assert abs(g.conditional_entropy_exact(dp) - math.log2(6)) <= 1e-10
 
@@ -111,7 +114,7 @@ def test_accept_4_conditional_entropy_oracle():
         sizes = [int(rng.integers(2, 5)) for _ in range(sites)]
         while math.prod(sizes) > 4096:
             sizes[int(rng.integers(0, sites))] = 2
-        tables = [DistTable.from_probs(rng.dirichlet(np.ones(size)))
+        tables = [from_probs(rng.dirichlet(np.ones(size)))
                   for size in sizes]
         draw = [int(rng.integers(0, size)) for size in sizes]
         n = sum(draw)
@@ -140,15 +143,15 @@ def test_accept_5_conditioning_gap_shrinks():
     for ell in [16, 32, 64, 128, 256, 1024]:
         delta = math.log2(math.comb(ell, ell // 2)) - ell
         per_site.append(abs(delta) / ell)
-        tables = [DistTable.bernoulli(0.5) for _ in range(ell)]
-        assert abs(g.entropy_gap(tables, ell // 2) - delta) <= 1e-9
+        tables = [bernoulli(0.5) for _ in range(ell)]
+        assert abs(entropy_gap(tables, ell // 2) - delta) <= 1e-9
     assert all(a > b for a, b in zip(per_site, per_site[1:])), per_site
     assert per_site[-1] < 0.01
 
     fermi_gaps = []
     for ell in [16, 32, 64, 128, 256]:
         n = g.choose_n(0.5, ell).n
-        gap = g.entropy_gap(g.marginal_tables(FERMI, ell), n)
+        gap = entropy_gap(g.marginal_tables(FERMI, ell), n)
         fermi_gaps.append(abs(gap) / ell)
     assert all(a > b for a, b in zip(fermi_gaps, fermi_gaps[1:])), fermi_gaps
     assert time.perf_counter() - t0 < 120.0
@@ -302,3 +305,96 @@ def test_accept_9_worker_determinism(tmp_path):
     for name in ("results.csv", "summary.csv"):
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
     assert time.perf_counter() - t0 < 300.0
+
+
+def regression_z_and_ratio(S, C, n, other):
+    """Compare word counts `other` with the grand (S, C) pairs conditioned
+    on S = n, to first order: (z of other's mean against the least-squares
+    line's value at n, with the two SEs combined; other's variance over the
+    line's residual variance)."""
+    m = S.size
+    b, a = np.polyfit(S, C, 1)
+    resid = C - (a + b * S)
+    s2 = float(resid @ resid) / (m - 2)
+    se_line = math.sqrt(s2 * (1.0 / m + (n - S.mean()) ** 2 / ((S - S.mean()) ** 2).sum()))
+    se_other = math.sqrt(other.var(ddof=1) / other.size)
+    return (other.mean() - (a + b * n)) / math.hypot(se_line, se_other), other.var(ddof=1) / s2
+
+
+# Two-sided 99.9% band of F(127, 126): a variance ratio of 128 against 128
+# replicas, the second set's variance taken about a fitted line.  (Hardcoded:
+# scipy is not a dependency.)
+F_BAND_127_126 = (0.554, 1.805)
+
+
+@pytest.mark.parametrize("stats, mu, r", [("bose", -0.5, None), ("fermi", None, 0.3)],
+                         ids=["bose", "fermi"])
+def test_canonical_word_counts_are_grand_ones_conditioned_on_the_total(stats, mu, r):
+    # The canonical law is the grand law conditioned on S = n, so canonical
+    # word counts match the grand regression of C on S at S = n: its value
+    # gives their mean and its residual variance their variance.  Fermi
+    # takes r = 0.3, away from the particle-hole symmetric mu = 1 where C
+    # hardly varies with S.  Negative control: further grand strings, whose
+    # C still varies with S, land far outside the variance band (their mean
+    # passes, so only the band tells).
+    if mu is None:
+        mu = g.solve_mu(g.Statistics(stats), g.CosineLattice(), 1.0, r)
+    spec = g.EnsembleSpec(g.Statistics(stats), 1.0, mu, g.CosineLattice())
+    ell, m, seed = 1 << 12, 128, 21
+    n = g.choose_n(g.particle_density(spec), ell).n
+    grand = [g.sample_grand(spec, ell, seed, i) for i in range(2 * m)]
+    S = np.array([s.sum() for s in grand[:m]], dtype=float)
+
+    def words(strings):
+        return np.array([g.lz78_parse(s).word_count for s in strings], dtype=float)
+
+    C = words(grand[:m])
+    canonical = words(g.CanonicalSampler(spec, ell, n).sample_batch(seed, range(m)))
+    z, ratio = regression_z_and_ratio(S, C, n, canonical)
+    assert abs(z) <= 4.0, z
+    assert F_BAND_127_126[0] < ratio < F_BAND_127_126[1], ratio
+    _, control = regression_z_and_ratio(S, C, n, words(grand[m:]))
+    assert not F_BAND_127_126[0] < control < F_BAND_127_126[1], control
+
+
+def canonical_strings(n, tops):
+    """Every string with sites 0..tops[j] summing to n, as uint8 rows,
+    built site by site and pruned to prefixes that can still reach n."""
+    rows = np.zeros((1, 0), dtype=np.uint8)
+    reach = np.append(np.cumsum(tops[::-1])[::-1], 0)  # most sites j.. can hold
+    for j, top in enumerate(tops):
+        have = rows.sum(axis=1)
+        keep = [(k, (have + k <= n) & (have + k + reach[j + 1] >= n))
+                for k in range(int(top) + 1)]
+        rows = np.concatenate([np.column_stack([rows[ok], np.full(ok.sum(), k, np.uint8)])
+                               for k, ok in keep])
+    return rows
+
+
+@pytest.mark.parametrize("stats, mu, ell, n, count, exact", [
+    ("fermi", 1.0, 16, 8, 12870, 7.9183),
+    ("bose", -0.5, 10, 5, 2002, 5.8690),
+], ids=["fermi", "bose"])
+def test_converge_mean_word_count_matches_enumeration(tmp_path, stats, mu, ell, n,
+                                                      count, exact):
+    # Exact E[C] over every canonical string, each weighted by its product
+    # law, against converge's sampled mean over 4,000 replicas.
+    spec = g.EnsembleSpec(g.Statistics(stats), 1.0, mu, g.CosineLattice())
+    tables = g.marginal_tables(spec, ell)
+    strings = canonical_strings(n, np.array([t.support_max for t in tables]))
+    assert strings.shape == (count, ell)
+    weights = np.prod([t.probs[strings[:, j]] for j, t in enumerate(tables)], axis=0)
+    words = np.array([g.lz78_parse(s).word_count for s in strings], dtype=float)
+    mean_c = float(weights @ words / weights.sum())
+    assert mean_c == pytest.approx(exact, abs=5e-5)
+
+    cfg = tmp_path / "small.cfg"
+    cfg.write_text(f"ensemble.stats = {stats}\nensemble.beta = 1.0\nensemble.mu = {mu}\n"
+                   f"run.lengths = {ell}\nrun.replicas = 4000\nrun.seed = 3\n"
+                   "output.format = csv\n")
+    assert expcli.main(["converge", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    lines = (tmp_path / "summary.csv").read_text().splitlines()
+    row = dict(zip(lines[0].split(","), lines[1].split(",")))
+    assert int(row["n"]) == n
+    se = float(row["se_lz_rate"]) * ell / math.log2(ell)
+    assert abs(float(row["mean_word_count"]) - mean_c) <= 4.0 * se, (row, mean_c)

@@ -1,6 +1,7 @@
 """Config parsing, output schemas, determinism, and exit codes of the CLI."""
 
 import argparse
+import dataclasses
 import importlib
 import inspect
 import json
@@ -20,7 +21,6 @@ import pytest
 
 import gibbslz as g
 from gibbslz import checks, ensemble, expcli, lzparse, sampler
-from gibbslz.disttab import entropy_gap
 from gibbslz.errors import ConfigError
 from gibbslz.expcli import (
     _KNOWN_KEYS,
@@ -35,6 +35,7 @@ from gibbslz.expcli import (
     resolve_spec,
 )
 from gibbslz.sampler import marginal_tables
+from oracles import entropy_gap
 
 BASE = """
 ensemble.stats = fermi
@@ -110,10 +111,11 @@ def readme_section(heading: str) -> str:
     return text[start:start + end.start()] if end else text[start:]
 
 
-def test_readme_matches_parser_and_config_keys():
+def test_readme_matches_parser_and_config_keys(tmp_path):
     # The "Command line" section (synopsis and command table) names exactly
     # the long options the parser accepts, and the "Config keys" table
-    # names exactly the keys a config may set.
+    # names exactly the keys a config may set, each with the default that
+    # load_config gives a config holding only the required keys.
     parser = build_arg_parser()
     sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
     options = {opt for p in sub.choices.values() for a in p._actions
@@ -122,12 +124,30 @@ def test_readme_matches_parser_and_config_keys():
     assert listed == options
     first_cells = re.findall(r"^\|[^|]*", readme_section("### Config keys"), flags=re.M)
     assert set(re.findall(r"`([a-z_]+\.[a-z_]+)`", "".join(first_cells))) == _KNOWN_KEYS
+    required = "ensemble.stats = fermi\nensemble.beta = 1.0\nensemble.mu = 1.0\nrun.lengths = 16\n"
+    bare = dataclasses.replace(load_config(write_cfg(tmp_path, required)), config_hash="")
+    defaults = re.findall(r"^\| `([a-z_]+\.[a-z_]+)` \|.*\| `([^`]+)` \|$",
+                          readme_section("### Config keys"), flags=re.M)
+    assert {key for key, _ in defaults} == _KNOWN_KEYS - {
+        "ensemble.stats", "ensemble.beta", "ensemble.mu", "ensemble.r", "run.lengths"}
+    for key, value in defaults:
+        cfg = load_config(write_cfg(tmp_path, f"{required}{key} = {value}\n"))
+        assert dataclasses.replace(cfg, config_hash="") == bare, key
     # The check row lists, in order, the batteries run_batteries runs.
     row = re.search(r"^\| `check .*$", readme_section("## Command line"), flags=re.M)
     tiny = checks.BatteryScale(na_draws=100, tv_draws=1000, riemann_points=1000)
     spec = g.EnsembleSpec(g.Statistics.FERMI, 1.0, 1.0, g.CosineLattice())
     ran = [r.name for r in checks.run_batteries(spec, 0, tiny)]
     assert re.findall(r"`([a-z]+(?:-[a-z]+)+)`", row.group()) == ran
+
+
+def test_readme_library_example_runs(capsys):
+    # The example runs as printed, and its last line prints the suffix DP's
+    # and the sampler tree's conditional entropies, which agree.
+    block = re.search(r"```python\n(.*?)```", readme_section("## Library"), flags=re.S)
+    exec(compile(block.group(1), "README.md", "exec"), {})
+    dp_bits, tree_bits = map(float, capsys.readouterr().out.splitlines()[-1].split())
+    assert abs(dp_bits - tree_bits) <= 1e-10
 
 
 def write_cfg(tmp_path: Path, text: str, name: str = "run.cfg") -> str:

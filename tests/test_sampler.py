@@ -21,8 +21,6 @@ from gibbslz import (
     build_suffix_dp,
     choose_n,
     conditional_entropy_exact,
-    conditional_site_marginals,
-    entropy_gap,
     make_rng,
     marginal_tables,
     particle_density,
@@ -32,6 +30,7 @@ from gibbslz import (
 )
 from gibbslz.checks import check_sampler_tv
 from gibbslz.ensemble import eval_dispersion
+from oracles import conditional_site_marginals, entropy_gap
 
 FERMI = Statistics.FERMI
 BOSE = Statistics.BOSE
