@@ -12,11 +12,11 @@ independent route that checks it, in the batteries and the tests:
   * conditional_entropy_exact: the joint entropy of (K_0, ..., K_{ell-1})
     given the total.
 
-summary gives a table's moments and entropy; geometric_tops gives the
-sampler its Bose supports.  The table helpers the tests build laws with
-(convolutions, conditional site marginals, the entropy gap) live in
-tests/oracles.py, and tests/test_disttab.py checks the structural
-inequalities these laws obey.  All entropies are in bits.
+summary gives a table's moments and entropy; the sampler's
+marginal_tables builds the tables from its site laws.  The table helpers
+the tests build laws with (convolutions, conditional site marginals, the
+entropy gap) live in tests/oracles.py, and tests/test_disttab.py checks the
+structural inequalities these laws obey.  All entropies are in bits.
 """
 
 import math
@@ -81,17 +81,6 @@ class DistTable:
         out = np.exp(self.logp)
         out.flags.writeable = False
         return out
-
-
-def geometric_tops(logq: np.ndarray, tail_tol: float) -> np.ndarray:
-    """Last kept k of geometric laws with log ratios logq < 0, truncated at
-    the smallest top with q^{top+1} < tail_tol, as floats."""
-    if not (0.0 < tail_tol < 0.1):
-        raise DomainError("tail tolerance must be a small positive mass")
-    log_tol = math.log(tail_tol)
-    top = np.maximum(np.ceil(log_tol / logq) - 1.0, 0.0)
-    top += (top + 1.0) * logq >= log_tol
-    return top
 
 
 @dataclass(frozen=True)

@@ -18,6 +18,7 @@ or domain failure during computation.
 """
 
 import argparse
+import csv
 import hashlib
 import json
 import math
@@ -65,22 +66,6 @@ _KNOWN_KEYS = frozenset({
     "analysis.tail_tol", "analysis.check_scale",
     "output.format",
 })
-
-RESULT_COLUMNS = (
-    "config_hash", "kind", "ell", "n", "replica", "word_count", "lz_rate",
-    "code_rate", "h_target", "entropy_gap_per_site", "low_typical_words",
-    "other_typical_words", "non_typical_words", "error",
-)
-
-SUMMARY_COLUMNS = (
-    "config_hash", "kind", "ell", "n", "replicas", "h_target",
-    "mean_word_count", "mean_lz_rate", "se_lz_rate", "rel_dev_from_h",
-    "mean_code_rate", "non_typical_fraction", "mean_low_typical_words",
-    "entropy_gap_per_site", "error",
-)
-
-GAP_COLUMNS = ("config_hash", "ell", "n", "cells", "gap_bits", "gap_per_site",
-               "skipped")
 
 
 @dataclass(frozen=True)
@@ -257,19 +242,13 @@ def resolve_spec(cfg: ExperimentConfig) -> tuple[EnsembleSpec, float, float]:
     return spec, r_eff, entropy_rate(spec, cfg.quad_tol)
 
 
-def _fmt_cell(v) -> str:
-    if v is None:
-        return ""
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
-
-
-def _write_csv(path: Path, columns: tuple[str, ...], rows: list[dict]) -> None:
-    lines = [",".join(columns)]
-    for row in rows:
-        lines.append(",".join(_fmt_cell(row.get(c)) for c in columns))
-    path.write_text("\n".join(lines) + "\n")
+def _write_csv(path: Path, rows: list[dict]) -> None:
+    """A table whose columns are the first row's keys, in their order; csv
+    writes a float as its repr and None as an empty cell."""
+    with path.open("w", newline="") as fh:
+        writer = csv.DictWriter(fh, fieldnames=list(rows[0]), lineterminator="\n")
+        writer.writeheader()
+        writer.writerows(rows)
 
 
 def _write_jsonl(path: Path, rows: list[dict]) -> None:
@@ -278,10 +257,9 @@ def _write_jsonl(path: Path, rows: list[dict]) -> None:
             fh.write(json.dumps(row, sort_keys=True) + "\n")
 
 
-def _emit(out_dir: Path, stem: str, columns: tuple[str, ...], rows: list[dict],
-          fmt: str) -> None:
+def _emit(out_dir: Path, stem: str, rows: list[dict], fmt: str) -> None:
     if fmt in ("csv", "both"):
-        _write_csv(out_dir / f"{stem}.csv", columns, rows)
+        _write_csv(out_dir / f"{stem}.csv", rows)
     if fmt in ("jsonl", "both"):
         _write_jsonl(out_dir / f"{stem}.jsonl", rows)
 
@@ -426,9 +404,9 @@ def cmd_converge(cfg: ExperimentConfig, out_dir: Path, workers: int) -> int:
         all_rows.extend(rows)
         all_times.extend(times)
     summaries = _summarise(cfg, all_rows, h_target)
-    _emit(out_dir, "results", RESULT_COLUMNS, all_rows, cfg.out_format)
-    _emit(out_dir, "summary", SUMMARY_COLUMNS, summaries, cfg.out_format)
-    _write_csv(out_dir / "timings.csv", ("ell", "replica", "seconds"), all_times)
+    _emit(out_dir, "results", all_rows, cfg.out_format)
+    _emit(out_dir, "summary", summaries, cfg.out_format)
+    _write_csv(out_dir / "timings.csv", all_times)
     for s in summaries:
         print(f"ell={s['ell']}: mean_lz_rate={s['mean_lz_rate']:.6f} "
               f"(h={h_target:.6f}, rel_dev={s['rel_dev_from_h']:+.4f}, "
@@ -460,8 +438,7 @@ def cmd_sample(cfg: ExperimentConfig, out_dir: Path) -> int:
                 "truncation_tail": tail, "error": None,
             })
             del s  # drop the string before the next is drawn
-    cols = ("kind", "ell", "n", "replica", "file", "sum", "truncation_tail", "error")
-    _emit(samples_dir, "manifest", cols, manifest, cfg.out_format)
+    _emit(samples_dir, "manifest", manifest, cfg.out_format)
     print(f"wrote {len(manifest)} samples to {samples_dir}")
     return 0
 
@@ -499,7 +476,7 @@ def cmd_entropy_gap(cfg: ExperimentConfig, out_dir: Path) -> int:
         rows.append({"config_hash": cfg.config_hash, "ell": ell, "n": sampler.n,
                      "cells": sampler.cells, "gap_bits": gap,
                      "gap_per_site": gap / ell, "skipped": False})
-    _emit(out_dir, "entropy_gap", GAP_COLUMNS, rows, cfg.out_format)
+    _emit(out_dir, "entropy_gap", rows, cfg.out_format)
     for row in rows:
         print(f"ell={row['ell']}: n={row['n']} gap_bits={row['gap_bits']:.6f} "
               f"per_site={row['gap_per_site']:.6g}")

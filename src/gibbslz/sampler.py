@@ -59,7 +59,8 @@ count.
 
 Site laws have one source, _site_laws: site j's law is proportional to
 e^{a_j k}, a_j = -beta omega(j/ell), on k = 0..top_j, where Fermi supports
-end at 1 and Bose supports end once the tail mass drops below a tolerance.
+end at 1 and Bose supports end once the tail mass drops below a tolerance
+(geometric_tops).
 The tree, marginal_tables (the tables of the exact DP oracle) and the free
 entropy of the gap all read them; the summed Bose tail is truncation_tail.
 """
@@ -69,8 +70,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .disttab import LN2, DistTable, geometric_tops
-from .ensemble import EnsembleSpec, Statistics, _fermi_mean, eval_dispersion
+from .disttab import DistTable
+from .ensemble import LN2, EnsembleSpec, Statistics, _fermi_mean, eval_dispersion
 from .errors import (
     DomainError,
     ImpossibleConditionError,
@@ -180,6 +181,17 @@ def sample_grand(spec: EnsembleSpec, ell: int, seed: int,
                 out = out.astype(np.min_scalar_type(int(peak)))
             out[lo:hi] = k
     return out
+
+
+def geometric_tops(logq: np.ndarray, tail_tol: float) -> np.ndarray:
+    """Last kept k of geometric laws with log ratios logq < 0, truncated at
+    the smallest top with q^{top+1} < tail_tol, as floats."""
+    if not (0.0 < tail_tol < 0.1):
+        raise DomainError("tail tolerance must be a small positive mass")
+    log_tol = math.log(tail_tol)
+    top = np.maximum(np.ceil(log_tol / logq) - 1.0, 0.0)
+    top += (top + 1.0) * logq >= log_tol
+    return top
 
 
 def _site_laws(spec: EnsembleSpec, ell: int,

@@ -4,7 +4,8 @@ The package keeps only the table code its commands and batteries run
 (DistTable, the suffix-sum DP and its conditional entropy); these helpers
 stand beside it as test oracles.  They build on disttab's own kernels, so
 the laws they give are the ones the package's DP computes.  All entropies
-are in bits.
+are in bits, except in kappa_iid, the closed-form LZ78 constant of i.i.d.
+letters, which works in nats as its law does.
 """
 
 import math
@@ -12,8 +13,9 @@ import math
 import numpy as np
 
 from gibbslz import disttab
-from gibbslz.disttab import DistTable, geometric_tops
+from gibbslz.disttab import DistTable
 from gibbslz.errors import DomainError
+from gibbslz.sampler import geometric_tops
 
 
 def from_probs(probs, truncation_tail: float = 0.0) -> DistTable:
@@ -75,3 +77,26 @@ def entropy_gap(tables, n: int) -> float:
     dp = disttab.build_suffix_dp(tables, n)
     free = sum(disttab.summary(t).entropy_bits for t in dp.marginals)
     return disttab.conditional_entropy_exact(dp) - free
+
+
+def kappa_iid(probs) -> float:
+    """The constant kappa of the i.i.d. LZ78 word count C on letters with
+    these probabilities: ell h / C - ln C tends to kappa, with h in nats
+    (Jacquet & Szpankowski 1995; Louchard & Szpankowski 1997).
+
+    kappa = gamma - 1 + h2 / (2 h) - alpha, with h2 = sum p ln^2 p and
+    alpha = -sum over k >= 2 of (sum_i p_i^k ln p_i) / (1 - sum_i p_i^k).
+    """
+    p = np.asarray(probs, dtype=float)
+    p = p[p > 0.0]
+    if p.size < 2:
+        raise DomainError("kappa needs at least two letters of positive probability")
+    lnp = np.log(p)
+    h = -float(p @ lnp)
+    h2 = float(p @ lnp**2)
+    alpha = 0.0
+    pk = p * p
+    while pk.max() > 1e-18:
+        alpha -= float(pk @ lnp) / (1.0 - float(pk.sum()))
+        pk *= p
+    return np.euler_gamma - 1.0 + h2 / (2.0 * h) - alpha

@@ -12,6 +12,7 @@ ell = 2^14); those tests are expected to fail and say so in their
 assertion messages.
 """
 
+import csv
 import itertools
 import math
 import subprocess
@@ -24,7 +25,13 @@ import pytest
 import gibbslz as g
 from gibbslz import expcli
 from gibbslz.checks import BatteryScale, run_batteries
-from oracles import bernoulli, conditional_site_marginals, entropy_gap, from_probs
+from oracles import (
+    bernoulli,
+    conditional_site_marginals,
+    entropy_gap,
+    from_probs,
+    kappa_iid,
+)
 
 FERMI = g.EnsembleSpec(g.Statistics.FERMI, 1.0, 1.0, g.CosineLattice())
 BOSE = g.EnsembleSpec(g.Statistics.BOSE, 1.0, -0.5, g.CosineLattice())
@@ -307,6 +314,11 @@ def test_accept_9_worker_determinism(tmp_path):
     assert time.perf_counter() - t0 < 300.0
 
 
+def read_csv(path) -> list[dict[str, str]]:
+    with path.open(newline="") as fh:
+        return list(csv.DictReader(fh))
+
+
 def regression_z_and_ratio(S, C, n, other):
     """Compare word counts `other` with the grand (S, C) pairs conditioned
     on S = n, to first order: (z of other's mean against the least-squares
@@ -393,8 +405,38 @@ def test_converge_mean_word_count_matches_enumeration(tmp_path, stats, mu, ell, 
                    f"run.lengths = {ell}\nrun.replicas = 4000\nrun.seed = 3\n"
                    "output.format = csv\n")
     assert expcli.main(["converge", "--config", str(cfg), "--out", str(tmp_path)]) == 0
-    lines = (tmp_path / "summary.csv").read_text().splitlines()
-    row = dict(zip(lines[0].split(","), lines[1].split(",")))
+    [row] = read_csv(tmp_path / "summary.csv")
     assert int(row["n"]) == n
     se = float(row["se_lz_rate"]) * ell / math.log2(ell)
     assert abs(float(row["mean_word_count"]) - mean_c) <= 4.0 * se, (row, mean_c)
+
+
+@pytest.mark.parametrize("mu", [0, 1])
+@pytest.mark.parametrize("kind", ["grand", "canonical"])
+def test_kappa_hat_matches_the_iid_law_on_flat_bands(tmp_path, kind, mu):
+    # On the flat band grid:0,0 every Fermi site is Bernoulli(p) with
+    # p = 1 / (1 + e^-mu), so grand strings are i.i.d. and their word counts
+    # C follow the i.i.d. LZ78 law: kappa-hat = ell h / C - ln C, with h in
+    # nats, sits near kappa_iid at ell = 2^14.  Canonical strings, the same
+    # law conditioned on the total, sit there too.
+    ell = 1 << 14
+    cfg = tmp_path / "flat.cfg"
+    cfg.write_text(f"ensemble.stats = fermi\nensemble.beta = 1.0\nensemble.mu = {mu}\n"
+                   f"ensemble.dispersion = grid:0,0\nrun.lengths = {ell}\n"
+                   f"run.replicas = 8\nrun.seed = 3\nrun.kind = {kind}\n"
+                   "output.format = csv\n")
+    assert expcli.main(["converge", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    rows = read_csv(tmp_path / "results.csv")
+    assert len(rows) == 8
+
+    def mean_kappa_hat(h_unit: float) -> float:
+        return float(np.mean([ell * float(row["h_target"]) * h_unit / int(row["word_count"])
+                              - math.log(int(row["word_count"])) for row in rows]))
+
+    kappa = {m: kappa_iid([1.0 / (1.0 + math.exp(m)), 1.0 / (1.0 + math.exp(-m))])
+             for m in (0, 1)}
+    assert abs(mean_kappa_hat(math.log(2.0)) - kappa[mu]) <= 0.04, kappa
+    # Negative controls: h left in bits, or the other mu's constant, leave
+    # the band.
+    assert abs(mean_kappa_hat(1.0) - kappa[mu]) > 0.04
+    assert abs(mean_kappa_hat(math.log(2.0)) - kappa[1 - mu]) > 0.04

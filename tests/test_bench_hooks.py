@@ -1,7 +1,8 @@
 """The benchmark's tracer (bench/tracing.py) wraps package functions by name
 where the calling layer looks them up.  Entering its instrumentation resolves
-every hooked name, so renaming or deleting one fails here, not only in the
-minute-long bench smoke test."""
+every hooked name, and a traced run of a small workload reads the rest, so
+renaming or deleting one fails here, not only in the minute-long bench
+smoke test."""
 
 from pathlib import Path
 
@@ -66,3 +67,37 @@ def test_tracer_times_every_canonical_draw_block(tmp_path, monkeypatch):
     assert len(rows) == sum(drawn) == 8
     assert tracer.self_times()["sampler.draw"] == pytest.approx(
         sum(rec["end"] - rec["start"] for rec in draws))
+
+
+def test_traced_run_and_layer_metrics_on_a_small_workload(tmp_path, monkeypatch):
+    # The traced run also reads names outside `instrumented` (choose_n's .n,
+    # BatteryScale.full(), the site profiles, sample_from_uniforms); a small
+    # workload with a check and a canonical converge reaches all of them.
+    monkeypatch.syspath_prepend(str(BENCH))
+    import tracing
+    import workloads
+
+    (tmp_path / "bose.cfg").write_text(
+        "ensemble.stats = bose\nensemble.beta = 1.0\nensemble.mu = -0.5\n"
+        "run.lengths = 6\nanalysis.check_scale = quick\noutput.format = csv\n")
+    (tmp_path / "fermi.cfg").write_text(
+        "ensemble.stats = fermi\nensemble.beta = 1.0\nensemble.r = 0.5\n"
+        "run.lengths = 64,128\nrun.replicas = 2\noutput.format = csv\n")
+    monkeypatch.setattr(workloads, "CONFIGS", tmp_path)
+    monkeypatch.setattr(tracing, "WORKLOADS", {"hooks": [
+        workloads.Command("check", "bose.cfg", label="bose"),
+        workloads.Command("converge", "fermi.cfg")]})
+    tracer, wall, probes = tracing.traced_run("hooks", 3, tmp_path / "out")
+    assert probes["exit_codes"] == [0, 0]
+    assert probes["problems"] == []
+    metrics = tracing.layer_metrics(tracer, probes, wall, wall, 1)
+    always = {"sampler.kernel_cells", "sampler.bulk_s", "sampler.bulk_peak_alloc_mb",
+              "lzparse.words", "lzparse.parse_msym_per_s", "lzparse.parse_peak_alloc_mb",
+              "disttab.dp_cells", "expcli.overhead_s", "expcli.pool_efficiency",
+              "trace_overhead_s"}
+    called = {"ensemble.solve_mu_s", "ensemble.site_profiles_s", "sampler.build_s",
+              "sampler.draw_s", "sampler.draw_one_s", "lzparse.parse_s",
+              "lzparse.classify_s", "checks.bose.sampler-tv_s"}
+    assert always | called <= set(metrics)
+    assert all(np.isfinite(metrics[key]) for key in always | called)
+    assert metrics["sampler.bulk_s"] > 0 and metrics["lzparse.parse_peak_alloc_mb"] > 0

@@ -1,6 +1,7 @@
 """Config parsing, output schemas, determinism, and exit codes of the CLI."""
 
 import argparse
+import csv
 import dataclasses
 import importlib
 import inspect
@@ -24,10 +25,7 @@ from gibbslz import checks, ensemble, expcli, lzparse, sampler
 from gibbslz.errors import ConfigError
 from gibbslz.expcli import (
     _KNOWN_KEYS,
-    RESULT_COLUMNS,
-    SUMMARY_COLUMNS,
     _chunks,
-    _fmt_cell,
     build_arg_parser,
     load_config,
     main,
@@ -150,10 +148,32 @@ def test_readme_library_example_runs(capsys):
     assert abs(dp_bits - tree_bits) <= 1e-10
 
 
+def test_readme_lists_every_table_header(tmp_path):
+    # "Outputs" lists each CSV's columns, in order, as one backquoted list
+    # after the file's name; the files converge, entropy-gap and sample
+    # write have exactly those headers.
+    section = readme_section("### Outputs")
+    cfg_path = write_cfg(tmp_path, BASE)
+    for verb in ("converge", "sample", "entropy-gap"):
+        assert main([verb, "--config", cfg_path, "--out", str(tmp_path)]) == 0
+    for name in ("results.csv", "summary.csv", "timings.csv", "entropy_gap.csv",
+                 "samples/manifest.csv"):
+        listed = re.search(rf"`{Path(name).name}`\s*\([^`)]*`([a-z_,\s]+)`", section)
+        assert listed, name
+        with (tmp_path / name).open(newline="") as fh:
+            header = next(csv.reader(fh))
+        assert header == re.split(r",\s*", listed.group(1).strip()), name
+
+
 def write_cfg(tmp_path: Path, text: str, name: str = "run.cfg") -> str:
     path = tmp_path / name
     path.write_text(text)
     return str(path)
+
+
+def read_csv(path: Path) -> list[dict[str, str]]:
+    with path.open(newline="") as fh:
+        return list(csv.DictReader(fh))
 
 
 def test_mapping_comments_whitespace_and_errors(tmp_path):
@@ -281,24 +301,48 @@ def test_chunks_cover_contiguously():
             assert all(ch == list(range(ch[0], ch[0] + len(ch))) for ch in chunks)
 
 
-def test_fmt_cell():
-    assert _fmt_cell(None) == ""
-    assert _fmt_cell(0.1) == "0.1"
-    assert _fmt_cell(1 / 3) == repr(1 / 3)
-    assert _fmt_cell(7) == "7"
-    assert _fmt_cell("x") == "x"
+def csv_matches_jsonl(csv_path: Path) -> int:
+    """Compare each cell of a table with its JSON value; return the float cells."""
+    cells = read_csv(csv_path)
+    jrows = [json.loads(ln) for ln in
+             csv_path.with_suffix(".jsonl").read_text().splitlines()]
+    assert len(cells) == len(jrows)
+    floats = 0
+    for row, jrow in zip(cells, jrows):
+        assert set(row) == set(jrow)
+        for key, value in jrow.items():
+            if value is None:
+                assert row[key] == "", key
+            elif isinstance(value, float):
+                assert row[key] == repr(value) and float(row[key]) == value, key
+                floats += 1
+            else:
+                assert row[key] == str(value), key
+    return floats
+
+
+def test_csv_cells_round_trip_their_jsonl_values(tmp_path):
+    # A None is an empty cell, a float its repr (so it parses back
+    # exactly), and an int, bool or string its str, in every table.
+    for kind in ("canonical", "grand"):
+        out = tmp_path / kind
+        cfg_path = write_cfg(tmp_path, BASE.replace("canonical", kind))
+        for verb in ("converge", "sample", "entropy-gap"):
+            assert main([verb, "--config", cfg_path, "--out", str(out)]) == 0
+        assert csv_matches_jsonl(out / "results.csv") > 0
+        assert csv_matches_jsonl(out / "summary.csv") > 0
+        assert csv_matches_jsonl(out / "entropy_gap.csv") > 0
+        csv_matches_jsonl(out / "samples" / "manifest.csv")
 
 
 def test_converge_outputs_and_schema(tmp_path):
     cfg_path = write_cfg(tmp_path, BASE)
     out = tmp_path / "out"
     assert main(["converge", "--config", cfg_path, "--out", str(out)]) == 0
-    results = (out / "results.csv").read_text().splitlines()
-    assert results[0] == ",".join(RESULT_COLUMNS)
-    assert len(results) == 1 + 2 * 3
+    results = read_csv(out / "results.csv")
+    assert len(results) == 2 * 3
     keys = []
-    for line in results[1:]:
-        cells = dict(zip(RESULT_COLUMNS, line.split(",")))
+    for cells in results:
         keys.append((int(cells["ell"]), int(cells["replica"])))
         assert cells["error"] == ""
         assert int(cells["word_count"]) > 0
@@ -311,21 +355,14 @@ def test_converge_outputs_and_schema(tmp_path):
         assert int(cells["n"]) == int(cells["ell"]) // 2
     assert keys == sorted(keys)
 
-    summary = (out / "summary.csv").read_text().splitlines()
-    assert summary[0] == ",".join(SUMMARY_COLUMNS)
-    assert len(summary) == 3
-    srow = dict(zip(SUMMARY_COLUMNS, summary[1].split(",")))
+    summary = read_csv(out / "summary.csv")
+    assert len(summary) == 2
+    srow = summary[0]
     assert int(srow["replicas"]) == 3
     assert srow["entropy_gap_per_site"] != ""
     h = float(srow["h_target"])
     assert float(srow["rel_dev_from_h"]) == pytest.approx(
         (float(srow["mean_lz_rate"]) - h) / h)
-
-    jrows = [json.loads(ln) for ln in (out / "results.jsonl").read_text().splitlines()]
-    assert len(jrows) == 6
-    for line, jrow in zip(results[1:], jrows):
-        cells = dict(zip(RESULT_COLUMNS, line.split(",")))
-        assert repr(jrow["lz_rate"]) == cells["lz_rate"]
     assert (out / "timings.csv").exists()
 
 
@@ -360,9 +397,7 @@ def test_converge_grand_kind(tmp_path):
     cfg_path = write_cfg(tmp_path, BASE.replace("canonical", "grand"))
     out = tmp_path / "out"
     assert main(["converge", "--config", cfg_path, "--out", str(out)]) == 0
-    lines = (out / "results.csv").read_text().splitlines()
-    for line in lines[1:]:
-        cells = dict(zip(RESULT_COLUMNS, line.split(",")))
+    for cells in read_csv(out / "results.csv"):
         assert cells["kind"] == "grand"
         assert cells["n"] == ""
         assert cells["entropy_gap_per_site"] == ""
@@ -480,8 +515,7 @@ def test_grand_replica_working_set(tmp_path, monkeypatch, stats):
 
 def converge_rows(cfg_path: str, out: Path) -> list[dict]:
     assert main(["converge", "--config", cfg_path, "--out", str(out)]) == 0
-    lines = (out / "results.csv").read_text().splitlines()[1:]
-    return [dict(zip(RESULT_COLUMNS, line.split(","))) for line in lines]
+    return read_csv(out / "results.csv")
 
 
 def sample_and_converge_agree(cfg_path: str, out: Path, kind: str) -> None:
@@ -583,8 +617,7 @@ def test_converge_gap_at_every_rung(tmp_path):
     gaps = {row["ell"]: row for row in
             (json.loads(ln) for ln in
              (tmp_path / "gap" / "entropy_gap.jsonl").read_text().splitlines())}
-    lines = (runs[0] / "results.csv").read_text().splitlines()[1:]
-    rows = [dict(zip(RESULT_COLUMNS, line.split(","))) for line in lines]
+    rows = read_csv(runs[0] / "results.csv")
     assert {int(row["ell"]) for row in rows} == {16, 4096}
     for row in rows:
         assert row["entropy_gap_per_site"] != ""
@@ -720,10 +753,9 @@ def test_converge_low_temperature_fermi(tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["converge", "--config", cfg_path, "--out", str(out)]) == 0
     capsys.readouterr()
-    rows = (out / "results.csv").read_text().splitlines()[1:]
+    rows = read_csv(out / "results.csv")
     assert len(rows) == 3
-    for line in rows:
-        cells = dict(zip(RESULT_COLUMNS, line.split(",")))
+    for cells in rows:
         assert cells["n"] == "128" and cells["error"] == ""
 
 
@@ -740,10 +772,9 @@ def test_converge_grand_low_temperature_fermi_is_warning_free(tmp_path):
         warnings.simplefilter("error")
         assert main(["converge", "--config", cfg_path, "--out", str(out),
                      "--workers", "1"]) == 0
-    rows = (out / "results.csv").read_text().splitlines()[1:]
+    rows = read_csv(out / "results.csv")
     assert len(rows) == 3
-    for line in rows:
-        assert dict(zip(RESULT_COLUMNS, line.split(",")))["error"] == ""
+    assert all(cells["error"] == "" for cells in rows)
 
 
 def check_report(out: Path) -> list[dict]:
@@ -851,10 +882,8 @@ def test_lengths_run_and_report_in_ascending_order(tmp_path, capsys):
     assert main(["converge", "--config", cfg_path, "--out", str(out)]) == 0
     assert [line.split(":")[0] for line in capsys.readouterr().out.splitlines()] \
         == ["ell=16", "ell=32"]
-    for name, columns in (("results.csv", RESULT_COLUMNS),
-                          ("summary.csv", SUMMARY_COLUMNS)):
-        lines = (out / name).read_text().splitlines()[1:]
-        ells = [int(dict(zip(columns, line.split(",")))["ell"]) for line in lines]
+    for name in ("results.csv", "summary.csv"):
+        ells = [int(row["ell"]) for row in read_csv(out / name)]
         assert ells == sorted(ells) and set(ells) == {16, 32}
     assert main(["entropy-gap", "--config", cfg_path, "--out", str(out)]) == 0
     assert [line.split(":")[0] for line in capsys.readouterr().out.splitlines()] \
