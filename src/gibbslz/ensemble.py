@@ -62,8 +62,8 @@ class CosineLattice:
         return 0.0
 
     @property
-    def mean_base_energy(self) -> float:
-        return 1.0
+    def max_base_energy(self) -> float:
+        return 2.0
 
 
 @dataclass(frozen=True)
@@ -71,7 +71,7 @@ class TabulatedGrid:
     """Bare energies tabulated on a uniform grid over [0, 1].
 
     Values are linearly interpolated between grid nodes, so the band minimum
-    equals the smallest tabulated value.
+    and maximum equal the smallest and largest tabulated values.
     """
 
     values: tuple[float, ...]
@@ -98,9 +98,8 @@ class TabulatedGrid:
         return float(nodes[self.values.index(self.min_base_energy)])
 
     @property
-    def mean_base_energy(self) -> float:
-        vals = np.asarray(self.values)
-        return float(np.trapezoid(vals, np.linspace(0.0, 1.0, len(vals))))
+    def max_base_energy(self) -> float:
+        return max(self.values)
 
 
 Dispersion = CosineLattice | TabulatedGrid
@@ -277,60 +276,36 @@ def solve_mu(
 ) -> float:
     """Chemical potential whose particle density is r to within 1e-8.
 
-    The density is strictly increasing in mu, so a sign-changing bracket is
-    grown geometrically from a constant-dispersion starting guess and then
-    bisected.  Fermi densities live in (0, 1); Bose densities in (0, inf),
-    with mu confined below the band minimum.
+    A mode's mean occupancy rises with mu - omega0(y).  With s the shift at
+    which one mode holds r (logit(r) / beta for Fermi, -log1p(1/r) / beta
+    for Bose), the density is at most r at mu = min omega0 + s and at least
+    r at mu = max omega0 + s, and that bracket is bisected.  A Bose mu stays
+    below the band minimum, so a Bose upper end past it is held just under
+    the minimum; a density still short of r there raises TargetRangeError.
     """
     if not (math.isfinite(beta) and beta > 0.0):
         raise EnsembleError(f"beta must be positive and finite, got {beta}")
     if stats is Statistics.FERMI:
         if not (0.0 < r < 1.0):
             raise TargetRangeError(f"Fermi density must lie in (0, 1), got {r}")
+        shift = math.log(r / (1.0 - r)) / beta
+        ceiling = math.inf
     else:
         if not (math.isfinite(r) and r > 0.0):
             raise TargetRangeError(f"Bose density must be positive, got {r}")
+        shift = -math.log1p(1.0 / r) / beta
+        ceiling = dispersion.min_base_energy - _BOSE_MU_GAP
 
     def residual(mu: float) -> float:
         spec = EnsembleSpec(stats, beta, mu, dispersion)
         return particle_density(spec, quad_tol) - r
 
-    c = dispersion.mean_base_energy
-    if stats is Statistics.FERMI:
-        mu0 = c + math.log(r / (1.0 - r)) / beta
-        ceiling = math.inf
-    else:
-        mu0 = c - math.log1p(1.0 / r) / beta
-        ceiling = dispersion.min_base_energy - _BOSE_MU_GAP
-        mu0 = min(mu0, ceiling - 1.0)
-
-    lo = mu0 - 1.0
-    # First upper probe stays well away from a finite ceiling; the expansion
-    # loop below halves the remaining gap only while the density falls short.
-    hi = mu0 + 1.0 if math.isinf(ceiling) else ceiling - 0.5 * (ceiling - mu0)
-    flo = residual(lo)
-    fhi = residual(hi)
-    width = 1.0
-    for _ in range(60):
-        if flo <= 0.0:
-            break
-        width *= 2.0
-        lo -= width
-        flo = residual(lo)
-    else:
-        raise TargetRangeError(f"density {r} not attainable: no lower bracket found")
-    for _ in range(60):
-        if fhi >= 0.0:
-            break
-        if math.isinf(ceiling):
-            width = max(1.0, hi - lo)
-            hi += width
-        else:
-            hi = ceiling - 0.5 * (ceiling - hi)
-        fhi = residual(hi)
-    else:
-        raise TargetRangeError(f"density {r} not attainable: no upper bracket found")
-
+    # [min + s, max + s], written about the band's centre so that on the
+    # cosine band it rounds, and mu with it, as in earlier releases.
+    half = 0.5 * (dispersion.max_base_energy - dispersion.min_base_energy)
+    centre = dispersion.min_base_energy + half + shift
+    lo = centre - half
+    hi = min(centre + half, ceiling)
     for _ in range(300):
         mid = 0.5 * (lo + hi)
         fmid = residual(mid)
@@ -341,6 +316,9 @@ def solve_mu(
         else:
             hi = mid
         if hi - lo < 4.0 * np.finfo(float).eps * max(1.0, abs(mid)):
+            if hi == ceiling:
+                raise TargetRangeError(
+                    f"density {r} not attainable below the band minimum")
             raise NumericError(
                 f"bisection bracket collapsed before |density - r| < {_DENSITY_TOL}"
             )

@@ -329,13 +329,25 @@ def _chunks(items: list[int], parts: int) -> list[list[int]]:
     return [items[i:i + size] for i in range(0, len(items), size)]
 
 
+# A forked worker's bound _replica_rows, set by _init_worker.
+_worker_rows = None
+
+
+def _init_worker(work) -> None:
+    global _worker_rows
+    _worker_rows = work
+
+
+def _worker_chunk(chunk: list[int]) -> tuple[list[dict], list[dict]]:
+    return _worker_rows(chunk)
+
+
 def _run_length(cfg: ExperimentConfig, spec: EnsembleSpec, typical: TypicalParams,
                 r_target: float, h_target: float, ell: int, workers: int,
                 ) -> tuple[list[dict], list[dict]]:
     sampler = None if cfg.kind == "grand" else _length_sampler(cfg, spec, r_target, ell)
     gap_per_site = None if sampler is None else sampler.entropy_gap() / ell
 
-    # Workers are forked and receive the sampler pickled with each chunk.
     work = partial(_replica_rows, cfg, spec, typical, h_target, ell, sampler,
                    gap_per_site)
     replicas = list(range(cfg.replicas))
@@ -348,11 +360,14 @@ def _run_length(cfg: ExperimentConfig, spec: EnsembleSpec, typical: TypicalParam
 
         chunks = _chunks(replicas, workers)
         # Built once here, the length's word profile is inherited by every
-        # forked worker instead of rebuilt in each.
+        # forked worker instead of rebuilt in each.  So is the sampler: under
+        # fork, initargs reach the workers by fork and are never pickled, and
+        # only the chunks' replica numbers cross the pipe.
         _word_profile(spec, ell)
         ctx = get_context("fork")
-        with ProcessPoolExecutor(max_workers=len(chunks), mp_context=ctx) as pool:
-            outputs = list(pool.map(work, chunks))
+        with ProcessPoolExecutor(max_workers=len(chunks), mp_context=ctx,
+                                 initializer=_init_worker, initargs=(work,)) as pool:
+            outputs = list(pool.map(_worker_chunk, chunks))
     # Chunks are contiguous and come back in order, so rows stay sorted.
     rows = [row for chunk_rows, _ in outputs for row in chunk_rows]
     times = [row for _, chunk_times in outputs for row in chunk_times]
@@ -447,8 +462,9 @@ def cmd_parse(cfg: ExperimentConfig, out_dir: Path, inputs: list[str]) -> int:
     rows = []
     for path in inputs:
         try:
-            tokens = Path(path).read_text().split()
-            values = np.array([int(tok) for tok in tokens], dtype=np.int64)
+            # numpy applies int() to each token; the token list is freed
+            # before the parse.
+            values = np.array(Path(path).read_text().split(), dtype=np.int64)
         except (OSError, ValueError, OverflowError) as exc:
             raise ConfigError(f"cannot read occupancy file {path}: {exc}") from exc
         parse = lz78_parse(values)

@@ -21,6 +21,7 @@ from gibbslz import (
     site_means,
     solve_mu,
 )
+from gibbslz import ensemble
 
 FERMI = Statistics.FERMI
 BOSE = Statistics.BOSE
@@ -40,7 +41,7 @@ def test_cosine_dispersion_shape():
                                atol=1e-15)
     assert disp.min_base_energy == 0.0
     assert disp.base_energy(disp.argmin_base_energy) == disp.min_base_energy
-    assert disp.mean_base_energy == 1.0
+    assert disp.max_base_energy == float(disp.base_energy(0.5)) == 2.0
 
 
 def test_tabulated_grid_interpolates_linearly():
@@ -53,8 +54,9 @@ def test_tabulated_grid_interpolates_linearly():
     low = TabulatedGrid((0.5, 0.2, 0.9, 0.2))
     assert low.argmin_base_energy == 1 / 3
     assert low.base_energy(low.argmin_base_energy) == low.min_base_energy
-    # trapezoid mean of the piecewise-linear profile
-    assert grid.mean_base_energy == pytest.approx((1.0 + 1.5) / 2.0)
+    # linear pieces peak at a node: the band maximum is the largest value
+    assert grid.max_base_energy == 2.0
+    assert low.max_base_energy == 0.9
 
 
 def test_tabulated_grid_needs_two_points():
@@ -174,7 +176,50 @@ def test_solve_mu_round_trips():
 
 
 def test_solve_mu_symmetric_anchor():
-    assert solve_mu(FERMI, CosineLattice(), 1.0, 0.5) == pytest.approx(1.0, abs=1e-8)
+    # Exact reprs: the bench's ladder-fermi solves r = 0.5, and every output
+    # derived from mu is byte-compared with earlier releases.
+    assert repr(solve_mu(FERMI, CosineLattice(), 1.0, 0.5)) == "1.0"
+    assert repr(solve_mu(FERMI, CosineLattice(), 1.0, 0.3)) == "0.053760336634280856"
+
+
+def one_mode_shift(stats, beta, r):
+    """mu - omega0 at which a single mode's mean occupancy is r."""
+    if stats is FERMI:
+        return math.log(r / (1.0 - r)) / beta
+    return -math.log1p(1.0 / r) / beta
+
+
+@pytest.mark.parametrize("band", [CosineLattice(), TabulatedGrid((0.5, 0.2, 0.9, 0.4)),
+                                  TabulatedGrid((0.0, 100.0))],
+                         ids=["cosine", "grid4", "grid0-100"])
+@pytest.mark.parametrize("stats,r", [(FERMI, 0.05), (FERMI, 0.7),
+                                     (BOSE, 0.02), (BOSE, 1.5)])
+@pytest.mark.parametrize("beta", [0.5, 2.0])
+def test_band_extremes_bracket_the_density(band, stats, r, beta):
+    # solve_mu bisects [min omega0 + s, max omega0 + s] without probing its
+    # ends; a Bose upper end is proven only below the band minimum.
+    def density(mu):
+        return particle_density(EnsembleSpec(stats, beta, mu, band))
+
+    s = one_mode_shift(stats, beta, r)
+    bottom, top = band.min_base_energy + s, band.max_base_energy + s
+    assert density(bottom) <= r
+    if stats is BOSE and top >= band.min_base_energy:
+        return
+    assert density(top) >= r
+    # negative control: the extremes swapped do not bracket r
+    assert not density(top) <= r <= density(bottom)
+
+
+def test_solve_mu_reports_a_density_short_at_the_bose_ceiling(monkeypatch):
+    # Density held below r: a Bose bisection collapses onto its unproven
+    # upper end just under the band minimum, which means r is unattainable;
+    # a Fermi bracket is proven at both ends, so its collapse is numeric.
+    monkeypatch.setattr(ensemble, "particle_density", lambda spec, quad_tol: 0.1)
+    with pytest.raises(TargetRangeError, match="not attainable"):
+        solve_mu(BOSE, CosineLattice(), 1.0, 0.4)
+    with pytest.raises(NumericError, match="collapsed"):
+        solve_mu(FERMI, CosineLattice(), 1.0, 0.4)
 
 
 def test_solve_mu_rejects_unreachable_density():

@@ -393,6 +393,23 @@ def test_converge_grand_deterministic_across_workers_and_runs(tmp_path):
         tmp_path, BASE.replace("canonical", "grand"))
 
 
+def test_converge_workers_inherit_the_sampler(tmp_path, monkeypatch):
+    # Forked workers inherit the length's sampler, so an unpicklable one
+    # changes nothing; a sampler sent with each chunk would be pickled.
+    cfg_path = write_cfg(tmp_path, BASE)
+    assert main(["converge", "--config", cfg_path, "--out", str(tmp_path / "w1"),
+                 "--workers", "1"]) == 0
+
+    def refuse(self, protocol):
+        raise TypeError("the canonical sampler was pickled")
+
+    monkeypatch.setattr(sampler.CanonicalSampler, "__reduce_ex__", refuse, raising=False)
+    assert main(["converge", "--config", cfg_path, "--out", str(tmp_path / "w2"),
+                 "--workers", "2"]) == 0
+    assert (tmp_path / "w2" / "results.csv").read_bytes() == \
+        (tmp_path / "w1" / "results.csv").read_bytes()
+
+
 def test_converge_grand_kind(tmp_path):
     cfg_path = write_cfg(tmp_path, BASE.replace("canonical", "grand"))
     out = tmp_path / "out"
@@ -687,6 +704,14 @@ def test_scalar_commands_print_reprs(tmp_path, capsys):
     cfg = load_config(cfg_path)
     _, _, h_direct = resolve_spec(cfg)
     assert h == h_direct
+
+
+def test_solve_mu_exits_1_on_a_bose_density_short_at_the_ceiling(tmp_path, capsys,
+                                                                 monkeypatch):
+    cfg_path = write_cfg(tmp_path, BASE.replace("fermi", "bose"))
+    monkeypatch.setattr(ensemble, "particle_density", lambda spec, quad_tol: 0.1)
+    assert main(["solve-mu", "--config", cfg_path, "--out", str(tmp_path)]) == 1
+    assert "not attainable" in capsys.readouterr().err
 
 
 def test_exit_codes(tmp_path, capsys):
