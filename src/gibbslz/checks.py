@@ -20,6 +20,7 @@ harness run can demonstrate that violations are detected and reported, not
 silently absorbed.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -144,9 +145,7 @@ def _local_clt(tables) -> tuple[float, float]:
     if var <= 0.0:
         raise DomainError("degenerate total: zero variance")
     sigma = math.sqrt(var)
-    law = tables[0].probs
-    for t in tables[1:]:
-        law = np.convolve(law, t.probs)
+    law = functools.reduce(np.convolve, [t.probs for t in tables])
     lo = min(0, math.floor(mean - 10.0 * sigma))
     hi = max(law.size - 1, math.ceil(mean + 10.0 * sigma))
     pmf = np.zeros(hi - lo + 1)
@@ -177,7 +176,8 @@ def check_sampler_tv(spec: ensemble.EnsembleSpec, seed: int, draws: int,
                      quad_tol: float = ensemble._DEFAULT_QUAD_TOL) -> CheckResult:
     """Total variation between fixed-total draws at ell=6 and the exact
     conditional law, computed atom by atom over the observed support.
-    Route: the canonical tree's tabulated bulk draws against build_suffix_dp."""
+    Route: the canonical tree's tabulated bulk draws against the product
+    law of the site tables, normalised by P(S = n) from their fold."""
     ell = 6
     r_eff = ensemble.particle_density(spec, quad_tol)
     n = sampler.choose_n(r_eff, ell).n
@@ -185,7 +185,6 @@ def check_sampler_tv(spec: ensemble.EnsembleSpec, seed: int, draws: int,
     if (n + 1)**ell >= 2**63:
         raise NumericError(f"base-{n + 1} codes of {ell} sites overflow int64")
     tables = sampler.marginal_tables(spec, ell, tail_tol)
-    dp = disttab.build_suffix_dp(tables, n)
     cs = sampler.CanonicalSampler(spec, ell, n, tail_tol)
     # A 1-D integer unique is far faster than axis=0 or rows viewed as bytes.
     place = (n + 1)**np.arange(ell - 1, -1, -1, dtype=np.int64)
@@ -205,12 +204,12 @@ def check_sampler_tv(spec: ensemble.EnsembleSpec, seed: int, draws: int,
         total[np.searchsorted(merged, new_keys)] += new_counts
         keys, counts = merged, total
     # Product-law weights of the observed atoms, kept independent of the
-    # suffix-sum recursion on purpose.
+    # tree on purpose.
     atoms = keys[:, None] // place % (n + 1)
     weights = np.ones(atoms.shape[0])
     for j, t in enumerate(tables):
         weights *= t.probs[atoms[:, j]]
-    exact = weights / math.exp(dp.logT[0, n])
+    exact = weights / functools.reduce(np.convolve, [t.probs for t in tables])[n]
     emp = counts / draws
     tv = 0.5 * (np.abs(emp - exact).sum() + max(0.0, 1.0 - exact.sum()))
     # The fault's negative bound fails every TV, even the zero of a total

@@ -308,7 +308,16 @@ def solve_mu(
     hi = min(centre + half, ceiling)
     for _ in range(300):
         mid = 0.5 * (lo + hi)
-        fmid = residual(mid)
+        try:
+            fmid = residual(mid)
+        except NumericError as exc:
+            # Only a density short of r has moved lo, so while hi is the
+            # ceiling every density tried was below r.
+            if hi != ceiling:
+                raise
+            raise TargetRangeError(
+                f"density {r} not reached below the band minimum before the "
+                f"density quadrature failed: {exc}") from exc
         if abs(fmid) < _DENSITY_TOL:
             return mid
         if fmid < 0.0:

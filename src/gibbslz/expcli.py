@@ -24,7 +24,7 @@ import json
 import math
 import sys
 import time
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
@@ -58,15 +58,6 @@ from .sampler import (
     sample_grand,
 )
 
-_KNOWN_KEYS = frozenset({
-    "ensemble.stats", "ensemble.beta", "ensemble.mu", "ensemble.r",
-    "ensemble.dispersion",
-    "run.lengths", "run.replicas", "run.seed", "run.kind",
-    "analysis.epsilon", "analysis.two_sided", "analysis.quad_tol",
-    "analysis.tail_tol", "analysis.check_scale",
-    "output.format",
-})
-
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -88,30 +79,52 @@ class ExperimentConfig:
     config_hash: str
 
 
-def _parse_bool(key: str, raw: str) -> bool:
-    low = raw.lower()
-    if low in ("true", "yes", "1"):
-        return True
-    if low in ("false", "no", "0"):
-        return False
-    raise ConfigError(f"{key} must be a boolean, got {raw!r}")
+# A reader turns a key's raw text into its value or raises a ConfigError
+# that names the key, the rule and the text.
+_Reader = Callable[[str, str], object]
 
 
-def _parse_float(key: str, raw: str) -> float:
+def _number(kind: type, rule: str,
+            ok: Callable[[float], bool] = lambda v: True) -> _Reader:
+    """Reader of an int or float (kind) for which ok holds, as rule says."""
+    def read(key: str, raw: str):
+        try:
+            value = kind(raw)
+        except ValueError:
+            value = None
+        if value is None or not ok(value):
+            raise ConfigError(f"{key} must be {rule}, got {raw!r}")
+        return value
+    return read
+
+
+def _choice(values: dict | tuple) -> _Reader:
+    """_Reader of one of values' names, in any case; values maps each name to
+    its value, or is a tuple of names that are their own values."""
+    table = values if isinstance(values, dict) else dict(zip(values, values))
+
+    def read(key: str, raw: str):
+        try:
+            return table[raw.lower()]
+        except KeyError:
+            raise ConfigError(
+                f"{key} must be one of {', '.join(table)}, got {raw!r}") from None
+    return read
+
+
+def _lengths(key: str, raw: str) -> tuple[int, ...]:
     try:
-        return float(raw)
-    except ValueError as exc:
-        raise ConfigError(f"{key} must be a number, got {raw!r}") from exc
+        # Every command runs and reports the lengths in ascending order.
+        lengths = tuple(sorted(int(tok) for tok in raw.split(",")))
+    except ValueError:
+        lengths = ()
+    if not lengths or lengths[0] < 2 or len(set(lengths)) != len(lengths):
+        raise ConfigError(
+            f"{key} must be comma-separated distinct integers >= 2, got {raw!r}")
+    return lengths
 
 
-def _parse_int(key: str, raw: str) -> int:
-    try:
-        return int(raw)
-    except ValueError as exc:
-        raise ConfigError(f"{key} must be an integer, got {raw!r}") from exc
-
-
-def _parse_dispersion(raw: str) -> Dispersion:
+def _dispersion(key: str, raw: str) -> Dispersion:
     if raw == "cosine":
         return CosineLattice()
     if raw.startswith("grid:"):
@@ -120,8 +133,36 @@ def _parse_dispersion(raw: str) -> Dispersion:
         try:
             return TabulatedGrid(tuple(float(v) for v in raw[len("grid:"):].split(",")))
         except ValueError as exc:
-            raise ConfigError(f"bad grid dispersion {raw!r}: {exc}") from exc
-    raise ConfigError(f"unknown dispersion {raw!r} (use cosine or grid:v0,v1,...)")
+            raise ConfigError(f"{key} has a bad grid {raw!r}: {exc}") from exc
+    raise ConfigError(f"{key} must be cosine or grid:v0,v1,..., got {raw!r}")
+
+
+_REQUIRED = object()  # the default of a key that a config must set
+
+# Every config key: its ExperimentConfig field, its default text (or
+# _REQUIRED, or None for a key whose absence reads as None) and its reader.
+_KEYS: dict[str, tuple[str, object, _Reader]] = {
+    "ensemble.stats": ("stats", _REQUIRED, _choice({s.value: s for s in Statistics})),
+    "ensemble.beta": ("beta", _REQUIRED, _number(float, "a number")),
+    "ensemble.mu": ("mu", None, _number(float, "a number")),
+    "ensemble.r": ("r", None, _number(float, "a number")),
+    "ensemble.dispersion": ("dispersion", "cosine", _dispersion),
+    "run.lengths": ("lengths", _REQUIRED, _lengths),
+    "run.replicas": ("replicas", "4", _number(int, "an integer >= 1", lambda v: v >= 1)),
+    "run.seed": ("seed", "0", _number(int, "an integer in [0, 2^63)",
+                                      lambda v: 0 <= v < 2**63)),
+    "run.kind": ("kind", "canonical", _choice(("canonical", "grand"))),
+    "analysis.epsilon": ("epsilon", "0.3",
+                         _number(float, "a number in (0, 1)", lambda v: 0.0 < v < 1.0)),
+    "analysis.two_sided": ("two_sided", "false", _choice(
+        {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False})),
+    "analysis.quad_tol": ("quad_tol", repr(_DEFAULT_QUAD_TOL), _number(
+        float, "a positive finite number", lambda v: 0.0 < v < math.inf)),
+    "analysis.tail_tol": ("tail_tol", repr(_DEFAULT_TAIL_TOL), _number(
+        float, "a small positive mass in (0, 1e-6)", lambda v: 0.0 < v < 1e-6)),
+    "analysis.check_scale": ("check_scale", "full", _choice(("full", "quick"))),
+    "output.format": ("out_format", "both", _choice(("csv", "jsonl", "both"))),
+}
 
 
 def read_config_mapping(path: str | Path) -> dict[str, str]:
@@ -137,7 +178,7 @@ def read_config_mapping(path: str | Path) -> dict[str, str]:
         if "=" not in body:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
         key, raw = (part.strip() for part in body.split("=", 1))
-        if key not in _KNOWN_KEYS:
+        if key not in _KEYS:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
         if key in mapping:
             raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
@@ -151,75 +192,20 @@ def _hash_mapping(mapping: dict[str, str]) -> str:
 
 
 def load_config(path: str | Path, seed_override: int | None = None) -> ExperimentConfig:
+    """The config of a file, each key read from its text or its default.
+    seed_override stands in for run.seed's text; the hash covers only the
+    file's contents."""
     m = read_config_mapping(path)
-
-    def need(key: str) -> str:
-        if key not in m:
+    texts = m if seed_override is None else {**m, "run.seed": str(seed_override)}
+    values = {}
+    for key, (field, default, read) in _KEYS.items():
+        raw = texts.get(key, default)
+        if raw is _REQUIRED:
             raise ConfigError(f"missing required key {key}")
-        return m[key]
-
-    stats_raw = need("ensemble.stats").lower()
-    try:
-        stats = Statistics(stats_raw)
-    except ValueError as exc:
-        raise ConfigError(f"ensemble.stats must be bose or fermi, got {stats_raw!r}") \
-            from exc
-    beta = _parse_float("ensemble.beta", need("ensemble.beta"))
-    mu = _parse_float("ensemble.mu", m["ensemble.mu"]) if "ensemble.mu" in m else None
-    r = _parse_float("ensemble.r", m["ensemble.r"]) if "ensemble.r" in m else None
-    if (mu is None) == (r is None):
+        values[field] = None if raw is None else read(key, raw)
+    if (values["mu"] is None) == (values["r"] is None):
         raise ConfigError("give exactly one of ensemble.mu and ensemble.r")
-    dispersion = _parse_dispersion(m.get("ensemble.dispersion", "cosine"))
-
-    lengths_raw = need("run.lengths")
-    try:
-        # Every command runs and reports the lengths in ascending order.
-        lengths = tuple(sorted(int(tok) for tok in lengths_raw.split(",")))
-    except ValueError as exc:
-        raise ConfigError(f"run.lengths must be comma-separated integers") from exc
-    if not lengths or any(ell < 2 for ell in lengths):
-        raise ConfigError("run.lengths must list integers >= 2")
-    if len(set(lengths)) != len(lengths):
-        raise ConfigError("run.lengths must not repeat a length")
-    replicas = _parse_int("run.replicas", m.get("run.replicas", "4"))
-    if replicas < 1:
-        raise ConfigError("run.replicas must be at least 1")
-    seed = _parse_int("run.seed", m.get("run.seed", "0"))
-    if seed_override is not None:
-        seed = seed_override
-    if not 0 <= seed < 2**63:
-        raise ConfigError(f"run.seed must lie in [0, 2^63), got {seed}")
-    kind = m.get("run.kind", "canonical").lower()
-    if kind not in ("canonical", "grand"):
-        raise ConfigError(f"run.kind must be canonical or grand, got {kind!r}")
-
-    epsilon = _parse_float("analysis.epsilon", m.get("analysis.epsilon", "0.3"))
-    if not (0.0 < epsilon < 1.0):
-        raise ConfigError("analysis.epsilon must lie in (0, 1)")
-    two_sided = _parse_bool("analysis.two_sided", m.get("analysis.two_sided", "false"))
-    quad_tol = _parse_float("analysis.quad_tol",
-                            m.get("analysis.quad_tol", repr(_DEFAULT_QUAD_TOL)))
-    if not (0.0 < quad_tol < math.inf):
-        raise ConfigError("analysis.quad_tol must be positive and finite")
-    tail_tol = _parse_float("analysis.tail_tol",
-                            m.get("analysis.tail_tol", repr(_DEFAULT_TAIL_TOL)))
-    if not (0.0 < tail_tol < 1e-6):
-        raise ConfigError("analysis.tail_tol must be a small positive mass")
-    check_scale = m.get("analysis.check_scale", "full").lower()
-    if check_scale not in ("full", "quick"):
-        raise ConfigError("analysis.check_scale must be full or quick")
-
-    out_format = m.get("output.format", "both").lower()
-    if out_format not in ("csv", "jsonl", "both"):
-        raise ConfigError("output.format must be csv, jsonl or both")
-
-    return ExperimentConfig(
-        stats=stats, beta=beta, mu=mu, r=r, dispersion=dispersion,
-        lengths=lengths, replicas=replicas, seed=seed, kind=kind,
-        epsilon=epsilon, two_sided=two_sided, quad_tol=quad_tol,
-        tail_tol=tail_tol, check_scale=check_scale,
-        out_format=out_format, config_hash=_hash_mapping(m),
-    )
+    return ExperimentConfig(**values, config_hash=_hash_mapping(m))
 
 
 def resolve_spec(cfg: ExperimentConfig) -> tuple[EnsembleSpec, float, float]:
@@ -345,6 +331,9 @@ def _worker_chunk(chunk: list[int]) -> tuple[list[dict], list[dict]]:
 def _run_length(cfg: ExperimentConfig, spec: EnsembleSpec, typical: TypicalParams,
                 r_target: float, h_target: float, ell: int, workers: int,
                 ) -> tuple[list[dict], list[dict]]:
+    # The cache builds a new profile before it evicts the old one, so the
+    # last length's profile is freed first.
+    _word_profile.cache_clear()
     sampler = None if cfg.kind == "grand" else _length_sampler(cfg, spec, r_target, ell)
     gap_per_site = None if sampler is None else sampler.entropy_gap() / ell
 
@@ -404,20 +393,17 @@ def _summarise(cfg: ExperimentConfig, rows: list[dict], h_target: float) -> list
     return out
 
 
-def cmd_converge(cfg: ExperimentConfig, out_dir: Path, workers: int) -> int:
+def cmd_converge(cfg: ExperimentConfig, out_dir: Path, args: argparse.Namespace) -> int:
     spec, r_target, h_target = resolve_spec(cfg)
     if not h_target > 0.0:
         raise ConfigError(f"entropy rate is {h_target!r}: the ensemble is frozen, "
                           "and converge compares word counts with a positive rate")
     typical = TypicalParams.from_ensemble(spec, cfg.epsilon, two_sided=cfg.two_sided)
-    all_rows: list[dict] = []
-    all_times: list[dict] = []
     # Lengths ascend, so the rows come out sorted by (ell, replica).
-    for ell in cfg.lengths:
-        rows, times = _run_length(cfg, spec, typical, r_target, h_target, ell,
-                                  workers)
-        all_rows.extend(rows)
-        all_times.extend(times)
+    outputs = [_run_length(cfg, spec, typical, r_target, h_target, ell, args.workers)
+               for ell in cfg.lengths]
+    all_rows = [row for rows, _ in outputs for row in rows]
+    all_times = [row for _, times in outputs for row in times]
     summaries = _summarise(cfg, all_rows, h_target)
     _emit(out_dir, "results", all_rows, cfg.out_format)
     _emit(out_dir, "summary", summaries, cfg.out_format)
@@ -429,7 +415,7 @@ def cmd_converge(cfg: ExperimentConfig, out_dir: Path, workers: int) -> int:
     return 0
 
 
-def cmd_sample(cfg: ExperimentConfig, out_dir: Path) -> int:
+def cmd_sample(cfg: ExperimentConfig, out_dir: Path, args: argparse.Namespace) -> int:
     spec, r_target, _ = resolve_spec(cfg)
     samples_dir = out_dir / "samples"
     samples_dir.mkdir(parents=True, exist_ok=True)
@@ -458,9 +444,9 @@ def cmd_sample(cfg: ExperimentConfig, out_dir: Path) -> int:
     return 0
 
 
-def cmd_parse(cfg: ExperimentConfig, out_dir: Path, inputs: list[str]) -> int:
+def cmd_parse(cfg: ExperimentConfig, out_dir: Path, args: argparse.Namespace) -> int:
     rows = []
-    for path in inputs:
+    for path in args.inputs:
         try:
             # numpy applies int() to each token; the token list is freed
             # before the parse.
@@ -481,7 +467,8 @@ def cmd_parse(cfg: ExperimentConfig, out_dir: Path, inputs: list[str]) -> int:
     return 0
 
 
-def cmd_entropy_gap(cfg: ExperimentConfig, out_dir: Path) -> int:
+def cmd_entropy_gap(cfg: ExperimentConfig, out_dir: Path,
+                    args: argparse.Namespace) -> int:
     spec, r_target, _ = resolve_spec(cfg)
     rows = []
     for ell in cfg.lengths:
@@ -499,23 +486,20 @@ def cmd_entropy_gap(cfg: ExperimentConfig, out_dir: Path) -> int:
     return 0
 
 
-def cmd_check(cfg: ExperimentConfig, out_dir: Path,
-              inject_fault: str | None) -> int:
+def cmd_check(cfg: ExperimentConfig, out_dir: Path, args: argparse.Namespace) -> int:
     from . import checks  # deferred: only this command needs the batteries
 
     spec, _, _ = resolve_spec(cfg)
     scale = checks.BatteryScale.full() if cfg.check_scale == "full" \
         else checks.BatteryScale.quick()
-    results = checks.run_batteries(spec, cfg.seed, scale, inject_fault=inject_fault,
+    results = checks.run_batteries(spec, cfg.seed, scale, inject_fault=args.inject_fault,
                                    tail_tol=cfg.tail_tol, quad_tol=cfg.quad_tol)
     _write_jsonl(out_dir / "check_report.jsonl",
                  [{"name": r.name, "passed": r.passed, "detail": r.detail}
                   for r in results])
-    failures = 0
     for r in results:
-        tag = "PASS" if r.passed else "FAIL"
-        print(f"[{tag}] {r.name}: {r.detail}")
-        failures += 0 if r.passed else 1
+        print(f"[{'PASS' if r.passed else 'FAIL'}] {r.name}: {r.detail}")
+    failures = sum(not r.passed for r in results)
     if failures:
         print(f"{failures} of {len(results)} batteries failed")
         return 2
@@ -523,18 +507,33 @@ def cmd_check(cfg: ExperimentConfig, out_dir: Path,
     return 0
 
 
-def _scalar_command(cfg: ExperimentConfig, which: str) -> int:
-    if which == "solve-mu" and cfg.r is None:
+def _scalar_command(cfg: ExperimentConfig, out_dir: Path,
+                    args: argparse.Namespace) -> int:
+    if args.command == "solve-mu" and cfg.r is None:
         raise ConfigError("solve-mu requires ensemble.r in the config")
     spec, _, h_target = resolve_spec(cfg)
-    if which == "solve-mu":
+    if args.command == "solve-mu":
         value = spec.mu
-    elif which == "density":
+    elif args.command == "density":
         value = particle_density(spec, cfg.quad_tol)
     else:
         value = h_target
     print(repr(float(value)))
     return 0
+
+
+# Every command: its help line and its handler, which takes (cfg, out_dir,
+# args) and returns the exit code.
+_COMMANDS = {
+    "density": ("print the particle density integral", _scalar_command),
+    "rate": ("print the entropy rate integral (bits per site)", _scalar_command),
+    "solve-mu": ("print the chemical potential matching ensemble.r", _scalar_command),
+    "sample": ("write occupancy strings and a manifest", cmd_sample),
+    "parse": ("parse occupancy files and report word counts", cmd_parse),
+    "converge": ("replicated rate study across run.lengths", cmd_converge),
+    "entropy-gap": ("exact conditioning entropy cost per length", cmd_entropy_gap),
+    "check": ("run the property batteries", cmd_check),
+}
 
 
 def build_arg_parser() -> argparse.ArgumentParser:
@@ -551,25 +550,13 @@ def build_arg_parser() -> argparse.ArgumentParser:
         description="Word-count statistics of Bose/Fermi occupancy strings",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("density", parents=[common],
-                   help="print the particle density integral")
-    sub.add_parser("rate", parents=[common],
-                   help="print the entropy rate integral (bits per site)")
-    sub.add_parser("solve-mu", parents=[common],
-                   help="print the chemical potential matching ensemble.r")
-    sub.add_parser("sample", parents=[common],
-                   help="write occupancy strings and a manifest")
-    p_parse = sub.add_parser("parse", parents=[common],
-                             help="parse occupancy files and report word counts")
-    p_parse.add_argument("inputs", nargs="+", help="occupancy files (one int per line)")
-    sub.add_parser("converge", parents=[common],
-                   help="replicated rate study across run.lengths")
-    sub.add_parser("entropy-gap", parents=[common],
-                   help="exact conditioning entropy cost per length")
-    p_check = sub.add_parser("check", parents=[common],
-                             help="run the property batteries")
-    p_check.add_argument("--inject-fault", default=None, metavar="BATTERY",
-                         help="deliberately corrupt one battery (negative control)")
+    parsers = {name: sub.add_parser(name, parents=[common], help=help_line)
+               for name, (help_line, _) in _COMMANDS.items()}
+    parsers["parse"].add_argument("inputs", nargs="+",
+                                  help="occupancy files (one int per line)")
+    parsers["check"].add_argument(
+        "--inject-fault", default=None, metavar="BATTERY",
+        help="deliberately corrupt one battery (negative control)")
     return parser
 
 
@@ -581,22 +568,10 @@ def main(argv: list[str] | None = None) -> int:
         cfg = load_config(args.config, seed_override=args.seed)
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
-        if args.command in ("density", "rate", "solve-mu"):
-            return _scalar_command(cfg, args.command)
-        if args.command == "sample":
-            return cmd_sample(cfg, out_dir)
-        if args.command == "parse":
-            return cmd_parse(cfg, out_dir, args.inputs)
-        if args.command == "converge":
-            return cmd_converge(cfg, out_dir, args.workers)
-        if args.command == "entropy-gap":
-            return cmd_entropy_gap(cfg, out_dir)
-        # argparse admits no command but the ones above and check.
-        return cmd_check(cfg, out_dir, args.inject_fault)
+        return _COMMANDS[args.command][1](cfg, out_dir, args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     except GibbsLzError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-

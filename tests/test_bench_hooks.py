@@ -91,6 +91,8 @@ def test_traced_run_and_layer_metrics_on_a_small_workload(tmp_path, monkeypatch)
     assert probes["exit_codes"] == [0, 0]
     assert probes["problems"] == []
     metrics = tracing.layer_metrics(tracer, probes, wall, wall, 1)
+    # No command runs the suffix DP: sampler-tv normalises by the tables' fold.
+    assert tracer.counts["dp_cells"] == 0
     always = {"sampler.kernel_cells", "sampler.bulk_s", "sampler.bulk_peak_alloc_mb",
               "lzparse.words", "lzparse.parse_msym_per_s", "lzparse.parse_peak_alloc_mb",
               "disttab.dp_cells", "expcli.overhead_s", "expcli.pool_efficiency",

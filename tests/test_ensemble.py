@@ -222,6 +222,36 @@ def test_solve_mu_reports_a_density_short_at_the_bose_ceiling(monkeypatch):
         solve_mu(FERMI, CosineLattice(), 1.0, 0.4)
 
 
+def test_solve_mu_reports_a_quadrature_failure_at_the_bose_ceiling(monkeypatch):
+    # A quadrature that fails while hi is still the Bose ceiling has seen
+    # only densities below r; once a density above r has moved hi, or for
+    # Fermi, a failure stays numeric.
+    def fail(spec, quad_tol):
+        raise NumericError("quadrature did not converge")
+
+    monkeypatch.setattr(ensemble, "particle_density", fail)
+    with pytest.raises(TargetRangeError, match="quadrature"):
+        solve_mu(BOSE, CosineLattice(), 1.0, 0.4)
+    with pytest.raises(NumericError, match="quadrature"):
+        solve_mu(FERMI, CosineLattice(), 1.0, 0.4)
+    calls = []
+
+    def above_then_fail(spec, quad_tol):
+        calls.append(spec.mu)
+        return 0.5 if len(calls) == 1 else fail(spec, quad_tol)
+
+    monkeypatch.setattr(ensemble, "particle_density", above_then_fail)
+    with pytest.raises(NumericError, match="quadrature"):
+        solve_mu(BOSE, CosineLattice(), 1.0, 0.4)
+
+
+def test_solve_mu_on_a_linear_bose_band_edge():
+    # Exact reprs of densities the quadrature reaches below the ceiling.
+    band = TabulatedGrid((0.0, 1.0))
+    assert repr(solve_mu(BOSE, band, 1.0, 1.0)) == "-0.3132616908174164"
+    assert repr(solve_mu(BOSE, band, 1.0, 5.0)) == "-0.004278920091696382"
+
+
 def test_solve_mu_rejects_unreachable_density():
     with pytest.raises(TargetRangeError):
         solve_mu(FERMI, CosineLattice(), 1.0, 1.2)

@@ -1,10 +1,12 @@
 """Config parsing, output schemas, determinism, and exit codes of the CLI."""
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import importlib
 import inspect
+import io
 import json
 import math
 import os
@@ -19,12 +21,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gibbslz as g
-from gibbslz import checks, ensemble, expcli, lzparse, sampler
+from gibbslz import checks, disttab, ensemble, expcli, lzparse, sampler
 from gibbslz.errors import ConfigError
 from gibbslz.expcli import (
-    _KNOWN_KEYS,
+    _KEYS,
     _chunks,
     build_arg_parser,
     load_config,
@@ -121,12 +125,12 @@ def test_readme_matches_parser_and_config_keys(tmp_path):
     listed = set(re.findall(r"(?<!-)--[a-z][a-z-]*", readme_section("## Command line")))
     assert listed == options
     first_cells = re.findall(r"^\|[^|]*", readme_section("### Config keys"), flags=re.M)
-    assert set(re.findall(r"`([a-z_]+\.[a-z_]+)`", "".join(first_cells))) == _KNOWN_KEYS
+    assert set(re.findall(r"`([a-z_]+\.[a-z_]+)`", "".join(first_cells))) == set(_KEYS)
     required = "ensemble.stats = fermi\nensemble.beta = 1.0\nensemble.mu = 1.0\nrun.lengths = 16\n"
     bare = dataclasses.replace(load_config(write_cfg(tmp_path, required)), config_hash="")
     defaults = re.findall(r"^\| `([a-z_]+\.[a-z_]+)` \|.*\| `([^`]+)` \|$",
                           readme_section("### Config keys"), flags=re.M)
-    assert {key for key, _ in defaults} == _KNOWN_KEYS - {
+    assert {key for key, _ in defaults} == set(_KEYS) - {
         "ensemble.stats", "ensemble.beta", "ensemble.mu", "ensemble.r", "run.lengths"}
     for key, value in defaults:
         cfg = load_config(write_cfg(tmp_path, f"{required}{key} = {value}\n"))
@@ -229,35 +233,141 @@ def test_config_hash_ignores_ordering_not_values(tmp_path):
     assert c.config_hash != a.config_hash
 
 
-def test_load_config_rejects_bad_values(tmp_path):
+def test_load_config_rejects_bad_values(tmp_path, capsys):
+    # Each case is refused by load_config and exits 1 through main, with
+    # the key it breaks named on stderr.
     cases = [
-        BASE.replace("ensemble.r = 0.5", "ensemble.r = 0.5\nensemble.mu = 1.0"),
-        BASE.replace("ensemble.r = 0.5\n", ""),
-        BASE.replace("fermi", "anyon"),
-        BASE.replace("run.lengths = 16,32", "run.lengths = 16,1"),
-        BASE.replace("run.lengths = 16,32", "run.lengths = eight"),
-        BASE.replace("run.replicas = 3", "run.replicas = 0"),
-        BASE.replace("run.seed = 11", "run.seed = -4"),
-        BASE.replace("run.kind = canonical", "run.kind = microcanonical"),
-        BASE + "analysis.epsilon = 1.0\n",
-        BASE + "analysis.epsilon = half\n",
-        BASE + "analysis.two_sided = maybe\n",
-        BASE + "analysis.quad_tol = 0\n",
-        BASE + "analysis.quad_tol = nan\n",
-        BASE + "analysis.quad_tol = inf\n",
-        BASE + "analysis.tail_tol = 1e-3\n",
-        BASE + "analysis.gap_budget = -1\n",
-        BASE + "analysis.check_scale = huge\n",
-        BASE + "output.format = xml\n",
-        BASE.replace("ensemble.dispersion = cosine",
-                     "ensemble.dispersion = grid:1.0"),
-        BASE.replace("ensemble.dispersion = cosine",
-                     "ensemble.dispersion = grid:0.5,nan,1.0"),
-        BASE.replace("run.seed = 11", f"run.seed = {2**63}"),
+        ("ensemble.mu", BASE.replace("ensemble.r = 0.5", "ensemble.r = 0.5\nensemble.mu = 1.0")),
+        ("ensemble.r", BASE.replace("ensemble.r = 0.5\n", "")),
+        ("ensemble.stats", BASE.replace("fermi", "anyon")),
+        ("run.lengths", BASE.replace("run.lengths = 16,32", "run.lengths = 16,1")),
+        ("run.lengths", BASE.replace("run.lengths = 16,32", "run.lengths = eight")),
+        ("run.replicas", BASE.replace("run.replicas = 3", "run.replicas = 0")),
+        ("run.seed", BASE.replace("run.seed = 11", "run.seed = -4")),
+        ("run.kind", BASE.replace("run.kind = canonical", "run.kind = microcanonical")),
+        ("analysis.epsilon", BASE + "analysis.epsilon = 1.0\n"),
+        ("analysis.epsilon", BASE + "analysis.epsilon = half\n"),
+        ("analysis.two_sided", BASE + "analysis.two_sided = maybe\n"),
+        ("analysis.quad_tol", BASE + "analysis.quad_tol = 0\n"),
+        ("analysis.quad_tol", BASE + "analysis.quad_tol = nan\n"),
+        ("analysis.quad_tol", BASE + "analysis.quad_tol = inf\n"),
+        ("analysis.tail_tol", BASE + "analysis.tail_tol = 1e-3\n"),
+        ("analysis.gap_budget", BASE + "analysis.gap_budget = -1\n"),
+        ("analysis.check_scale", BASE + "analysis.check_scale = huge\n"),
+        ("output.format", BASE + "output.format = xml\n"),
+        ("ensemble.dispersion", BASE.replace("ensemble.dispersion = cosine",
+                                             "ensemble.dispersion = grid:1.0")),
+        ("ensemble.dispersion", BASE.replace("ensemble.dispersion = cosine",
+                                             "ensemble.dispersion = grid:0.5,nan,1.0")),
+        ("run.seed", BASE.replace("run.seed = 11", f"run.seed = {2**63}")),
     ]
-    for i, text in enumerate(cases):
-        with pytest.raises(ConfigError):
-            load_config(write_cfg(tmp_path, text, f"bad{i}.cfg"))
+    for i, (key, text) in enumerate(cases):
+        path = write_cfg(tmp_path, text, f"bad{i}.cfg")
+        with pytest.raises(ConfigError, match=re.escape(key)):
+            load_config(path)
+        assert main(["rate", "--config", path, "--out", str(tmp_path / "out")]) == 1
+        captured = capsys.readouterr()
+        assert key in captured.err and captured.out == "", key
+    # --seed is read as run.seed's text, by the same rule.
+    path = write_cfg(tmp_path, BASE)
+    assert main(["rate", "--config", path, "--seed", "-1", "--out", str(tmp_path)]) == 1
+    assert "run.seed must be an integer in [0, 2^63), got '-1'" in capsys.readouterr().err
+
+
+# Texts each key accepts and texts it refuses; the net covers every key.
+_NOT_A_NUMBER = st.sampled_from(["", "one", "1,0", "0x1", "1e", "--1", "1.5.2"])
+_NUMBER = (st.floats(allow_nan=False, allow_infinity=False).map(repr)
+           | st.integers(-10**6, 10**6).map(str))
+
+
+def _cased(*names: str):
+    return st.sampled_from(names).flatmap(
+        lambda name: st.sampled_from([name, name.upper(), name.capitalize()]))
+
+
+VALID_TEXTS = {
+    "ensemble.stats": _cased("bose", "fermi"),
+    "ensemble.beta": _NUMBER,
+    "ensemble.mu": _NUMBER,
+    "ensemble.r": _NUMBER,
+    "ensemble.dispersion": st.just("cosine") | st.lists(
+        st.floats(-1e3, 1e3), min_size=2, max_size=6).map(
+        lambda vs: "grid:" + ",".join(map(repr, vs))),
+    "run.lengths": st.lists(st.integers(2, 10**7), min_size=1, max_size=5,
+                            unique=True).map(lambda ls: ",".join(map(str, ls))),
+    "run.replicas": st.integers(1, 10**6).map(str),
+    "run.seed": st.integers(0, 2**63 - 1).map(str),
+    "run.kind": _cased("canonical", "grand"),
+    "analysis.epsilon": st.floats(0.0, 1.0, exclude_min=True, exclude_max=True).map(repr),
+    "analysis.two_sided": _cased("true", "yes", "1", "false", "no", "0"),
+    "analysis.quad_tol": st.floats(0.0, 1e300, exclude_min=True).map(repr),
+    "analysis.tail_tol": st.floats(0.0, 1e-6, exclude_min=True, exclude_max=True).map(repr),
+    "analysis.check_scale": _cased("full", "quick"),
+    "output.format": _cased("csv", "jsonl", "both"),
+}
+INVALID_TEXTS = {
+    "ensemble.stats": st.sampled_from(["anyon", "", "bosons", "fermi-dirac"]),
+    "ensemble.beta": _NOT_A_NUMBER,
+    "ensemble.mu": _NOT_A_NUMBER,
+    "ensemble.r": _NOT_A_NUMBER,
+    "ensemble.dispersion": st.sampled_from(
+        ["parabola", "Cosine", "grid:", "grid:1.0", "grid:0.5,nan", "grid:a,b", "grid:1,inf"]),
+    "run.lengths": st.sampled_from(["", "8,8", "1", "16,1", "eight", "4.0", "16;32"]),
+    "run.replicas": st.integers(max_value=0).map(str) | st.sampled_from(["1.5", "four"]),
+    "run.seed": (st.integers(max_value=-1) | st.integers(min_value=2**63)).map(str)
+    | st.sampled_from(["1.5", "seed"]),
+    "run.kind": st.sampled_from(["microcanonical", "", "grand canonical"]),
+    "analysis.epsilon": st.floats().filter(lambda v: not 0.0 < v < 1.0).map(repr)
+    | st.sampled_from(["0", "1", "1.5"]) | _NOT_A_NUMBER,
+    "analysis.two_sided": st.sampled_from(["maybe", "2", "", "t"]),
+    "analysis.quad_tol": st.floats(max_value=0.0).map(repr)
+    | st.sampled_from(["inf", "nan", "tight"]),
+    "analysis.tail_tol": (st.floats(min_value=1e-6) | st.floats(max_value=0.0)).map(repr)
+    | st.sampled_from(["1e-6", "1e-4", "0", "nan", "small"]),
+    "analysis.check_scale": st.sampled_from(["huge", "", "medium"]),
+    "output.format": st.sampled_from(["xml", "", "csv,jsonl"]),
+}
+
+
+@st.composite
+def valid_mappings(draw) -> dict[str, str]:
+    """Every required key, exactly one of ensemble.mu and ensemble.r, and
+    any of the other keys."""
+    keys = ["ensemble.stats", "ensemble.beta", "run.lengths",
+            draw(st.sampled_from(["ensemble.mu", "ensemble.r"]))]
+    keys += [key for key in VALID_TEXTS if key not in keys
+             and key not in ("ensemble.mu", "ensemble.r") and draw(st.booleans())]
+    return {key: draw(VALID_TEXTS[key]) for key in keys}
+
+
+def test_config_texts_cover_every_key():
+    assert set(VALID_TEXTS) == set(INVALID_TEXTS) == set(_KEYS)
+
+
+@settings(max_examples=60, deadline=None)
+@given(mapping=valid_mappings(), broken=st.sampled_from(sorted(_KEYS)), data=st.data())
+def test_config_property_net(tmp_path_factory, mapping, broken, data):
+    # A drawn valid config loads; each key's text swapped for an invalid one
+    # is refused naming that key, and `rate` exits 1 before writing anything.
+    tmp = tmp_path_factory.mktemp("net")
+    path = tmp / "run.cfg"
+
+    def write(texts: dict[str, str]) -> None:
+        path.write_text("".join(f"{k} = {v}\n" for k, v in texts.items()))
+
+    write(mapping)
+    cfg = load_config(path)
+    assert (cfg.mu is None) != (cfg.r is None)
+    for key in sorted(_KEYS):
+        write({**mapping, key: data.draw(INVALID_TEXTS[key], label=key)})
+        with pytest.raises(ConfigError, match=re.escape(key)):
+            load_config(path)
+    write({**mapping, broken: data.draw(INVALID_TEXTS[broken], label=broken)})
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(["rate", "--config", str(path), "--out", str(tmp / "out")])
+    assert rc == 1 and broken in err.getvalue()
+    assert out.getvalue() == "" and not (tmp / "out").exists()
 
 
 def test_dispersion_grid_parsing(tmp_path):
@@ -429,6 +539,25 @@ def grand_rows_setup(tmp_path: Path, stats: str = "bose", ell: int = 1024):
                                 .replace("16,32", str(ell))))
     spec, _, h = resolve_spec(cfg)
     return cfg, spec, g.TypicalParams.from_ensemble(spec, cfg.epsilon), h
+
+
+def test_converge_frees_each_length_profile_before_the_next(tmp_path, monkeypatch):
+    # The profile cache computes a new entry before it evicts the old one;
+    # converge clears it first, so a ladder never holds two profiles.
+    held = []
+    real = lzparse.marginal_mean
+
+    def spy(spec, y):
+        if np.ndim(y) == 1 and y[0] == 0.0:  # a profile's first block
+            held.append(lzparse._word_profile.cache_info().currsize)
+        return real(spec, y)
+
+    monkeypatch.setattr(lzparse, "marginal_mean", spy)
+    cfg_path = write_cfg(tmp_path, BASE.replace("canonical", "grand")
+                         .replace("ensemble.r = 0.5", "ensemble.mu = 1.0")
+                         .replace("run.replicas = 3", "run.replicas = 1"))
+    assert main(["converge", "--config", cfg_path, "--out", str(tmp_path)]) == 0
+    assert held == [0, 0]
 
 
 def canonical_rows_setup(tmp_path: Path):
@@ -714,6 +843,16 @@ def test_solve_mu_exits_1_on_a_bose_density_short_at_the_ceiling(tmp_path, capsy
     assert "not attainable" in capsys.readouterr().err
 
 
+def test_solve_mu_exits_1_on_a_bose_density_past_the_quadrature(tmp_path, capsys):
+    # On a linear band edge the Bose density grows only like a logarithm
+    # near the minimum, so the quadrature gives out short of r = 40.
+    cfg_path = write_cfg(tmp_path, "ensemble.stats = bose\nensemble.beta = 1.0\n"
+                         "ensemble.r = 40\nensemble.dispersion = grid:0,1\n"
+                         "run.lengths = 8\n")
+    assert main(["solve-mu", "--config", cfg_path, "--out", str(tmp_path)]) == 1
+    assert "density quadrature failed" in capsys.readouterr().err
+
+
 def test_exit_codes(tmp_path, capsys):
     bad = write_cfg(tmp_path, BASE + "mystery.key = 1\n", "bad.cfg")
     assert main(["density", "--config", bad, "--out", str(tmp_path)]) == 1
@@ -829,6 +968,22 @@ def test_check_command_and_fault_injection(tmp_path, capsys):
                      "--inject-fault", target]) == 1
         assert "unknown fault target" in capsys.readouterr().err
         assert not (bad / "check_report.jsonl").exists()
+
+
+@pytest.mark.parametrize("stats,mu", [("fermi", "1.0"), ("bose", "-0.5")])
+def test_check_runs_no_suffix_dp(tmp_path, monkeypatch, stats, mu):
+    # sampler-tv normalises by the fold of the site laws; the suffix DP
+    # stays an oracle of the tests, which no command runs.
+    def refuse(*args, **kwargs):
+        raise AssertionError("the suffix DP ran")
+
+    monkeypatch.setattr(disttab, "build_suffix_dp", refuse)
+    monkeypatch.setattr(disttab, "conditional_entropy_exact", refuse)
+    cfg_path = write_cfg(tmp_path, f"ensemble.stats = {stats}\nensemble.beta = 1.0\n"
+                         f"ensemble.mu = {mu}\nrun.lengths = 6\n"
+                         "analysis.check_scale = quick\n")
+    assert main(["check", "--config", cfg_path, "--out", str(tmp_path)]) == 0
+    assert all(r["passed"] for r in check_report(tmp_path))
 
 
 def test_check_bose_profiles_count_the_dropped_tail(tmp_path, capsys):
