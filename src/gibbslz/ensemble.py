@@ -156,41 +156,48 @@ def _fermi_mean(x):
         return 1.0 / (1.0 + np.exp(x))
 
 
-def marginal_mean(spec: EnsembleSpec, y):
-    """Mean occupancy of the mode at y.
+def _energy_mean(stats: Statistics, x):
+    """Mean occupancy of modes of scaled energy x = beta*omega.
 
-    Fermi modes give the logistic value 1/(1+e^x) with x = beta*omega, Bose
-    modes give 1/(e^x - 1), computed through expm1 so the tails stay accurate.
+    Fermi modes give the logistic value 1/(1+e^x), Bose modes 1/(e^x - 1),
+    computed through expm1 so the tails stay accurate.
     """
+    if stats is Statistics.FERMI:
+        return _fermi_mean(x)
+    if np.any(x <= 0.0):
+        raise EnsembleError("Bose mode energy must stay positive")
+    # e^{-x}/(1 - e^{-x}) never overflows, unlike 1/(e^x - 1)
+    ex = np.exp(-x)
+    return ex / -np.expm1(-x)
+
+
+def _energy_entropy(stats: Statistics, x):
+    """Shannon entropy, in bits, of the occupancy of modes of scaled energy x.
+
+    Closed form: -+ log2(1 -+ e^{-x}) + (x / ln 2) * mean, with the upper
+    signs for Bose statistics.  The second term is the nat-valued tilt
+    x * mean converted to bits.
+    """
+    if stats is Statistics.FERMI:
+        return (np.logaddexp(0.0, -x) + x * _fermi_mean(x)) / LN2
+    if np.any(x <= 0.0):
+        raise EnsembleError("Bose mode energy must stay positive")
+    ex = np.exp(-x)
+    neg = -np.expm1(-x)
+    return (-np.log(neg) + x * ex / neg) / LN2
+
+
+def marginal_mean(spec: EnsembleSpec, y):
+    """Mean occupancy of the mode at y (_energy_mean at x = beta*omega(y))."""
     x = spec.beta * np.asarray(eval_dispersion(spec, y))
-    if spec.stats is Statistics.FERMI:
-        out = _fermi_mean(x)
-    else:
-        if np.any(x <= 0.0):
-            raise EnsembleError("Bose mode energy must stay positive")
-        # e^{-x}/(1 - e^{-x}) never overflows, unlike 1/(e^x - 1)
-        ex = np.exp(-x)
-        out = ex / -np.expm1(-x)
-    return _match_shape(out, y)
+    return _match_shape(_energy_mean(spec.stats, x), y)
 
 
 def marginal_entropy(spec: EnsembleSpec, y):
-    """Shannon entropy, in bits, of the occupancy of the mode at y.
-
-    Closed form: -+ log2(1 -+ e^{-x}) + (x / ln 2) * mean, with x = beta*omega
-    and the upper signs for Bose statistics.  The second term is the nat-valued
-    tilt x * mean converted to bits.
-    """
+    """Entropy, in bits, of the occupancy of the mode at y (_energy_entropy
+    at x = beta*omega(y))."""
     x = spec.beta * np.asarray(eval_dispersion(spec, y))
-    if spec.stats is Statistics.FERMI:
-        out = (np.logaddexp(0.0, -x) + x * _fermi_mean(x)) / LN2
-    else:
-        if np.any(x <= 0.0):
-            raise EnsembleError("Bose mode energy must stay positive")
-        ex = np.exp(-x)
-        neg = -np.expm1(-x)
-        out = (-np.log(neg) + x * ex / neg) / LN2
-    return _match_shape(out, y)
+    return _match_shape(_energy_entropy(spec.stats, x), y)
 
 
 def site_means(spec: EnsembleSpec, ell: int) -> np.ndarray:

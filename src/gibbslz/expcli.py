@@ -20,6 +20,7 @@ or domain failure during computation.
 import argparse
 import csv
 import hashlib
+import itertools
 import json
 import math
 import sys
@@ -48,11 +49,12 @@ from .errors import (
     GibbsLzError,
     TargetRangeError,
 )
-from .lzparse import TypicalParams, _word_profile, classify_words, code_rate, \
-    lz78_parse, lz_rate
+from .lzparse import TypicalParams, classify_words, code_rate, lz78_parse, lz_rate
 from .sampler import (
+    _BLOCK_CELLS,
     _DEFAULT_TAIL_TOL,
     CanonicalSampler,
+    _site_energies,
     choose_n,
     marginal_tables,  # not called here; bench/tracing.py wraps this name
     sample_grand,
@@ -257,55 +259,71 @@ def _length_sampler(cfg: ExperimentConfig, spec: EnsembleSpec, r_target: float,
     return CanonicalSampler(spec, ell, choose_n(r_target, ell).n, tail_tol=cfg.tail_tol)
 
 
+def _draw_blocks(cfg: ExperimentConfig, spec: EnsembleSpec, ell: int,
+                 sampler: CanonicalSampler | None,
+                 replicas: list[int]) -> Iterator[np.ndarray]:
+    """The replicas' strings of one length, in order, as (m, ell) blocks
+    drawn as the iterator advances: a grand string is a block of one when
+    there is no sampler, and canonical blocks are the sampler's draw blocks.
+    A caller that drops each block before taking the next holds at most one."""
+    if sampler is None:
+        yield from (sample_grand(spec, ell, cfg.seed, rep)[None] for rep in replicas)
+        return
+    for lo, hi in sampler.draw_blocks(len(replicas)):
+        yield sampler.sample_batch(cfg.seed, replicas[lo:hi])
+
+
 def _draw_strings(cfg: ExperimentConfig, spec: EnsembleSpec, ell: int,
                   sampler: CanonicalSampler | None,
                   replicas: list[int]) -> Iterator[np.ndarray]:
-    """The replicas' strings of one length, in order, drawn as the iterator
-    advances: grand ones one at a time when there is no sampler, canonical
-    ones one of the sampler's draw blocks at a time.  A caller that drops
-    each string before taking the next holds at most one block."""
-    if sampler is None:
-        yield from (sample_grand(spec, ell, cfg.seed, rep) for rep in replicas)
-        return
-    for lo, hi in sampler.draw_blocks(len(replicas)):
-        yield from sampler.sample_batch(cfg.seed, replicas[lo:hi])
+    """The rows of _draw_blocks one string at a time; chain lets go of a
+    block before it draws the next."""
+    return itertools.chain.from_iterable(_draw_blocks(cfg, spec, ell, sampler, replicas))
 
 
 def _replica_rows(cfg: ExperimentConfig, spec: EnsembleSpec, typical: TypicalParams,
                   h_target: float, ell: int, sampler: CanonicalSampler | None,
                   gap_per_site: float | None,
                   replicas: list[int]) -> tuple[list[dict], list[dict]]:
-    """Result and timing rows of the replicas at one length.  A row's
-    seconds run from asking for its string to finishing the row, so the draw
-    of a canonical block counts on the block's first row."""
+    """Result and timing rows of the replicas at one length, drawn, parsed
+    and classified one draw block at a time.  A row's seconds are its
+    string's parse; the block's first row also counts the block's draw and
+    classification."""
     rows: list[dict] = []
     times: list[dict] = []
     n = None if sampler is None else sampler.n
-    strings = _draw_strings(cfg, spec, ell, sampler, replicas)
-    for rep in replicas:
-        t1 = time.perf_counter()
-        s = next(strings)
-        parse = lz78_parse(s)
-        counts = classify_words(parse, s, spec, typical)
-        del s  # drop the string before the next is drawn
-        elapsed = time.perf_counter() - t1
-        rows.append({
-            "config_hash": cfg.config_hash,
-            "kind": cfg.kind,
-            "ell": ell,
-            "n": n,
-            "replica": rep,
-            "word_count": parse.word_count,
-            "lz_rate": lz_rate(parse),
-            "code_rate": code_rate(parse),
-            "h_target": h_target,
-            "entropy_gap_per_site": gap_per_site,
-            "low_typical_words": counts.low_typical,
-            "other_typical_words": counts.other_typical,
-            "non_typical_words": counts.non_typical,
-            "error": None,
-        })
-        times.append({"ell": ell, "replica": rep, "seconds": elapsed})
+    done = 0
+    t0 = time.perf_counter()
+    for block in _draw_blocks(cfg, spec, ell, sampler, replicas):
+        parses, seconds = [], []
+        for s in block:
+            t1 = time.perf_counter()
+            parses.append(lz78_parse(s))
+            seconds.append(time.perf_counter() - t1)
+        counts = classify_words(parses, block, spec, typical)
+        del s, block  # drop the block before the next is drawn
+        seconds[0] = time.perf_counter() - t0 - sum(seconds[1:])
+        reps = replicas[done:done + len(parses)]
+        done += len(parses)
+        for rep, parse, count, elapsed in zip(reps, parses, counts, seconds):
+            rows.append({
+                "config_hash": cfg.config_hash,
+                "kind": cfg.kind,
+                "ell": ell,
+                "n": n,
+                "replica": rep,
+                "word_count": parse.word_count,
+                "lz_rate": lz_rate(parse),
+                "code_rate": code_rate(parse),
+                "h_target": h_target,
+                "entropy_gap_per_site": gap_per_site,
+                "low_typical_words": count.low_typical,
+                "other_typical_words": count.other_typical,
+                "non_typical_words": count.non_typical,
+                "error": None,
+            })
+            times.append({"ell": ell, "replica": rep, "seconds": elapsed})
+        t0 = time.perf_counter()
     return rows, times
 
 
@@ -331,9 +349,9 @@ def _worker_chunk(chunk: list[int]) -> tuple[list[dict], list[dict]]:
 def _run_length(cfg: ExperimentConfig, spec: EnsembleSpec, typical: TypicalParams,
                 r_target: float, h_target: float, ell: int, workers: int,
                 ) -> tuple[list[dict], list[dict]]:
-    # The cache builds a new profile before it evicts the old one, so the
-    # last length's profile is freed first.
-    _word_profile.cache_clear()
+    # The cache builds a new length's energies before it evicts the old
+    # ones, so the last length's are freed first.
+    _site_energies.cache_clear()
     sampler = None if cfg.kind == "grand" else _length_sampler(cfg, spec, r_target, ell)
     gap_per_site = None if sampler is None else sampler.entropy_gap() / ell
 
@@ -348,11 +366,12 @@ def _run_length(cfg: ExperimentConfig, spec: EnsembleSpec, typical: TypicalParam
         from multiprocessing import get_context
 
         chunks = _chunks(replicas, workers)
-        # Built once here, the length's word profile is inherited by every
-        # forked worker instead of rebuilt in each.  So is the sampler: under
-        # fork, initargs reach the workers by fork and are never pickled, and
-        # only the chunks' replica numbers cross the pipe.
-        _word_profile(spec, ell)
+        # Built once here (a sampler's build has built them already), the
+        # length's site energies are inherited by every forked worker
+        # instead of rebuilt in each.  So is the sampler: under fork,
+        # initargs reach the workers by fork and are never pickled, and only
+        # the chunks' replica numbers cross the pipe.
+        _site_energies(spec, ell)
         ctx = get_context("fork")
         with ProcessPoolExecutor(max_workers=len(chunks), mp_context=ctx,
                                  initializer=_init_worker, initargs=(work,)) as pool:
@@ -444,13 +463,31 @@ def cmd_sample(cfg: ExperimentConfig, out_dir: Path, args: argparse.Namespace) -
     return 0
 
 
+def _read_occupancies(path: str) -> np.ndarray:
+    """The whitespace-separated integers of a file, converted in runs of
+    lines of about _BLOCK_CELLS characters, so no token list spans the file.
+    Nonnegative values are stored in the narrowest unsigned dtype, as the
+    samplers store strings: a one-to-one recoding of the symbols, which
+    leaves the parse unchanged."""
+    runs = [np.empty(0, dtype=np.uint8)]
+    with open(path) as fh:
+        while lines := fh.readlines(_BLOCK_CELLS):
+            # numpy applies int() to each token.
+            run = np.array(" ".join(lines).split(), dtype=np.int64)
+            if run.min(initial=0) >= 0:
+                run = run.astype(np.min_scalar_type(run.max(initial=0)))
+            runs.append(run)
+    # Unsigned runs widen to the widest one's dtype; a run with a negative
+    # value stays int64 and makes the whole file int64.
+    signed = any(run.dtype.kind == "i" for run in runs)
+    return np.concatenate(runs, dtype=np.int64 if signed else None)
+
+
 def cmd_parse(cfg: ExperimentConfig, out_dir: Path, args: argparse.Namespace) -> int:
     rows = []
     for path in args.inputs:
         try:
-            # numpy applies int() to each token; the token list is freed
-            # before the parse.
-            values = np.array(Path(path).read_text().split(), dtype=np.int64)
+            values = _read_occupancies(path)
         except (OSError, ValueError, OverflowError) as exc:
             raise ConfigError(f"cannot read occupancy file {path}: {exc}") from exc
         parse = lz78_parse(values)

@@ -25,21 +25,29 @@ Word-level diagnostics weigh each parsed word against the mode profiles of
 the generating ensemble: a word's ensemble entropy is the per-site entropy
 profile summed across its window, and a word is typical when its window's
 occupancy deviates from the mean profile by at most an allowance per site
-(see TypicalParams).  classify_words splits a parse into typical words below
-an entropy budget, remaining typical words, and non-typical words.  The two
-profiles depend only on (spec, ell), so they are built once per length and
-shared by every string of that length.
+(see TypicalParams).  classify_words splits each parse of a block of
+strings into typical words below an entropy budget, remaining typical
+words, and non-typical words.  Both profiles depend only on (spec, ell):
+they are derived a block of sites at a time from the length's cached site
+energies (sampler._site_energies, 8 bytes a site), once per block of
+strings, and never held whole.
 """
 
-import functools
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-from .ensemble import EnsembleSpec, marginal_entropy, marginal_mean
+from .ensemble import (
+    EnsembleSpec,
+    _energy_entropy,
+    _energy_mean,
+    marginal_entropy,
+    marginal_mean,
+)
 from .errors import DomainError
-from .sampler import _blocks
+from .sampler import _blocks, _site_energies
 
 
 def _as_values(string) -> np.ndarray:
@@ -195,69 +203,73 @@ class WordClassCounts:
     non_typical: int
 
 
-@functools.lru_cache(maxsize=1)
-def _word_profile(spec: EnsembleSpec, ell: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only (site means, entropy prefix sum) of one length.
-
-    A run classifies every string of a length before moving to the next, so
-    one cached length serves all its replicas while holding a single
-    length's arrays per process.  Both profiles are filled in blocks of
-    sites and summed in place, so nothing else of length ell is allocated.
-    """
-    means = np.empty(ell)
-    ent_prefix = np.empty(ell + 1)
-    ent_prefix[0] = 0.0
-    for lo, hi in _blocks(ell, 1):
-        y = np.arange(lo, hi) / ell
-        means[lo:hi] = marginal_mean(spec, y)
-        ent_prefix[lo + 1:hi + 1] = marginal_entropy(spec, y)
-    np.cumsum(ent_prefix[1:], out=ent_prefix[1:])
-    means.flags.writeable = False
-    ent_prefix.flags.writeable = False
-    return means, ent_prefix
-
-
-def classify_words(parse: LzParse, string, spec: EnsembleSpec,
-                   params: TypicalParams) -> WordClassCounts:
-    """Split the parse words into low-entropy typical, other typical, and
+def classify_words(parses: Sequence[LzParse], strings, spec: EnsembleSpec,
+                   params: TypicalParams) -> list[WordClassCounts]:
+    """Split each parse's words into low-entropy typical, other typical, and
     non-typical, with entropy budget (1 - eps^2) log2(ell) bits per word.
 
-    A word's deviation is a difference of the prefix sums of arr - means at
-    its two ends.  The prefix sum runs one block of sites at a time, each
-    block's first element carrying the sum so far, and only its values at
-    word ends are kept: the same additions in the same order as one cumsum
-    over the string, without an ell-long float array."""
-    arr = _as_values(string)
-    if arr.size != parse.ell:
+    Row i of the 2-D strings is the string parses[i] tiles; a block of
+    strings of one length is classified at once.  A word's deviation and
+    its ensemble entropy are differences of prefix sums, of each row's
+    arr - means and of the entropy profile, at the word's two ends.  The
+    site means and entropies come from the length's site energies one block
+    of sites at a time, once for all the rows; a site of a block costs the
+    m rows' deviations and about four cells of means, entropies and their
+    temporaries, so the block's working set stays within _BLOCK_CELLS.  The
+    prefix sums run block by block, each block's first element carrying the
+    sum so far, and only their values at word ends are kept: the same
+    additions in the same order as one cumsum over the string, without an
+    ell-long float array."""
+    arr = np.asarray(strings)
+    if arr.ndim != 2 or arr.shape[0] != len(parses):
+        raise DomainError("strings must be a 2-D block with one row per parse")
+    if arr.size and not np.issubdtype(arr.dtype, np.integer):
+        raise DomainError("occupancies must be integers")
+    m, ell = arr.shape
+    if any(parse.ell != ell for parse in parses):
         raise DomainError("parse and string lengths disagree")
-    if parse.ell < 2:
+    if ell < 2:
         raise DomainError("classification needs a string of length at least 2")
-    means, ent_prefix = _word_profile(spec, parse.ell)
-    ends = np.cumsum(parse.lengths)
-    at_ends = np.empty(ends.size)
-    blocks = _blocks(parse.ell, 1)
-    buf = np.empty(blocks[0][1])
-    carry, done = 0.0, 0
+    energies = _site_energies(spec, ell)
+    ends = [np.cumsum(parse.lengths) for parse in parses]
+    dev_at = [np.empty(e.size) for e in ends]
+    ent_at = [np.empty(e.size) for e in ends]
+    done = [0] * m
+    blocks = _blocks(ell, m + 4)
+    buf = np.empty(m * blocks[0][1])
+    carry = np.zeros(m)
+    ent_carry = 0.0
     for lo, hi in blocks:
-        dev = buf[:hi - lo]
-        np.subtract(arr[lo:hi], means[lo:hi], out=dev)
-        dev[0] += carry
-        np.cumsum(dev, out=dev)
-        carry = dev[-1]
-        # Word ends in (lo, hi] read the prefix sum through site end - 1.
-        upto = int(np.searchsorted(ends, hi, side="right"))
-        at_ends[done:upto] = dev[ends[done:upto] - 1 - lo]
-        done = upto
-    devs = at_ends - np.concatenate(([0.0], at_ends[:-1]))
-    if params.two_sided:
-        typical = np.abs(devs) <= parse.lengths * params.eps_prime
-    else:
-        typical = devs <= parse.lengths * params.eps_prime
-    word_entropy = ent_prefix[ends] - ent_prefix[ends - parse.lengths]
-    budget = (1.0 - params.eps**2) * math.log2(parse.ell)
-    low = typical & (word_entropy <= budget)
-    return WordClassCounts(
-        low_typical=int(np.count_nonzero(low)),
-        other_typical=int(np.count_nonzero(typical & ~low)),
-        non_typical=int(np.count_nonzero(~typical)),
-    )
+        x = energies[lo:hi]
+        ent = _energy_entropy(spec.stats, x)
+        ent[0] += ent_carry
+        np.cumsum(ent, out=ent)
+        ent_carry = ent[-1]
+        dev = buf[:m * (hi - lo)].reshape(m, hi - lo)
+        np.subtract(arr[:, lo:hi], _energy_mean(spec.stats, x), out=dev)
+        dev[:, 0] += carry
+        np.cumsum(dev, axis=1, out=dev)
+        carry = dev[:, -1].copy()
+        for i in range(m):
+            # Word ends in (lo, hi] read the prefix sums through site end - 1.
+            upto = int(np.searchsorted(ends[i], hi, side="right"))
+            at = ends[i][done[i]:upto] - 1 - lo
+            dev_at[i][done[i]:upto] = dev[i, at]
+            ent_at[i][done[i]:upto] = ent[at]
+            done[i] = upto
+    budget = (1.0 - params.eps**2) * math.log2(ell)
+    out = []
+    for parse, dev_ends, ent_ends in zip(parses, dev_at, ent_at):
+        devs = np.diff(dev_ends, prepend=0.0)
+        word_entropy = np.diff(ent_ends, prepend=0.0)
+        if params.two_sided:
+            typical = np.abs(devs) <= parse.lengths * params.eps_prime
+        else:
+            typical = devs <= parse.lengths * params.eps_prime
+        low = typical & (word_entropy <= budget)
+        out.append(WordClassCounts(
+            low_typical=int(np.count_nonzero(low)),
+            other_typical=int(np.count_nonzero(typical & ~low)),
+            non_typical=int(np.count_nonzero(~typical)),
+        ))
+    return out

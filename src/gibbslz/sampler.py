@@ -57,14 +57,18 @@ its own row and merge, so a string is a pure function of (ensemble, ell, n,
 seed, replica), independent of blocking, tabulation, batching and process
 count.
 
-Site laws have one source, _site_laws: site j's law is proportional to
-e^{a_j k}, a_j = -beta omega(j/ell), on k = 0..top_j, where Fermi supports
-end at 1 and Bose supports end once the tail mass drops below a tolerance
-(geometric_tops).
-The tree, marginal_tables (the tables of the exact DP oracle) and the free
-entropy of the gap all read them; the summed Bose tail is truncation_tail.
+Site energies have one source, _site_energies: the read-only array
+x_j = beta omega(j/ell) of one length, cached for the last length asked for.
+Grand draws read it a block at a time, lzparse's word classification
+derives site means and entropies from it, and so do the site laws of
+_site_laws: site j's law is proportional to e^{a_j k}, a_j = -x_j, on
+k = 0..top_j, where Fermi supports end at 1 and Bose supports end once the
+tail mass drops below a tolerance (geometric_tops).  The tree,
+marginal_tables (the tables of the exact DP oracle) and the free entropy of
+the gap all read the site laws; the summed Bose tail is truncation_tail.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -87,8 +91,9 @@ _WINDOW_SIGMAS = 12.0
 _MAX_CELLS = 1 << 25
 # Cells of one block: a draw's split weights for a block of replicas and
 # merges, the build's transforms for a batch of merges, all of one
-# sampler's split tables, and a run of sites of a grand string or of
-# lzparse's word profile.  2^17 float cells (1 MiB) fit a core's L2 cache.
+# sampler's split tables, and a run of sites of the site energies, of a
+# grand string or of lzparse's word classification.  2^17 float cells
+# (1 MiB) fit a core's L2 cache.
 _BLOCK_CELLS = 1 << 17
 # Newton steps allowed for the saddle-point tilt.
 _TILT_STEPS = 100
@@ -129,6 +134,23 @@ def make_rng(seed: int, ell: int, replica: int) -> "np.random.Generator":
     return np.random.Generator(np.random.Philox(ss))
 
 
+@functools.lru_cache(maxsize=1)
+def _site_energies(spec: EnsembleSpec, ell: int) -> np.ndarray:
+    """Read-only x_j = beta omega(j/ell), j = 0..ell-1: the scaled site
+    energies of one length, 8 bytes a site.
+
+    A run handles every string of a length before moving to the next, so
+    one cached length serves all its replicas, and forked workers inherit
+    it.  It is filled in blocks of sites, so nothing else of length ell is
+    allocated; each entry is the one the whole-length expression gives.
+    """
+    x = np.empty(ell)
+    for lo, hi in _blocks(ell, 1):
+        x[lo:hi] = spec.beta * eval_dispersion(spec, np.arange(lo, hi) / ell)
+    x.flags.writeable = False
+    return x
+
+
 def marginal_tables(spec: EnsembleSpec, ell: int,
                     tail_tol: float = _DEFAULT_TAIL_TOL) -> list[DistTable]:
     """Occupancy laws of all ell sites, each on its own support 0..top_j.
@@ -156,18 +178,20 @@ def sample_grand(spec: EnsembleSpec, ell: int, seed: int,
     occupancy passes 255); a length over the cell budget is refused first.
 
     Sites are drawn in blocks of _BLOCK_CELLS, each from the next uniforms
-    of the replica's stream, so the string does not depend on the block
-    size and only the output is ell cells long.  A Bose block whose maximum
-    does not fit widens the array once, to the dtype of that maximum."""
+    of the replica's stream and its run of the site energies, so the string
+    does not depend on the block size and only the output and the cached
+    energies are ell cells long.  A Bose block whose maximum does not fit
+    widens the array once, to the dtype of that maximum."""
     if ell < 1:
         raise DomainError("ell must be at least 1")
     if ell > _MAX_CELLS:
         raise NumericError(f"grand length {ell} exceeds the cell budget ({_MAX_CELLS})")
+    energies = _site_energies(spec, ell)
     rng = make_rng(seed, ell, replica)
     out = np.empty(ell, dtype=np.uint8)
     for lo, hi in _blocks(ell, 1):
         u = rng.random(hi - lo)
-        x = spec.beta * eval_dispersion(spec, np.arange(lo, hi) / ell)
+        x = energies[lo:hi]
         if spec.stats is Statistics.FERMI:
             out[lo:hi] = u < _fermi_mean(x)
         else:
@@ -198,10 +222,10 @@ def _site_laws(spec: EnsembleSpec, ell: int,
                tail_tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(a, top, dropped tail mass) of every site law, tops as floats.
 
-    a_j is the log-odds of a Fermi site and the log ratio of a Bose site,
-    whose support ends at geometric_tops.
+    a_j = -x_j is the log-odds of a Fermi site and the log ratio of a Bose
+    site, whose support ends at geometric_tops.
     """
-    a = -spec.beta * np.asarray(eval_dispersion(spec, np.arange(ell) / ell))
+    a = -_site_energies(spec, ell)
     if spec.stats is Statistics.FERMI:
         return a, np.ones(ell), np.zeros(ell)
     top = geometric_tops(a, tail_tol)

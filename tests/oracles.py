@@ -1,19 +1,22 @@
-"""Table helpers the tests build their exact laws from.
+"""Table helpers the tests build their exact laws from, and a grand draw
+independent of the cached site energies.
 
 The package keeps only the table code its commands and batteries run
 (DistTable, the suffix-sum DP and its conditional entropy); these helpers
 stand beside it as test oracles.  They build on disttab's own kernels, so
 the laws they give are the ones the package's DP computes.  All entropies
 are in bits, except in kappa_iid, the closed-form LZ78 constant of i.i.d.
-letters, which works in nats as its law does.
+letters, which works in nats as its law does.  blocked_grand_draw
+evaluates each block's energies from the dispersion itself.
 """
 
 import math
 
 import numpy as np
 
-from gibbslz import disttab
+from gibbslz import disttab, sampler
 from gibbslz.disttab import DistTable
+from gibbslz.ensemble import Statistics, _fermi_mean, eval_dispersion
 from gibbslz.errors import DomainError
 from gibbslz.sampler import geometric_tops
 
@@ -100,3 +103,18 @@ def kappa_iid(probs) -> float:
         alpha -= float(pk @ lnp) / (1.0 - float(pk.sum()))
         pk *= p
     return np.euler_gamma - 1.0 + h2 / (2.0 * h) - alpha
+
+
+def blocked_grand_draw(spec, ell: int, seed: int, replica: int = 0) -> np.ndarray:
+    """sample_grand's draw with each block's energies evaluated afresh from
+    the dispersion, in the blocks of sampler._blocks, as an int64 string."""
+    rng = sampler.make_rng(seed, ell, replica)
+    out = np.empty(ell, dtype=np.int64)
+    for lo, hi in sampler._blocks(ell, 1):
+        u = rng.random(hi - lo)
+        x = spec.beta * eval_dispersion(spec, np.arange(lo, hi) / ell)
+        if spec.stats is Statistics.FERMI:
+            out[lo:hi] = u < _fermi_mean(x)
+        else:
+            out[lo:hi] = np.floor(np.log1p(-u) / -x)
+    return out

@@ -179,9 +179,10 @@ def ladder():
             n = g.choose_n(r_eff, ell).n
             cs = g.CanonicalSampler(spec, ell, n)
             rates, lows, others, nons, words = [], [], [], [], []
-            for s in cs.sample_batch(SEED, range(REPLICAS)):
-                parse = g.lz78_parse(s)
-                counts = g.classify_words(parse, s, spec, params)
+            block = cs.sample_batch(SEED, range(REPLICAS))
+            parses = [g.lz78_parse(s) for s in block]
+            classes = g.classify_words(parses, block, spec, params)
+            for parse, counts in zip(parses, classes):
                 rates.append(g.lz_rate(parse))
                 words.append(parse.word_count)
                 lows.append(counts.low_typical)

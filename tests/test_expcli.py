@@ -496,9 +496,9 @@ def test_converge_deterministic_across_workers_and_runs(tmp_path):
 
 
 def test_converge_grand_deterministic_across_workers_and_runs(tmp_path):
-    # With more than one worker the parent builds each length's word-
-    # classification profile and the forked workers inherit it; with one,
-    # the worker builds it.  The bytes must not depend on which one did.
+    # With more than one worker the parent builds each length's site
+    # energies and the forked workers inherit them; with one, the worker
+    # builds them.  The bytes must not depend on which one did.
     assert_deterministic_across_workers_and_runs(
         tmp_path, BASE.replace("canonical", "grand"))
 
@@ -542,17 +542,18 @@ def grand_rows_setup(tmp_path: Path, stats: str = "bose", ell: int = 1024):
 
 
 def test_converge_frees_each_length_profile_before_the_next(tmp_path, monkeypatch):
-    # The profile cache computes a new entry before it evicts the old one;
-    # converge clears it first, so a ladder never holds two profiles.
+    # The energy cache, the source of the classification profiles, computes
+    # a new entry before it evicts the old one; converge clears it first, so
+    # a ladder never holds two lengths' energies.
     held = []
-    real = lzparse.marginal_mean
+    real = sampler.eval_dispersion
 
     def spy(spec, y):
-        if np.ndim(y) == 1 and y[0] == 0.0:  # a profile's first block
-            held.append(lzparse._word_profile.cache_info().currsize)
+        if np.ndim(y) == 1 and y[0] == 0.0:  # the energies' first block
+            held.append(sampler._site_energies.cache_info().currsize)
         return real(spec, y)
 
-    monkeypatch.setattr(lzparse, "marginal_mean", spy)
+    monkeypatch.setattr(sampler, "eval_dispersion", spy)
     cfg_path = write_cfg(tmp_path, BASE.replace("canonical", "grand")
                          .replace("ensemble.r = 0.5", "ensemble.mu = 1.0")
                          .replace("run.replicas = 3", "run.replicas = 1"))
@@ -623,6 +624,30 @@ def test_replicas_hold_one_draw_block_at_a_time(tmp_path, monkeypatch, kind):
         assert row["word_count"] == g.lz78_parse(reference(rep)).word_count
 
 
+def test_sample_strings_hold_one_draw_block_at_a_time(tmp_path, monkeypatch):
+    # sample takes the rows of the draw blocks one string at a time; a
+    # caller that drops each string holds no earlier grand string at a draw.
+    cfg, spec, _, _ = grand_rows_setup(tmp_path)
+    drawn: list[weakref.ref] = []
+    alive_at_draw: list[int] = []
+    real = expcli.sample_grand
+
+    def draw(*args):
+        alive_at_draw.append(sum(ref() is not None for ref in drawn))
+        string = real(*args)
+        drawn.append(weakref.ref(string))
+        return string
+
+    monkeypatch.setattr(expcli, "sample_grand", draw)
+    strings = expcli._draw_strings(cfg, spec, 1024, None, [0, 1, 2, 3])
+    for rep in range(4):
+        s = next(strings)
+        assert s.shape == (1024,)
+        np.testing.assert_array_equal(s, real(spec, 1024, cfg.seed, rep))
+        del s
+    assert alive_at_draw == [0, 0, 0, 0]
+
+
 def test_canonical_rows_do_not_depend_on_the_draw_blocks(tmp_path, monkeypatch):
     # Every canonical string depends only on (seed, replica), so the rows of
     # one block of 20 replicas equal those of twenty blocks of one.
@@ -636,26 +661,49 @@ def test_canonical_rows_do_not_depend_on_the_draw_blocks(tmp_path, monkeypatch):
     assert small == rows
 
 
+def test_converge_results_do_not_depend_on_the_draw_blocks(tmp_path, monkeypatch):
+    # With blocks of one cell every canonical draw block holds one replica,
+    # where the default blocks hold all three: converge classifies each
+    # draw block at once, and its results.csv does not change.
+    cfg_path = write_cfg(tmp_path, BASE.replace("16,32", "16,1024"))
+    assert main(["converge", "--config", cfg_path, "--out", str(tmp_path / "all")]) == 0
+    cfg = load_config(cfg_path)
+    spec, r, _ = resolve_spec(cfg)
+    for ell in cfg.lengths:
+        assert expcli._length_sampler(cfg, spec, r, ell).draw_blocks(3) == [(0, 3)]
+    monkeypatch.setattr(sampler, "_BLOCK_CELLS", 1)
+    for ell in cfg.lengths:
+        assert expcli._length_sampler(cfg, spec, r, ell).draw_blocks(3) == \
+            [(0, 1), (1, 2), (2, 3)]
+    assert main(["converge", "--config", cfg_path, "--out", str(tmp_path / "one")]) == 0
+    assert (tmp_path / "one" / "results.csv").read_bytes() == \
+        (tmp_path / "all" / "results.csv").read_bytes()
+
+
 @pytest.mark.parametrize("stats", ["bose", "fermi"])
 def test_grand_replica_working_set(tmp_path, monkeypatch, stats):
-    # One grand replica at 2^18 (256 KiB of uint8), profile warmed: its
-    # draw, parse and classification hold the string, the parser's copy of
-    # its bytes and its word set (about 3.5 MiB for 24k words), and one
-    # block of the prefix sum.  Blocks of 2^10 cells keep the transients
+    # One grand replica at 2^18 (256 KiB of uint8), site energies warmed:
+    # its draw, parse and classification hold the string, the parser's copy
+    # of its bytes and its word set (about 3.5 MiB for 24k words), and one
+    # block of the prefix sums.  Blocks of 2^10 cells keep the transients
     # small, so an int64 copy or a float array of the string's length
     # (2 MiB) shows.  Measured 4.07 MiB (Bose) and 4.03 MiB (Fermi); the
-    # bound leaves 12%.
+    # bound leaves 12%.  numpy.random, which the package loads on the first
+    # draw, is loaded first, so its one-time import (0.6 MiB) does not count
+    # in a run of this test alone.
     ell = 1 << 18
     cfg, spec, typical, h = grand_rows_setup(tmp_path, stats, ell)
     monkeypatch.setattr(sampler, "_BLOCK_CELLS", 1 << 10)
-    lzparse._word_profile(spec, ell)
+    sampler._site_energies.cache_clear()
+    sampler._site_energies(spec, ell)
+    importlib.import_module("numpy.random")
     tracemalloc.start()
     try:
         expcli._replica_rows(cfg, spec, typical, h, ell, None, None, [0])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-        lzparse._word_profile.cache_clear()
+        sampler._site_energies.cache_clear()
     assert peak <= 4.6 * 2**20
 
 
@@ -721,6 +769,33 @@ def test_sample_files_hold_one_decimal_value_a_line(tmp_path, stats, mu, kind, d
             text = (tmp_path / "samples" / f"sample_{kind}_ell{ell}_rep{rep}.txt").read_text()
             assert text == "\n".join(map(str, s.tolist())) + "\n"
     assert np.dtype(dtype) in dtypes
+
+
+@pytest.mark.parametrize("top, low, dtype", [
+    (1, 0, np.uint8), (300, 0, np.uint16), (300, -2, np.int64)])
+def test_parse_reads_runs_of_lines_into_the_narrowest_dtype(tmp_path, monkeypatch,
+                                                           top, low, dtype):
+    # Runs of about 16 characters cut the file into dozens of runs, some
+    # lines holding several tokens.  Nonnegative values come back in the
+    # narrowest unsigned dtype, wherever the largest one sits; a negative
+    # one makes the file int64.  The parse is the parse of the int64 values.
+    rng = np.random.default_rng(3)
+    values = rng.integers(0, 2, 400)
+    values[250] = top
+    values[7] = low
+    lines = [" ".join(map(str, values[i:i + 3])) for i in range(0, values.size, 3)]
+    path = tmp_path / "values.txt"
+    path.write_text("\n".join(lines) + "\n")
+    monkeypatch.setattr(expcli, "_BLOCK_CELLS", 16)
+    got = expcli._read_occupancies(str(path))
+    assert got.dtype == dtype
+    np.testing.assert_array_equal(got, values)
+    np.testing.assert_array_equal(g.lz78_parse(got).lengths,
+                                  g.lz78_parse(values).lengths)
+    assert main(["parse", "--config", write_cfg(tmp_path, BASE), "--out",
+                 str(tmp_path / "out"), str(path)]) == 0
+    row = json.loads((tmp_path / "out" / "parse.jsonl").read_text())
+    assert row["word_count"] == g.lz78_parse(values).word_count
 
 
 @pytest.mark.parametrize("text", ["1 x 2\n", "1 2.5\n", "99999999999999999999\n"])

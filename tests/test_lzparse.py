@@ -26,7 +26,9 @@ from gibbslz import (
     site_means,
 )
 from gibbslz.errors import DomainError
-from gibbslz.lzparse import _as_values, _word_profile
+from gibbslz.ensemble import _energy_entropy, _energy_mean, eval_dispersion
+from gibbslz.lzparse import _as_values
+from gibbslz.sampler import _site_energies
 
 FERMI = EnsembleSpec(Statistics.FERMI, 1.0, 1.0, CosineLattice())
 
@@ -389,7 +391,7 @@ def test_classify_words_matches_direct_loop():
     string = cs.sample_batch(seed=5, replicas=[0])[0]
     parse = lz78_parse(string)
     params = TypicalParams.from_ensemble(FERMI, 0.3)
-    counts = classify_words(parse, string, FERMI, params)
+    counts, = classify_words([parse], string[None], FERMI, params)
     assert (counts.low_typical, counts.other_typical, counts.non_typical) == \
         direct_counts(parse, string, FERMI, params)
     assert class_total(counts) == parse.word_count
@@ -402,34 +404,48 @@ def test_classify_words_profile_cache_is_keyed_on_spec_and_length():
     # one-entry cache, and the repeats hit it.
     order = [(FERMI, 128), (bose, 128), (bose, 128), (FERMI, 96),
              (bose, 96), (FERMI, 128), (FERMI, 128), (bose, 128)]
+    _site_energies.cache_clear()
     for call, (spec, ell) in enumerate(order):
         string = g.sample_grand(spec, ell, seed=4, replica=call)
         parse = lz78_parse(string)
-        counts = classify_words(parse, string, spec, params[spec])
+        counts, = classify_words([parse], string[None], spec, params[spec])
         assert (counts.low_typical, counts.other_typical, counts.non_typical) == \
             direct_counts(parse, string, spec, params[spec])
 
-        means, ent_prefix = _word_profile(spec, ell)
-        assert means.shape == (ell,) and ent_prefix.shape == (ell + 1,)
-        for arr in (means, ent_prefix):
-            assert not arr.flags.writeable
-            with pytest.raises(ValueError):
-                arr[0] = 1.0
-    assert _word_profile.cache_info().maxsize == 1
+        x = _site_energies(spec, ell)
+        np.testing.assert_array_equal(
+            x, spec.beta * eval_dispersion(spec, np.arange(ell) / ell))
+        assert not x.flags.writeable
+        with pytest.raises(ValueError):
+            x[0] = 1.0
+    info = _site_energies.cache_info()
+    assert info.maxsize == 1
+    # The draw, the classification and the read-back each ask once a call;
+    # only the draws of the six changes of (spec, ell) miss.
+    assert (info.misses, info.hits) == (6, 3 * len(order) - 6)
 
 
 @pytest.mark.parametrize("block", [1, 7, 1000, sampler._BLOCK_CELLS])
 @pytest.mark.parametrize("stats", list(Statistics), ids=lambda s: s.value)
 def test_word_profile_does_not_depend_on_the_block_size(monkeypatch, stats, block):
-    # Three whole blocks and a ragged fourth, against the profiles computed
-    # whole and summed by one cumsum, bit for bit.
+    # Three whole blocks and a ragged fourth: the means and entropies
+    # classify_words derives from the cached energies, the entropies summed
+    # block by block with a carry, against the profiles computed whole and
+    # summed by one cumsum, bit for bit.
     spec = EnsembleSpec(stats, 1.0, 1.0 if stats is Statistics.FERMI else -0.5,
                         CosineLattice())
     ell = 3 * block + 5
     monkeypatch.setattr(sampler, "_BLOCK_CELLS", block)
-    _word_profile.cache_clear()
-    means, ent_prefix = _word_profile(spec, ell)
-    _word_profile.cache_clear()
+    _site_energies.cache_clear()
+    x = _site_energies(spec, ell)
+    _site_energies.cache_clear()
+    means = np.empty(ell)
+    ent_prefix = np.zeros(ell + 1)
+    for lo, hi in sampler._blocks(ell, 1):
+        means[lo:hi] = _energy_mean(stats, x[lo:hi])
+        ent = _energy_entropy(stats, x[lo:hi])
+        ent[0] += ent_prefix[lo]
+        ent_prefix[lo + 1:hi + 1] = np.cumsum(ent)
     whole = np.concatenate([[0.0], np.cumsum(site_entropies(spec, ell))])
     for got, want in ((means, site_means(spec, ell)), (ent_prefix, whole)):
         np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
@@ -463,7 +479,7 @@ def test_classify_words_does_not_depend_on_the_block_size(monkeypatch, stats, bl
                         CosineLattice())
     ell = 3 * block + 5
     monkeypatch.setattr(sampler, "_BLOCK_CELLS", block)
-    _word_profile.cache_clear()
+    _site_energies.cache_clear()
     narrow = g.sample_grand(spec, ell, seed=8)
     assert narrow.dtype == np.uint8
     wide = narrow.astype(np.int64)
@@ -472,10 +488,34 @@ def test_classify_words_does_not_depend_on_the_block_size(monkeypatch, stats, bl
         params = TypicalParams.from_ensemble(spec, 0.3, two_sided=two_sided)
         want = whole_string_counts(parse, wide, spec, params)
         for string in (narrow, wide):
-            counts = classify_words(parse, string, spec, params)
+            counts, = classify_words([parse], string[None], spec, params)
             assert (counts.low_typical, counts.other_typical,
                     counts.non_typical) == want
-    _word_profile.cache_clear()
+    _site_energies.cache_clear()
+
+
+@pytest.mark.parametrize("block", [1, 7, 1000, sampler._BLOCK_CELLS])
+@pytest.mark.parametrize("stats", list(Statistics), ids=lambda s: s.value)
+def test_classify_words_block_counts_each_row_as_a_whole_string(monkeypatch, stats,
+                                                                block):
+    # Five strings classified as one 2-D block, whose site blocks hold a
+    # fifth of the cells each (ragged but for one site block at 2^17): each
+    # row counts what one whole-string cumsum of that row counts.
+    spec = EnsembleSpec(stats, 1.0, 1.0 if stats is Statistics.FERMI else -0.5,
+                        CosineLattice())
+    ell = 1237
+    monkeypatch.setattr(sampler, "_BLOCK_CELLS", block)
+    _site_energies.cache_clear()
+    strings = np.stack([g.sample_grand(spec, ell, 8, rep) for rep in range(5)])
+    parses = [lz78_parse(s) for s in strings]
+    for two_sided in (False, True):
+        params = TypicalParams.from_ensemble(spec, 0.3, two_sided=two_sided)
+        counts = classify_words(parses, strings, spec, params)
+        assert len(counts) == len(parses)
+        for parse, s, c in zip(parses, strings, counts):
+            assert (c.low_typical, c.other_typical, c.non_typical) == \
+                whole_string_counts(parse, s, spec, params)
+    _site_energies.cache_clear()
 
 
 def test_classify_words_validation():
@@ -483,9 +523,16 @@ def test_classify_words_validation():
     parse = lz78_parse(vals)
     params = TypicalParams.from_ensemble(FERMI, 0.3)
     with pytest.raises(DomainError):
-        classify_words(parse, vals[:3], FERMI, params)
+        classify_words([parse], vals[None, :3], FERMI, params)
     with pytest.raises(DomainError):
-        classify_words(lz78_parse(np.array([0])), np.array([0]), FERMI, params)
+        classify_words([lz78_parse(np.array([0]))], np.array([[0]]), FERMI, params)
+    # One row per parse, of integers.
+    with pytest.raises(DomainError):
+        classify_words([parse], vals, FERMI, params)
+    with pytest.raises(DomainError):
+        classify_words([parse, parse], vals[None], FERMI, params)
+    with pytest.raises(DomainError):
+        classify_words([parse], vals[None] + 0.5, FERMI, params)
 
 
 def test_classify_words_two_sided_is_stricter():
@@ -494,8 +541,8 @@ def test_classify_words_two_sided_is_stricter():
     parse = lz78_parse(vals)
     one = TypicalParams.from_ensemble(FERMI, 0.3)
     two = TypicalParams.from_ensemble(FERMI, 0.3, two_sided=True)
-    c1 = classify_words(parse, vals, FERMI, one)
-    c2 = classify_words(parse, vals, FERMI, two)
+    c1, = classify_words([parse], vals[None], FERMI, one)
+    c2, = classify_words([parse], vals[None], FERMI, two)
     assert c2.non_typical >= c1.non_typical
     assert class_total(c1) == class_total(c2) == parse.word_count
 

@@ -30,7 +30,7 @@ from gibbslz import (
 )
 from gibbslz.checks import check_sampler_tv
 from gibbslz.ensemble import eval_dispersion
-from oracles import conditional_site_marginals, entropy_gap
+from oracles import blocked_grand_draw, conditional_site_marginals, entropy_gap
 
 FERMI = Statistics.FERMI
 BOSE = Statistics.BOSE
@@ -154,6 +154,56 @@ def test_grand_strings_widen_past_255(monkeypatch, block):
     got = sample_grand(spec, ell, 9, 2)
     assert got.dtype == np.min_scalar_type(want.max()) == np.uint32
     np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("block", [1, 7, 1000, sampler._BLOCK_CELLS])
+@pytest.mark.parametrize("spec", [fermi_spec(), bose_spec()], ids=["fermi", "bose"])
+def test_site_energies_do_not_depend_on_the_block_size(monkeypatch, spec, block):
+    # Three whole blocks and a ragged fourth, against the energies computed
+    # whole, bit for bit; the site laws read them negated, bit for bit.
+    ell = 3 * block + 5
+    monkeypatch.setattr(sampler, "_BLOCK_CELLS", block)
+    sampler._site_energies.cache_clear()
+    x = sampler._site_energies(spec, ell)
+    a, _, _ = sampler._site_laws(spec, ell, 1e-12)
+    sampler._site_energies.cache_clear()
+    whole = spec.beta * eval_dispersion(spec, np.arange(ell) / ell)
+    np.testing.assert_array_equal(x.view(np.int64), whole.view(np.int64))
+    np.testing.assert_array_equal(a.view(np.int64), (-x).view(np.int64))
+
+
+@pytest.mark.parametrize("block", [1, 7, 1000, sampler._BLOCK_CELLS])
+@pytest.mark.parametrize("spec", [fermi_spec(), bose_spec()], ids=["fermi", "bose"])
+def test_grand_draw_reads_the_energies_the_dispersion_gives(monkeypatch, spec, block):
+    # The draw reads its blocks of the cached energies; the oracle evaluates
+    # each block's energies from the dispersion, and the strings agree.
+    ell = 3 * block + 5
+    monkeypatch.setattr(sampler, "_BLOCK_CELLS", block)
+    sampler._site_energies.cache_clear()
+    got = sample_grand(spec, ell, 9, 2)
+    sampler._site_energies.cache_clear()
+    np.testing.assert_array_equal(got, blocked_grand_draw(spec, ell, 9, 2))
+
+
+def test_site_energies_cache_is_one_length_array(monkeypatch):
+    # Building a length's energies allocates the ell-cell float64 array and
+    # the temporaries of one block's evaluation, nothing else of length ell:
+    # 8 bytes a site.  A block's evaluation holds three blocks of floats at
+    # once (y, 2 pi y and its cosine); the bound gives it four, 3% of the
+    # array, where a second array of length ell would double it.
+    ell = 1 << 20
+    block = 1 << 13
+    monkeypatch.setattr(sampler, "_BLOCK_CELLS", block)
+    sampler._site_energies.cache_clear()
+    tracemalloc.start()
+    try:
+        x = sampler._site_energies(fermi_spec(), ell)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        sampler._site_energies.cache_clear()
+    assert x.dtype == np.float64 and x.shape == (ell,)
+    assert x.nbytes <= peak <= x.nbytes + 4 * 8 * block
 
 
 def test_canonical_strings_take_the_narrowest_dtype_of_their_supports():
